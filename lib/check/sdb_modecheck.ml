@@ -1160,15 +1160,13 @@ let prepass ctx (str : Typedtree.structure) =
         | None -> ctx.mu_classes <- (name, (cls, kind)) :: ctx.mu_classes)
     | None -> ()
   in
-  let reg_alias name (me : Typedtree.module_expr) =
+  (* An application aliases its functor, through every argument of a
+     curried one: [Make (A) (B)] resolves to [Make]. *)
+  let rec reg_alias name (me : Typedtree.module_expr) =
     match (unwrap_me me).mod_desc with
     | Tmod_ident (p, _) ->
         ctx.aliases <- (name, normalize (path_parts p)) :: ctx.aliases
-    | Tmod_apply (f, _, _) -> (
-        match (unwrap_me f).mod_desc with
-        | Tmod_ident (p, _) ->
-            ctx.aliases <- (name, normalize (path_parts p)) :: ctx.aliases
-        | _ -> ())
+    | Tmod_apply (f, _, _) -> reg_alias name f
     | _ -> ()
   in
   let it =

@@ -63,17 +63,16 @@ type config = {
       (** keep superseded logs as [archive-logfile<N>] — §4's complete
           audit trail, consumed through {!Make.History} *)
   group_commit : bool;
-      (** commit concurrent updates as a group sharing one log write
-          and one fsync (DESIGN.md §4d).  Identical durability and
-          failure semantics per update; throughput under concurrent
-          updaters is no longer capped at 1/fsync-latency *)
-  max_group_delay : float;
-      (** longest time (seconds) a group leader lingers for more
-          updaters to join before committing the group; a solo update
-          with nobody queued commits immediately, paying no delay *)
-  max_group_bytes : int;
-      (** a group that has gathered this many framed log bytes commits
-          without lingering further *)
+      (** commit concurrent unconditional updates ({!Make.update},
+          {!Make.update_batch}) as a group sharing one log write and one
+          fsync (DESIGN.md §4d).  Identical durability and failure
+          semantics per update; throughput under concurrent updaters is
+          no longer capped at 1/fsync-latency.  A group leader lingers
+          at most 2 ms for joiners, and not at all when no updater is
+          queued.  {!Make.update_checked} always commits as a group of
+          one, so its precondition sees every earlier update.  Off
+          (the default), every update is a group of one: the paper's
+          protocol *)
   read_path : [ `Locked | `Epoch ];
       (** [`Locked] (the default): every enquiry holds the Vlock in
           Shared mode — the paper's protocol, and the baseline.
@@ -94,8 +93,7 @@ type config = {
 val default_config : config
 (** [retain_previous = false], [Manual], [`Stop_at_damage],
     [hard_error_fallback = true], [archive_logs = false],
-    [group_commit = false], [max_group_delay = 0.002],
-    [max_group_bytes = 1 MiB], [read_path = `Locked]. *)
+    [group_commit = false], [read_path = `Locked]. *)
 
 (** Cumulative per-phase timings (seconds) backing the E2/E3/E4 cost
     breakdowns; maintained with two clock reads per phase. *)
@@ -200,34 +198,29 @@ module Make (App : APP) : sig
     (unit, 'e) result
   (** The paper's three-step update: the precondition runs under the
       update lock before anything is logged; if it fails, the database
-      is untouched and no disk write happens.
+      is untouched and no disk write happens.  It runs after every
+      earlier update is applied, in both [group_commit] modes: a
+      checked update never joins a group, it commits as a group of one.
 
       Exception safety (poison-vs-release, see DESIGN.md): a
       [precondition] or pickler that {e raises} propagates with the
       lock released and the engine untouched and usable — nothing
-      reached the disk.  A failure in the log append/fsync or in
+      reached the disk.  A log write that fails and is rolled back
+      fails the update cleanly ([Degraded] on no-space, the cause
+      otherwise).  A failed fsync, an unrestorable write or a raising
       [App.apply] also releases the lock but first poisons the engine
       ({!Poisoned}), because memory and disk may now disagree.  A
       raising subscriber propagates to the caller after the update is
-      already durable and applied, with no lock held.
-
-      With [config.group_commit], concurrent callers share one log
-      write and one fsync (DESIGN.md §4d).  The contract is unchanged
-      per update: the precondition still runs under the Update lock
-      against the pre-group state; a failing precondition or raising
-      pickler fails only this call; a group-wide log failure fails
-      every member with the same taxonomy as above ([Degraded] on
-      no-space, the rolled-back cause on a restored write error,
-      {!Poisoned} after a failed fsync). *)
+      already durable and applied, with no lock held. *)
 
   val update_batch : t -> App.update list -> unit
-  (** One caller, many updates: all entries appended, one fsync (§5's
-      "multiple commit records in a single log entry" optimisation).
-      Same exception-safety contract as {!update_checked}: a raising
-      pickler releases and leaves the engine usable; a log or apply
-      failure poisons and releases.  With [config.group_commit] the
-      batch joins the forming group as a single member: its entries
-      stay contiguous in the log and share the group's one fsync. *)
+  (** One caller, many updates, one member of the commit pipeline: one
+      log write and one fsync, all or nothing (§5's "multiple commit
+      records in a single log entry" optimisation).  Same
+      exception-safety contract as {!update_checked}.  With
+      [config.group_commit] the batch joins the forming group: its
+      entries stay contiguous in the log and share the group's one
+      fsync. *)
 
   val checkpoint : t -> unit
   (** Write a checkpoint and reset the log.  Holds the update lock for

@@ -128,7 +128,7 @@ let test_batch_single_sync () =
   let before = Fs.Counters.copy fs.Fs.counters in
   KVDb.update_batch db (List.init 5 sequenced_update);
   let d = Fs.Counters.diff ~after:fs.Fs.counters ~before in
-  check Alcotest.int "five writes" 5 d.Fs.Counters.data_writes;
+  check Alcotest.int "one write" 1 d.Fs.Counters.data_writes;
   check Alcotest.int "one sync" 1 d.Fs.Counters.syncs;
   check Alcotest.int "all applied" 5 (sequenced_prefix db);
   check Alcotest.int "lsn" 5 (KVDb.stats db).Smalldb.lsn;
@@ -663,7 +663,27 @@ let test_update_span_sequence () =
       KVDb.checkpoint db;
       check
         (Alcotest.list Alcotest.string)
-        "checkpoint span" [ "checkpoint" ] (span_names ring))
+        "checkpoint span" [ "checkpoint" ] (span_names ring));
+  (* Under group commit an unconditional update leads a group (its
+     join span is the slot wait and linger); a checked one never
+     joins. *)
+  let _, _, gdb = mem_db ~config:{ Smalldb.default_config with group_commit = true } () in
+  with_ring (fun ring ->
+      KVDb.update gdb (KV.Set ("k", "v"));
+      check
+        (Alcotest.list Alcotest.string)
+        "grouped update"
+        [ "update.verify"; "update.join"; "update.log"; "update.apply"; "update.notify" ]
+        (span_names ring);
+      Trace.Ring.clear ring;
+      (match KVDb.update_checked gdb ~precondition:(fun _ -> Ok ()) (KV.Set ("k", "w")) with
+      | Ok () -> ()
+      | Error () -> fail "checked update refused");
+      check
+        (Alcotest.list Alcotest.string)
+        "checked update"
+        [ "update.verify"; "update.log"; "update.apply"; "update.notify" ]
+        (span_names ring))
 
 let test_recovery_spans_after_reopen () =
   let _, fs, db = mem_db () in

@@ -76,12 +76,10 @@ let test_group_commit_one_sync () =
   let _, fs = mem () in
   let w = Wal.Writer.create fs "log" ~fingerprint:fp in
   let before = Fs.Counters.copy fs.Fs.counters in
-  ignore (Wal.Writer.append w "a");
-  ignore (Wal.Writer.append w "b");
-  ignore (Wal.Writer.append w "c");
-  Wal.Writer.sync w;
+  List.iter (Wal.Writer.stage w) [ "a"; "b"; "c" ];
+  ignore (Wal.Writer.flush_group w : int * int);
   let d = Fs.Counters.diff ~after:fs.Fs.counters ~before in
-  check Alcotest.int "three writes" 3 d.Fs.Counters.data_writes;
+  check Alcotest.int "one write" 1 d.Fs.Counters.data_writes;
   check Alcotest.int "one fsync" 1 d.Fs.Counters.syncs;
   expect_entries "group" [ "a"; "b"; "c" ] no_stop fs "log"
 
@@ -310,7 +308,7 @@ let test_writer_misuse () =
   let _, fs = mem () in
   let w = Wal.Writer.create fs "log" ~fingerprint:fp in
   Wal.Writer.close w;
-  (match Wal.Writer.append w "x" with
+  (match Wal.Writer.append_sync w "x" with
   | _ -> Alcotest.fail "expected Io_error after close"
   | exception Fs.Io_error _ -> ());
   Alcotest.check_raises "bad fingerprint size"
@@ -321,9 +319,9 @@ let test_count_entries () =
   let _, fs = mem () in
   let w = Wal.Writer.create fs "log" ~fingerprint:fp in
   for i = 1 to 7 do
-    ignore (Wal.Writer.append w (string_of_int i))
+    Wal.Writer.stage w (string_of_int i)
   done;
-  Wal.Writer.sync w;
+  ignore (Wal.Writer.flush_group w : int * int);
   Wal.Writer.close w;
   match Wal.Reader.count_entries fs "log" ~fingerprint:fp with
   | Ok (n, _) -> check Alcotest.int "count" 7 n
@@ -341,8 +339,8 @@ let prop_random_truncation =
       let store = Mem.create_store ~seed:1 () in
       let fs = Mem.fs store in
       let w = Wal.Writer.create fs "log" ~fingerprint:fp in
-      List.iter (fun p -> ignore (Wal.Writer.append w p)) payloads;
-      Wal.Writer.sync w;
+      List.iter (Wal.Writer.stage w) payloads;
+      ignore (Wal.Writer.flush_group w : int * int);
       Wal.Writer.close w;
       let size = fs.Fs.file_size "log" in
       let cut = min cut size in
@@ -369,9 +367,8 @@ let test_raw_frames_counted () =
   let m_bytes = Metrics.counter "sdb_wal_appended_bytes_total" in
   let _, fs = mem () in
   let w = Wal.Writer.create fs "src" ~fingerprint:fp in
-  ignore (Wal.Writer.append w "first");
-  ignore (Wal.Writer.append w "second");
-  Wal.Writer.sync w;
+  ignore (Wal.Writer.append_sync w "first");
+  ignore (Wal.Writer.append_sync w "second");
   Wal.Writer.close w;
   (* The bytes past the header are two valid frames. *)
   let raw_file = Fs.read_file fs "src" in
@@ -399,8 +396,7 @@ let test_stage_flush_roundtrip () =
   let payloads = [ "alpha"; ""; String.make 5000 'q' ] in
   (* Reference: the same payloads through plain appends. *)
   let w_ref = Wal.Writer.create fs "ref" ~fingerprint:fp in
-  List.iter (fun p -> ignore (Wal.Writer.append w_ref p)) payloads;
-  Wal.Writer.sync w_ref;
+  List.iter (fun p -> ignore (Wal.Writer.append_sync w_ref p)) payloads;
   Wal.Writer.close w_ref;
   (* Staged: invisible until the flush, then one write + one fsync. *)
   let w = Wal.Writer.create fs "log" ~fingerprint:fp in
@@ -459,7 +455,7 @@ let test_append_refused_while_staged () =
   let _, fs = mem () in
   let w = Wal.Writer.create fs "log" ~fingerprint:fp in
   Wal.Writer.stage w "staged";
-  (match Wal.Writer.append w "interloper" with
+  (match Wal.Writer.append_sync w "interloper" with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "append must refuse while a group is staged");
   (match Wal.Writer.append_raw_frames w "raw" ~count:1 with
