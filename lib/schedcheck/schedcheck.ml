@@ -119,8 +119,10 @@ type exec_end =
    when the prefix runs out).  Returns how it ended, the decision
    points seen ((choice, alternatives), only where alternatives > 1 —
    forced steps are not decisions and are not backtracked over), and
-   the trace. *)
-let run_execution ~make ~choices ~max_steps =
+   the trace.  With [max_preemptions], switching away from a fiber that
+   could have run on counts as a preemption, and once the budget is
+   spent that fiber's next step is forced. *)
+let run_execution ?max_preemptions ~make ~choices ~max_steps () =
   let sc = make () in
   let failure = ref None in
   let fibers =
@@ -154,6 +156,7 @@ let run_execution ~make ~choices ~max_steps =
   let trace = ref [] in
   let steps = ref 0 in
   let remaining = ref choices in
+  let last = ref None and preemptions = ref 0 in
   let rec loop () =
     match !failure with
     | Some e -> E_raised e
@@ -182,6 +185,12 @@ let run_execution ~make ~choices ~max_steps =
           | exception e -> E_raised e
         else E_deadlock alive
       | _ ->
+        let last_enabled = List.find_opt (fun fb -> Some fb.f_tid = !last) enabled in
+        let enabled =
+          match (last_enabled, max_preemptions) with
+          | Some fb, Some bound when !preemptions >= bound -> [ fb ]
+          | _ -> enabled
+        in
         let n = List.length enabled in
         let choice =
           if n = 1 then 0
@@ -196,6 +205,10 @@ let run_execution ~make ~choices ~max_steps =
         in
         if n > 1 then decisions := (choice, n) :: !decisions;
         let fb = List.nth enabled choice in
+        (match last_enabled with
+        | Some prev when prev != fb -> incr preemptions
+        | _ -> ());
+        last := Some fb.f_tid;
         (match fb.f_state with
         | Finished -> assert false
         | Ready (s, k) ->
@@ -260,12 +273,14 @@ let backtrack decisions =
   in
   scan (Array.length arr - 1)
 
-let explore ?(max_schedules = 200_000) ?(max_steps = 20_000) make =
+let explore ?(max_schedules = 200_000) ?(max_steps = 20_000) ?max_preemptions make =
   let rec go prefix executions =
     if executions >= max_schedules then
       Schedule_bound_exceeded { executions }
     else
-      let ended, decisions, raw = run_execution ~make ~choices:prefix ~max_steps in
+      let ended, decisions, raw =
+        run_execution ?max_preemptions ~make ~choices:prefix ~max_steps ()
+      in
       let executions = executions + 1 in
       match ended with
       | E_complete -> (
@@ -279,8 +294,10 @@ let explore ?(max_schedules = 200_000) ?(max_steps = 20_000) make =
   in
   go [] 0
 
-let replay make ~schedule =
-  let ended, decisions, raw = run_execution ~make ~choices:schedule ~max_steps:1_000_000 in
+let replay ?max_preemptions make ~schedule =
+  let ended, decisions, raw =
+    run_execution ?max_preemptions ~make ~choices:schedule ~max_steps:1_000_000 ()
+  in
   let outcome =
     match ended with
     | E_complete -> Passed { executions = 1 }

@@ -123,16 +123,26 @@ val explore :
   (* default 200_000 *)
   ?max_steps:int ->
   (* default 20_000 per execution *)
+  ?max_preemptions:int ->
+  (* default unbounded *)
   (unit -> scenario) ->
   outcome
 (** [explore make] runs [make ()] once per schedule (state must be
     created inside [make] so each execution starts fresh) and searches
     the interleaving space depth-first.  Deterministic: same scenario,
-    same outcome, same counts. *)
+    same outcome, same counts.
 
-val replay : (unit -> scenario) -> schedule:int list -> outcome * trace_entry list
-(** Re-run one schedule (typically [report.r_schedule] from a failure)
-    and return its outcome plus the full trace. *)
+    [max_preemptions] bounds the space to the schedules that switch away
+    from a thread able to go on at most that many times (switches at a
+    blocked or finished thread are free); [Passed] then means every such
+    schedule passed.  Spaces too large to exhaust stay checkable this
+    way, and most concurrency bugs need only a few preemptions. *)
+
+val replay :
+  ?max_preemptions:int -> (unit -> scenario) -> schedule:int list -> outcome * trace_entry list
+(** Re-run one schedule (typically [report.r_schedule] from a failure,
+    with the bound it was explored under) and return its outcome plus
+    the full trace. *)
 
 val pp_outcome : outcome -> string
 (** Multi-line rendering: verdict, schedule, and trace. *)
