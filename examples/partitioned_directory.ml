@@ -1,11 +1,12 @@
 (* The §7 extension in action: "the directories of a large file system
    ... handled by considering them as multiple separate databases for
-   the purpose of writing checkpoints", over a single shared log.
+   the purpose of writing checkpoints", with one log file each.
 
    A toy file-directory service: 4 partitions (hash of the directory
-   name), every update one shared-log write, checkpoints one partition
-   at a time — the whole database is never pickled in one blocking
-   operation.
+   name), each an ordinary engine with its own checkpoint and log in
+   the one directory; every update is one write to its partition's
+   log, and checkpoints go one partition at a time — the whole
+   database is never pickled in one blocking operation.
 
    Run with:  dune exec examples/partitioned_directory.exe *)
 
@@ -54,7 +55,8 @@ module Dirs = struct
       st
 end
 
-module Db = Multidb.Make (Dirs)
+module Multi = Multidb.Make (Dirs)
+module Db = Multi.Db
 
 let partitions = 4
 let partition_of dir = Hashtbl.hash dir mod partitions
@@ -62,52 +64,43 @@ let partition_of dir = Hashtbl.hash dir mod partitions
 let () =
   let store = Mem.create_store ~seed:7 () in
   let fs = Mem.fs store in
-  let config =
-    {
-      Multidb.log_switch_bytes = 8 * 1024;
-      (* checkpoint one partition every 50 updates, round-robin: the
-         incremental version of the paper's nightly checkpoint *)
-      auto_checkpoint_round_robin = Some 50;
-    }
-  in
-  let db = Db.open_exn ~config ~partitions fs in
+  (* Each partition checkpoints itself after 50 of its own updates:
+     the incremental version of the paper's nightly checkpoint. *)
+  let config = { Smalldb.default_config with policy = Smalldb.Every_n_updates 50 } in
+  let db = Multi.open_exn ~config ~partitions fs in
+  let part dir = Multi.partition db (partition_of dir) in
 
   (* Populate a few hundred files across directories. *)
   let rng = Sdb_util.Rng.create ~seed:8 in
   for i = 0 to 399 do
     let dir = Printf.sprintf "/home/user%d" (i mod 7) in
     let file = Printf.sprintf "file%03d.txt" i in
-    Db.update db ~partition:(partition_of dir)
-      (Dirs.Create_file (dir, file, Sdb_util.Rng.int rng 100_000))
+    Db.update (part dir) (Dirs.Create_file (dir, file, Sdb_util.Rng.int rng 100_000))
   done;
-  Db.update db ~partition:(partition_of "/home/user3")
-    (Dirs.Delete_file ("/home/user3", "file003.txt"));
+  Db.update (part "/home/user3") (Dirs.Delete_file ("/home/user3", "file003.txt"));
 
   (* Enquiries hit only the partition that owns the directory. *)
-  let count_files dir =
-    Db.query db ~partition:(partition_of dir) (fun st ->
+  let count_files db dir =
+    Db.query (Multi.partition db (partition_of dir)) (fun st ->
         match Hashtbl.find_opt st dir with Some t -> Hashtbl.length t | None -> 0)
   in
-  Printf.printf "/home/user3 holds %d files\n" (count_files "/home/user3");
+  Printf.printf "/home/user3 holds %d files\n" (count_files db "/home/user3");
 
-  let s = Db.stats db in
-  Printf.printf "%d updates over %d partitions; %d live shared-log generation(s)\n"
-    s.Multidb.lsn s.Multidb.partitions s.Multidb.log_generations;
-  List.iter
-    (fun p ->
-      Printf.printf "  partition %d: checkpoint v%d at lsn %d\n" p.Multidb.p_index
-        p.Multidb.p_checkpoint_version p.Multidb.p_checkpoint_lsn)
-    s.Multidb.parts;
+  let stats db = List.init partitions (fun k -> Db.stats (Multi.partition db k)) in
+  let sum f db = List.fold_left (fun acc s -> acc + f s) 0 (stats db) in
+  Printf.printf "%d updates over %d partitions\n"
+    (sum (fun s -> s.Smalldb.lsn) db) partitions;
+  List.iteri
+    (fun k s ->
+      Printf.printf "  partition %d: checkpoint v%d, %d log entries\n" k
+        s.Smalldb.generation s.Smalldb.log_entries)
+    (stats db);
 
-  (* Restart: each partition replays only its own suffix. *)
-  Db.close db;
-  let db2 = Db.open_exn ~config ~partitions fs in
-  let s2 = Db.stats db2 in
-  Printf.printf "after restart: lsn %d, replayed %d entries (of %d ever committed)\n"
-    s2.Multidb.lsn s2.Multidb.replayed s2.Multidb.lsn;
-  Printf.printf "/home/user3 still holds %d files\n"
-    (Db.query db2 ~partition:(partition_of "/home/user3") (fun st ->
-         match Hashtbl.find_opt st "/home/user3" with
-         | Some t -> Hashtbl.length t
-         | None -> 0));
-  Db.close db2
+  (* Restart: each partition replays only its own log. *)
+  Multi.close db;
+  let db2 = Multi.open_exn ~config ~partitions fs in
+  Printf.printf "after restart: lsn %d, replayed %d entries\n"
+    (sum (fun s -> s.Smalldb.lsn) db2)
+    (sum (fun s -> s.Smalldb.recovery.Smalldb.replayed) db2);
+  Printf.printf "/home/user3 still holds %d files\n" (count_files db2 "/home/user3");
+  Multi.close db2

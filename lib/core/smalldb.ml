@@ -118,7 +118,6 @@ type config = {
   retain_previous : bool;
   policy : checkpoint_policy;
   log_recovery : [ `Stop_at_damage | `Skip_damaged ];
-  hard_error_fallback : bool;
   archive_logs : bool;
   group_commit : bool;
   read_path : [ `Locked | `Epoch ];
@@ -129,7 +128,6 @@ let default_config =
     retain_previous = false;
     policy = Manual;
     log_recovery = `Stop_at_damage;
-    hard_error_fallback = true;
     archive_logs = false;
     group_commit = false;
     read_path = `Locked;
@@ -403,8 +401,8 @@ module Make (App : APP) = struct
     let t0 = now () in
     let current_ckpt = load_checkpoint fs gen.Store.checkpoint_file in
     let via_previous reason =
-      match (config.hard_error_fallback, rcv.Store.previous) with
-      | true, Some prev -> (
+      match rcv.Store.previous with
+      | Some prev -> (
         match load_checkpoint fs prev.Store.checkpoint_file with
         | Error e ->
           Error
@@ -415,7 +413,7 @@ module Make (App : APP) = struct
           with
           | Error e -> Error (Printf.sprintf "%s; previous log: %s" reason e)
           | Ok (state, lsn, _outcome) -> Ok (meta, state, lsn, true)))
-      | _ -> Error reason
+      | None -> Error reason
     in
     let loaded =
       match current_ckpt with

@@ -49,16 +49,14 @@ type checkpoint_policy =
 type config = {
   retain_previous : bool;
       (** keep one previous checkpoint + log for hard-error recovery
-          (§4); costs disk space, nothing else *)
+          (§4): when the current checkpoint is unreadable, open loads
+          the previous checkpoint, replays the previous log, then
+          replays the current log.  Costs disk space, nothing else *)
   policy : checkpoint_policy;
   log_recovery : [ `Stop_at_damage | `Skip_damaged ];
       (** [`Skip_damaged] is the §4 option of ignoring just a damaged
           log entry; sound only if the application's updates are
           independent *)
-  hard_error_fallback : bool;
-      (** when the current checkpoint is unreadable, restore from the
-          retained previous generation: load the previous checkpoint,
-          replay the previous log, then replay the current log (§4) *)
   archive_logs : bool;
       (** keep superseded logs as [archive-logfile<N>] — §4's complete
           audit trail, consumed through {!Make.History} *)
@@ -92,8 +90,8 @@ type config = {
 
 val default_config : config
 (** [retain_previous = false], [Manual], [`Stop_at_damage],
-    [hard_error_fallback = true], [archive_logs = false],
-    [group_commit = false], [read_path = `Locked]. *)
+    [archive_logs = false], [group_commit = false],
+    [read_path = `Locked]. *)
 
 (** Cumulative per-phase timings (seconds) backing the E2/E3/E4 cost
     breakdowns; maintained with two clock reads per phase. *)

@@ -1,489 +1,62 @@
-module P = Sdb_pickle.Pickle
 module Fs = Sdb_storage.Fs
-module Wal = Sdb_wal.Wal
-module Vlock = Sdb_vlock.Vlock
 
-type config = {
-  log_switch_bytes : int;
-  auto_checkpoint_round_robin : int option;
-}
-
-let default_config = { log_switch_bytes = 1 lsl 20; auto_checkpoint_round_robin = None }
-
-type partition_stats = {
-  p_index : int;
-  p_checkpoint_version : int;
-  p_checkpoint_lsn : int;
-}
-
-type stats = {
-  partitions : int;
-  lsn : int;
-  log_generations : int;
-  log_bytes : int;
-  parts : partition_stats list;
-  replayed : int;
-}
-
-(* ------------------------------------------------------------------ *)
-(* On-disk names                                                       *)
-
-let manifest_file = "manifest"
-let newmanifest_file = "newmanifest"
-let part_ckpt_file k v = Printf.sprintf "part%d-ckpt%d" k v
-let shared_log_file g = Printf.sprintf "sharedlog%d" g
-
-let parse_part_ckpt name =
-  if String.length name > 4 && String.sub name 0 4 = "part" then
-    match String.index_opt name '-' with
-    | Some dash when String.length name > dash + 5 && String.sub name dash 5 = "-ckpt"
-      -> (
-      match
-        ( int_of_string_opt (String.sub name 4 (dash - 4)),
-          int_of_string_opt (String.sub name (dash + 5) (String.length name - dash - 5))
-        )
-      with
-      | Some k, Some v -> Some (k, v)
-      | _ -> None)
-    | _ -> None
-  else None
-
-let parse_shared_log name =
-  let prefix = "sharedlog" in
-  let plen = String.length prefix in
-  if String.length name > plen && String.sub name 0 plen = prefix then
-    int_of_string_opt (String.sub name plen (String.length name - plen))
-  else None
-
-(* ------------------------------------------------------------------ *)
-(* Manifest                                                            *)
-
-type part_info = { pi_version : int; pi_lsn : int }
-
-type manifest = {
-  m_partitions : int;
-  m_logs : (int * int) list;  (* (generation, base lsn), ascending *)
-  m_parts : part_info list;
-  m_rr : int;
-}
-
-let codec_part_info =
-  P.record2 "multidb.part_info"
-    (P.field "version" P.int (fun p -> p.pi_version))
-    (P.field "lsn" P.int (fun p -> p.pi_lsn))
-    (fun pi_version pi_lsn -> { pi_version; pi_lsn })
-
-let codec_manifest =
-  P.record4 "multidb.manifest"
-    (P.field "partitions" P.int (fun m -> m.m_partitions))
-    (P.field "logs" (P.list (P.pair P.int P.int)) (fun m -> m.m_logs))
-    (P.field "parts" (P.list codec_part_info) (fun m -> m.m_parts))
-    (P.field "rr" P.int (fun m -> m.m_rr))
-    (fun m_partitions m_logs m_parts m_rr -> { m_partitions; m_logs; m_parts; m_rr })
-
-(* Same discipline as the paper's version files: the committed manifest
-   is [manifest]; a switch writes and syncs [newmanifest], then renames
-   it into place.  A torn [newmanifest] fails its pickle header and is
-   ignored. *)
-let read_manifest fs file =
-  if not (fs.Fs.exists file) then None
-  else
-    match Fs.read_file fs file with
-    | exception Fs.Read_error _ -> None
-    | exception Fs.Io_error _ -> None
-    | blob -> (
-      match P.of_string codec_manifest blob with Ok m -> Some m | Error _ -> None)
-
-let commit_manifest fs m =
-  Fs.write_file fs newmanifest_file (P.to_string codec_manifest m);
-  fs.Fs.remove manifest_file;
-  fs.Fs.rename newmanifest_file manifest_file
-
-(* ------------------------------------------------------------------ *)
+(* "p<k>.<name>" belongs to partition k. *)
+let partition_of name =
+  match String.index_opt name '.' with
+  | Some i when i > 1 && name.[0] = 'p' ->
+    let digits = String.sub name 1 (i - 1) in
+    if String.for_all (fun c -> c >= '0' && c <= '9') digits then int_of_string_opt digits
+    else None
+  | _ -> None
 
 module Make (App : Smalldb.APP) = struct
-  type part_meta = { pm_app : string; pm_part : int; pm_lsn : int }
+  module Db = Smalldb.Make (App)
 
-  let codec_part_meta =
-    P.record3 "multidb.part_meta"
-      (P.field "app" P.string (fun m -> m.pm_app))
-      (P.field "part" P.int (fun m -> m.pm_part))
-      (P.field "lsn" P.int (fun m -> m.pm_lsn))
-      (fun pm_app pm_part pm_lsn -> { pm_app; pm_part; pm_lsn })
+  type t = { parts : Db.t array; mutable next : int }
 
-  let codec_blob = P.pair codec_part_meta App.codec_state
-  let codec_entry = P.pair P.int App.codec_update
-  let entry_fp = P.fingerprint codec_entry
-
-  type t = {
-    fs : Fs.t;
-    config : config;
-    lock : Vlock.t;
-    states : App.state array;
-    mutable wal : Wal.Writer.t;
-    mutable logs : (int * int) list;  (* live, ascending; last is current *)
-    parts : part_info array;
-    mutable lsn : int;
-    mutable rr : int;
-    mutable since_auto : int;
-    mutable replayed : int;
-    mutable closed : bool;
-    mutable poisoned : bool;
-  }
-
-  exception Fail of string
-
-  let failf fmt = Printf.ksprintf (fun s -> raise (Fail s)) fmt
-
-  let check_usable t =
-    if t.closed then raise Smalldb.Closed;
-    if t.poisoned then raise Smalldb.Poisoned
-
-  let check_partition t k =
-    if k < 0 || k >= Array.length t.states then
-      invalid_arg (Printf.sprintf "Multidb: partition %d out of range" k)
-
-  let manifest_of t =
-    {
-      m_partitions = Array.length t.states;
-      m_logs = t.logs;
-      m_parts = Array.to_list t.parts;
-      m_rr = t.rr;
-    }
-
-  let part_blob t k =
-    P.to_string codec_blob
-      ({ pm_app = App.name; pm_part = k; pm_lsn = t.lsn }, t.states.(k))
-
-  (* ---------------------------------------------------------------- *)
-  (* Creation and recovery                                             *)
-
-  let cleanup_stale fs m =
-    let referenced name =
-      match parse_part_ckpt name with
-      | Some (k, v) -> (
-        match List.nth_opt m.m_parts k with
-        | Some pi -> pi.pi_version = v
-        | None -> false)
-      | None -> (
-        match parse_shared_log name with
-        | Some g -> List.mem_assoc g m.m_logs
-        | None -> true (* foreign file: leave it alone *))
-    in
-    List.iter
-      (fun name -> if not (referenced name) then fs.Fs.remove name)
-      (fs.Fs.list_files ())
-
-  let create_fresh fs config ~partitions =
-    let states = Array.init partitions (fun _ -> App.init ()) in
-    let parts = Array.make partitions { pi_version = 0; pi_lsn = 0 } in
-    for k = 0 to partitions - 1 do
-      Fs.write_file fs (part_ckpt_file k 0)
-        (P.to_string codec_blob ({ pm_app = App.name; pm_part = k; pm_lsn = 0 }, states.(k)))
-    done;
-    let wal = Wal.Writer.create fs (shared_log_file 0) ~fingerprint:entry_fp in
-    let m =
-      { m_partitions = partitions; m_logs = [ (0, 0) ]; m_parts = Array.to_list parts; m_rr = 0 }
-    in
-    commit_manifest fs m;
-    Ok
-      {
-        fs;
-        config;
-        lock = Vlock.create ();
-        states;
-        wal;
-        logs = m.m_logs;
-        parts;
-        lsn = 0;
-        rr = 0;
-        since_auto = 0;
-        replayed = 0;
-        closed = false;
-        poisoned = false;
-      }
-
-  let load_partition fs k (pi : part_info) =
-    let file = part_ckpt_file k pi.pi_version in
-    match Fs.read_file fs file with
-    | exception Fs.Read_error { reason; _ } -> failf "%s unreadable: %s" file reason
-    | exception (Fs.Io_error _ as e) -> failf "%s: %s" file (Fs.describe_exn e)
-    | blob -> (
-      match P.of_string codec_blob blob with
-      | Error m -> failf "%s: %s" file m
-      | Ok (meta, state) ->
-        if meta.pm_app <> App.name then
-          failf "%s belongs to application %S" file meta.pm_app;
-        if meta.pm_part <> k then failf "%s holds partition %d" file meta.pm_part;
-        if meta.pm_lsn <> pi.pi_lsn then
-          failf "%s is at lsn %d, manifest says %d" file meta.pm_lsn pi.pi_lsn;
-        state)
-
-  (* Replay one shared-log generation, applying each entry to its
-     partition when the partition's checkpoint has not absorbed it. *)
-  let replay_log fs states parts ~log ~base ~last =
-    match
-      Wal.Reader.fold fs log ~fingerprint:entry_fp ~policy:Wal.Reader.Stop_at_damage
-        ~init:0
-        ~f:(fun applied entry ->
-          let lsn = base + entry.Wal.Reader.index in
-          let k, u = P.decode codec_entry entry.Wal.Reader.payload in
-          if k < 0 || k >= Array.length states then
-            failf "%s: entry for unknown partition %d" log k;
-          if lsn >= parts.(k).pi_lsn then begin
-            states.(k) <- App.apply states.(k) u;
-            applied + 1
-          end
-          else applied)
-    with
-    | Error e -> failf "%a" (fun () -> Format.asprintf "%a" Wal.pp_error) e
-    | Ok (applied, outcome) ->
-      if (not last) && outcome.Wal.Reader.stopped_early <> None then
-        failf "%s: damaged interior shared log" log;
-      (applied, outcome)
-    | exception P.Error m -> failf "%s: %s" log m
-
-  let recover fs config ~partitions m ~finish_switch =
-    if m.m_partitions <> partitions then
-      failf "store has %d partitions, %d requested" m.m_partitions partitions;
-    if List.length m.m_parts <> partitions then failf "manifest is inconsistent";
-    let parts = Array.of_list m.m_parts in
-    let states =
-      Array.init partitions (fun k -> load_partition fs k parts.(k))
-    in
-    (* Replay the log chain, validating contiguity. *)
-    let rec replay_chain replayed lsn = function
-      | [] -> failf "manifest lists no logs"
-      | [ (gen, base) ] ->
-        if base <> lsn then failf "sharedlog%d base %d, expected %d" gen base lsn;
-        let applied, outcome =
-          replay_log fs states parts ~log:(shared_log_file gen) ~base ~last:true
-        in
-        if outcome.Wal.Reader.entries_beyond_damage > 0 then
-          failf
-            "sharedlog%d: interior damage with %d committed entries beyond it" gen
-            outcome.Wal.Reader.entries_beyond_damage;
-        let entries =
-          outcome.Wal.Reader.entries_read + outcome.Wal.Reader.skipped
-        in
-        let wal =
-          Wal.Writer.reopen fs (shared_log_file gen) ~fingerprint:entry_fp
-            ~valid_length:outcome.Wal.Reader.valid_length ~entries
-        in
-        (replayed + applied, base + outcome.Wal.Reader.entries_read, wal)
-      | (gen, base) :: ((_, next_base) :: _ as rest) ->
-        if base <> lsn then failf "sharedlog%d base %d, expected %d" gen base lsn;
-        let applied, outcome =
-          replay_log fs states parts ~log:(shared_log_file gen) ~base ~last:false
-        in
-        if base + outcome.Wal.Reader.entries_read <> next_base then
-          failf "sharedlog%d holds %d entries, next base is %d" gen
-            outcome.Wal.Reader.entries_read next_base;
-        replay_chain (replayed + applied) next_base rest
-    in
-    let replayed, lsn, wal = replay_chain 0 (snd (List.hd m.m_logs)) m.m_logs in
-    if finish_switch then begin
-      fs.Fs.remove manifest_file;
-      fs.Fs.rename newmanifest_file manifest_file
-    end
-    else fs.Fs.remove newmanifest_file;
-    cleanup_stale fs m;
-    Ok
-      {
-        fs;
-        config;
-        lock = Vlock.create ();
-        states;
-        wal;
-        logs = m.m_logs;
-        parts;
-        lsn;
-        rr = m.m_rr;
-        since_auto = 0;
-        replayed;
-        closed = false;
-        poisoned = false;
-      }
-
-  let open_ ?(config = default_config) ~partitions fs =
+  let open_ ?config ~partitions fs =
     if partitions < 1 then invalid_arg "Multidb.open_: partitions must be positive";
-    try
-      match read_manifest fs newmanifest_file with
-      | Some m -> recover fs config ~partitions m ~finish_switch:true
-      | None -> (
-        match read_manifest fs manifest_file with
-        | Some m -> recover fs config ~partitions m ~finish_switch:false
-        | None ->
-          if fs.Fs.exists manifest_file then
-            Error "multidb: manifest unreadable; restore from backup"
-          else begin
-            (* Uncommitted leftovers of a crashed creation are wiped. *)
-            List.iter
-              (fun name ->
-                if parse_part_ckpt name <> None || parse_shared_log name <> None
-                   || name = newmanifest_file
-                then fs.Fs.remove name)
-              (fs.Fs.list_files ());
-            create_fresh fs config ~partitions
-          end)
-    with Fail m -> Error ("multidb: " ^ m)
+    let files =
+      List.filter_map
+        (fun name -> Option.map (fun k -> (k, name)) (partition_of name))
+        (fs.Fs.list_files ())
+    in
+    let found = List.sort_uniq compare (List.map fst files) in
+    let created = List.mem 0 found in
+    if created && found <> List.init partitions Fun.id then
+      Error
+        (Printf.sprintf "multidb: store holds %d partitions, %d requested"
+           (List.length found) partitions)
+    else begin
+      (* Without partition 0 no creation finished: wipe its leftovers. *)
+      if not created then List.iter (fun (_, name) -> fs.Fs.remove name) files;
+      let rec open_from k opened =
+        if k < 0 then Ok { parts = Array.of_list opened; next = 0 }
+        else
+          match Db.open_ ?config (Fs.prefixed fs (Printf.sprintf "p%d." k)) with
+          | Ok db -> open_from (k - 1) (db :: opened)
+          | Error e ->
+            List.iter Db.close opened;
+            Error (Printf.sprintf "multidb: partition %d: %s" k e)
+      in
+      open_from (partitions - 1) []
+    end
 
   let open_exn ?config ~partitions fs =
     match open_ ?config ~partitions fs with Ok t -> t | Error e -> failwith e
 
-  let partition_count t = Array.length t.states
+  let partition_count t = Array.length t.parts
 
-  (* ---------------------------------------------------------------- *)
-  (* Enquiries and updates                                             *)
-
-  let query t ~partition f =
-    check_usable t;
-    check_partition t partition;
-    Vlock.with_lock t.lock Vlock.Shared (fun () -> f t.states.(partition))
-
-  (* One partition checkpoint + the log-flushing rules, under the
-     update lock (owned by the caller). *)
-  let checkpoint_locked t k =
-    let v' = t.parts.(k).pi_version + 1 in
-    let old_version = t.parts.(k).pi_version in
-    (try
-       Fs.write_file t.fs (part_ckpt_file k v') (part_blob t k);
-       (* Switch shared-log generation when the current one is large. *)
-       let switched =
-         if Wal.Writer.length t.wal > t.config.log_switch_bytes then begin
-           let cur_gen = fst (List.nth t.logs (List.length t.logs - 1)) in
-           Wal.Writer.close t.wal;
-           let wal' =
-             Wal.Writer.create t.fs (shared_log_file (cur_gen + 1)) ~fingerprint:entry_fp
-           in
-           t.wal <- wal';
-           t.logs <- t.logs @ [ (cur_gen + 1, t.lsn) ];
-           true
-         end
-         else false
-       in
-       ignore (switched : bool);
-       t.parts.(k) <- { pi_version = v'; pi_lsn = t.lsn };
-       t.rr <- (k + 1) mod Array.length t.states;
-       (* Flushing rule: drop leading generations every partition has
-          checkpointed past. *)
-       let min_lsn = Array.fold_left (fun acc p -> min acc p.pi_lsn) max_int t.parts in
-       let rec split_dropped kept = function
-         | (g, _b) :: (((_g2, b2) :: _) as rest) when b2 <= min_lsn ->
-           split_dropped (g :: kept) rest
-         | logs -> (List.rev kept, logs)
-       in
-       let dropped, live = split_dropped [] t.logs in
-       t.logs <- live;
-       commit_manifest t.fs (manifest_of t);
-       (* Garbage after the commit point; recovery redoes it if we die. *)
-       t.fs.Fs.remove (part_ckpt_file k old_version);
-       List.iter (fun g -> t.fs.Fs.remove (shared_log_file g)) dropped
-     with e ->
-       t.poisoned <- true;
-       raise e)
-
-  let checkpoint_partition t k =
-    check_usable t;
-    check_partition t k;
-    Vlock.with_lock t.lock Vlock.Update (fun () ->
-        check_usable t;
-        checkpoint_locked t k)
+  let partition t k =
+    if k < 0 || k >= Array.length t.parts then
+      invalid_arg (Printf.sprintf "Multidb: partition %d out of range" k);
+    t.parts.(k)
 
   let checkpoint_next t =
-    check_usable t;
-    let k = t.rr in
-    checkpoint_partition t k
+    let k = t.next in
+    Db.checkpoint t.parts.(k);
+    t.next <- (k + 1) mod Array.length t.parts
 
-  let checkpoint_all t =
-    for k = 0 to partition_count t - 1 do
-      checkpoint_partition t k
-    done
-
-  let maybe_auto t =
-    match t.config.auto_checkpoint_round_robin with
-    | Some n when n > 0 ->
-      t.since_auto <- t.since_auto + 1;
-      if t.since_auto >= n then begin
-        t.since_auto <- 0;
-        checkpoint_next t
-      end
-    | Some _ | None -> ()
-
-  let update_checked t ~partition ~precondition u =
-    check_usable t;
-    check_partition t partition;
-    Vlock.acquire t.lock Vlock.Update;
-    let verdict =
-      match precondition t.states.(partition) with
-      | Error e ->
-        Vlock.release t.lock Vlock.Update;
-        Error e
-      | Ok () ->
-        (try
-           ignore
-             (Wal.Writer.append_sync t.wal (P.encode codec_entry (partition, u))
-               : int)
-         with e ->
-           t.poisoned <- true;
-           Vlock.release t.lock Vlock.Update;
-           raise e);
-        Vlock.upgrade t.lock;
-        (try t.states.(partition) <- App.apply t.states.(partition) u
-         with e ->
-           t.poisoned <- true;
-           Vlock.release t.lock Vlock.Exclusive;
-           raise e);
-        t.lsn <- t.lsn + 1;
-        Vlock.release t.lock Vlock.Exclusive;
-        Ok ()
-    in
-    (match verdict with Ok () -> maybe_auto t | Error _ -> ());
-    verdict
-
-  let update t ~partition u =
-    match update_checked t ~partition ~precondition:(fun _ -> Ok ()) u with
-    | Ok () -> ()
-    | Error _ -> assert false
-
-  (* ---------------------------------------------------------------- *)
-
-  let stats t =
-    check_usable t;
-    Vlock.with_lock t.lock Vlock.Shared (fun () ->
-        let log_bytes =
-          List.fold_left
-            (fun acc (g, _) ->
-              acc + (try t.fs.Fs.file_size (shared_log_file g) with Fs.Io_error _ -> 0))
-            0 t.logs
-        in
-        {
-          partitions = Array.length t.states;
-          lsn = t.lsn;
-          log_generations = List.length t.logs;
-          log_bytes;
-          parts =
-            Array.to_list
-              (Array.mapi
-                 (fun i p ->
-                   {
-                     p_index = i;
-                     p_checkpoint_version = p.pi_version;
-                     p_checkpoint_lsn = p.pi_lsn;
-                   })
-                 t.parts);
-          replayed = t.replayed;
-        })
-
-  let close t =
-    if not t.closed then begin
-      Vlock.acquire t.lock Vlock.Update;
-      (* a non-Io_error exception from the WAL close must not strand the
-         Update mode *)
-      Fun.protect
-        ~finally:(fun () -> Vlock.release t.lock Vlock.Update)
-        (fun () ->
-          t.closed <- true;
-          try Wal.Writer.close t.wal with Fs.Io_error _ -> ())
-    end
+  let checkpoint_all t = Array.iter Db.checkpoint t.parts
+  let close t = Array.iter Db.close t.parts
 end

@@ -1,5 +1,5 @@
-(** Partitioned databases over a single shared log — the paper's §7
-    proposal, built out.
+(** Partitioned databases — the paper's §7 proposal, built from one
+    {!Smalldb} engine per partition.
 
     "It seems likely that many larger databases (for example the
     directories of a large file system) could be handled by considering
@@ -8,80 +8,45 @@
     or a single log file with more complicated rules for flushing the
     log."
 
-    The database is split into [partitions] independent [App.state]s.
-    Every update names its partition and is committed to one {e shared}
-    log (still one disk write per update); each partition checkpoints
-    {e separately}, so the update-blocking window is proportional to a
-    partition, not the whole database, and restarts replay only the
-    suffix each partition actually needs.
-
-    The "more complicated rules for flushing the log": the shared log
-    is a chain of generations; a new generation is started when the
-    current one outgrows [log_switch_bytes], and a generation is
-    deleted once {e every} partition's checkpoint LSN has passed its
-    end.  A manifest file (committed with the same write-new /
-    atomic-rename discipline as the paper's [version] file) records the
-    partition checkpoints and the live log chain.
-
-    Concurrency uses one three-mode lock across the store: enquiries
-    on any partition run under shared; updates and (per-partition)
-    checkpoints hold update; only memory mutation is exclusive. *)
-
-type config = {
-  log_switch_bytes : int;  (** start a new shared-log generation beyond this *)
-  auto_checkpoint_round_robin : int option;
-      (** checkpoint the next partition (round-robin) every N updates —
-          the incremental alternative to one big nightly checkpoint *)
-}
-
-val default_config : config
-(** 1 MiB switch threshold, no automatic checkpoints. *)
-
-type partition_stats = {
-  p_index : int;
-  p_checkpoint_version : int;
-  p_checkpoint_lsn : int;  (** shared-log LSN the checkpoint reflects *)
-}
-
-type stats = {
-  partitions : int;
-  lsn : int;  (** total updates committed across all partitions *)
-  log_generations : int;  (** live shared-log files *)
-  log_bytes : int;  (** bytes across live shared-log files *)
-  parts : partition_stats list;
-  replayed : int;  (** per-partition replays summed, at open *)
-}
+    This takes the first option.  Partition [k] is an ordinary engine
+    over the view [Fs.prefixed fs "p<k>."] of one directory, with its
+    own checkpoint, log and version file, so each partition checkpoints
+    {e separately}: the update-blocking window is proportional to a
+    partition, not the whole database, and a restart replays only each
+    partition's own log.  Every engine feature — group commit, degraded
+    mode, scrubbing, the epoch read route, the failure taxonomy — holds
+    per partition. *)
 
 module Make (App : Smalldb.APP) : sig
+  module Db : module type of struct
+    include Smalldb.Make (App)
+  end
+
   type t
 
   val open_ :
-    ?config:config -> partitions:int -> Sdb_storage.Fs.t -> (t, string) result
-  (** Create (with [partitions] empty states) or recover.  The
-      partition count is fixed at creation. *)
+    ?config:Smalldb.config -> partitions:int -> Sdb_storage.Fs.t ->
+    (t, string) result
+  (** Create (with [partitions] empty states) or recover.  [config]
+      applies to every partition; its [policy] is per partition, so
+      [Every_n_updates n] checkpoints a partition after [n] of its own
+      updates.  The partition count is fixed at creation: partition 0
+      is created last, so its files mark a finished creation. *)
 
-  val open_exn : ?config:config -> partitions:int -> Sdb_storage.Fs.t -> t
+  val open_exn :
+    ?config:Smalldb.config -> partitions:int -> Sdb_storage.Fs.t -> t
+
   val partition_count : t -> int
 
-  val query : t -> partition:int -> (App.state -> 'a) -> 'a
-
-  val update : t -> partition:int -> App.update -> unit
-  (** One shared-log write, then apply to the partition's state. *)
-
-  val update_checked :
-    t -> partition:int -> precondition:(App.state -> (unit, 'e) result) ->
-    App.update -> (unit, 'e) result
-
-  val checkpoint_partition : t -> int -> unit
-  (** Checkpoint one partition and apply the log-flushing rules. *)
+  val partition : t -> int -> Db.t
+  (** The engine holding partition [k]: query, update and checkpoint it
+      directly.  Raises [Invalid_argument] when [k] is out of range. *)
 
   val checkpoint_next : t -> unit
-  (** Round-robin over partitions: calling this periodically keeps every
-      partition's replay suffix bounded without ever pickling the whole
-      database at once. *)
+  (** Checkpoint the next partition, round-robin from partition 0 at
+      open: calling this periodically keeps every partition's replay
+      suffix bounded without ever pickling the whole database at once. *)
 
   val checkpoint_all : t -> unit
-
-  val stats : t -> stats
   val close : t -> unit
 end

@@ -165,3 +165,28 @@ let write_file fs file contents =
      w.w_close ();
      raise e);
   w.w_close ()
+
+let prefixed fs prefix =
+  let full name = prefix ^ name in
+  let plen = String.length prefix in
+  {
+    fs_name = Printf.sprintf "%s[%s*]" fs.fs_name prefix;
+    list_files =
+      (fun () ->
+        List.filter_map
+          (fun name ->
+            if String.starts_with ~prefix name then
+              Some (String.sub name plen (String.length name - plen))
+            else None)
+          (fs.list_files ()));
+    exists = (fun name -> fs.exists (full name));
+    file_size = (fun name -> fs.file_size (full name));
+    open_reader = (fun name -> fs.open_reader (full name));
+    create = (fun name -> fs.create (full name));
+    open_append = (fun name -> fs.open_append (full name));
+    open_random = (fun name -> fs.open_random (full name));
+    rename = (fun src dst -> fs.rename (full src) (full dst));
+    remove = (fun name -> fs.remove (full name));
+    truncate = (fun name len -> fs.truncate (full name) len);
+    counters = fs.counters;
+  }

@@ -132,3 +132,13 @@ val read_file : t -> string -> string
 
 val write_file : t -> string -> string -> unit
 (** Create, write, sync, close. *)
+
+val prefixed : t -> string -> t
+(** [prefixed fs p] is the view of [fs] holding only the files whose
+    names start with [p], with [p] stripped: [list_files] lists just
+    those, and every other operation prepends [p] to the name it is
+    given.  Several engines can thus share one directory without
+    seeing each other's files: an engine's restart scan deletes the
+    listed files it finds stale (every one of them, when the store's
+    creation never committed).  Shares [fs]'s counters; file names
+    inside exceptions and handles are the full, prefixed ones. *)

@@ -50,41 +50,62 @@ let test_path_operations () =
 (* Pure data operations                                                 *)
 
 let test_data_ops () =
-  let root = Data.empty_node () in
-  ignore (Data.ensure root [ "a"; "b" ]);
-  Alcotest.check Alcotest.bool "created" true (Data.mem root [ "a"; "b" ]);
-  Alcotest.check Alcotest.bool "intermediate" true (Data.mem root [ "a" ]);
-  Data.set_value root [ "a"; "b" ] (Some "v");
-  (match Data.find root [ "a"; "b" ] with
-  | Some n -> check (Alcotest.option Alcotest.string) "value" (Some "v") n.Data.value
+  let root = Data.pensure Data.empty_pnode [ "a"; "b" ] in
+  Alcotest.check Alcotest.bool "created" true (Data.pmem root [ "a"; "b" ]);
+  Alcotest.check Alcotest.bool "intermediate" true (Data.pmem root [ "a" ]);
+  let before = root in
+  let root = Data.pset_value root [ "a"; "b" ] (Some "v") in
+  (match Data.pfind root [ "a"; "b" ] with
+  | Some n -> check (Alcotest.option Alcotest.string) "value" (Some "v") n.Data.pvalue
   | None -> Alcotest.fail "node lost");
-  check Alcotest.int "count" 3 (Data.count_nodes root);
-  Alcotest.check Alcotest.bool "weight" true (Data.weight_bytes root > 0);
+  (match Data.pfind before [ "a"; "b" ] with
+  | Some n -> check (Alcotest.option Alcotest.string) "old version intact" None n.Data.pvalue
+  | None -> Alcotest.fail "old version lost its node");
+  check Alcotest.int "count" 3 (Data.pcount_nodes root);
+  check Alcotest.int "weight" 3 (Data.pweight_bytes root);
   (* graft *)
   let subtree = Data.tree ~value:"sub" [ ("x", Data.leaf (Some "1")); ("y", Data.leaf None) ] in
-  Data.graft root [ "a"; "c" ] subtree;
+  let root = Data.pgraft root [ "a"; "c" ] subtree in
   check (Alcotest.option tree_testable) "grafted" (Some subtree)
-    (Option.map (fun n -> Data.snapshot n) (Data.find root [ "a"; "c" ]));
+    (Option.map (fun n -> Data.psnapshot n) (Data.pfind root [ "a"; "c" ]));
+  check Alcotest.(list string) "labels sorted" [ "b"; "c" ]
+    (Option.fold ~none:[] ~some:Data.pchildren_labels (Data.pfind root [ "a" ]));
+  check
+    Alcotest.(list (pair (list string) (option string)))
+    "bindings in order"
+    [
+      ([ "a" ], None);
+      ([ "a"; "b" ], Some "v");
+      ([ "a"; "c" ], Some "sub");
+      ([ "a"; "c"; "x" ], Some "1");
+      ([ "a"; "c"; "y" ], None);
+    ]
+    (List.rev (Data.pfold_bindings root ~init:[] ~f:(fun acc p v -> (p, v) :: acc)));
+  check Alcotest.int "pruned"
+    2
+    (Data.pfold_bindings root
+       ~prune:(fun p -> p <> [ "a"; "c" ])
+       ~init:0
+       ~f:(fun n _ _ -> n + 1));
   (* delete *)
-  Data.delete_subtree root [ "a"; "b" ];
-  Alcotest.check Alcotest.bool "deleted" false (Data.mem root [ "a"; "b" ]);
-  Data.delete_subtree root [ "missing"; "path" ];
+  let root = Data.pdelete_subtree root [ "a"; "b" ] in
+  Alcotest.check Alcotest.bool "deleted" false (Data.pmem root [ "a"; "b" ]);
+  let same = Data.pdelete_subtree root [ "missing"; "path" ] in
+  Alcotest.check Alcotest.bool "absent path is a no-op" false (Data.pmem same [ "missing" ]);
   (* root delete clears *)
-  Data.delete_subtree root [];
-  check Alcotest.int "cleared" 1 (Data.count_nodes root)
+  check Alcotest.int "cleared" 1 (Data.pcount_nodes (Data.pdelete_subtree root []))
 
 let test_snapshot_depth () =
-  let root = Data.empty_node () in
-  Data.set_value root [ "a"; "b"; "c" ] (Some "deep");
-  let full = Data.snapshot root in
+  let root = Data.pset_value Data.empty_pnode [ "a"; "b"; "c" ] (Some "deep") in
+  let full = Data.psnapshot root in
   let (Data.Tree t) = full in
   check Alcotest.int "full depth children" 1 (List.length t.tchildren);
-  let shallow = Data.snapshot ~depth:1 root in
+  let shallow = Data.psnapshot ~depth:1 root in
   let (Data.Tree s) = shallow in
   (match s.tchildren with
   | [ ("a", Data.Tree a) ] -> check Alcotest.int "depth cut" 0 (List.length a.tchildren)
   | _ -> Alcotest.fail "expected single child");
-  let zero = Data.snapshot ~depth:0 root in
+  let zero = Data.psnapshot ~depth:0 root in
   let (Data.Tree z) = zero in
   check Alcotest.int "depth 0" 0 (List.length z.tchildren)
 
@@ -96,9 +117,16 @@ let test_materialize_roundtrip () =
         ("a", Data.tree [ ("z", Data.leaf None) ]);
       ]
   in
-  let node = Data.materialize tree in
-  check tree_testable "materialize/snapshot" tree (Data.snapshot node);
-  Alcotest.check Alcotest.bool "equal_node" true (Data.equal_node node (Data.materialize tree))
+  let node = Data.pof_tree tree in
+  check tree_testable "pof_tree/psnapshot" tree (Data.psnapshot node);
+  (* Built in another order, the same store pickles to the same bytes. *)
+  let rebuilt =
+    Data.pgraft
+      (Data.pset_value (Data.pset_value Data.empty_pnode [] (Some "r")) [ "a"; "z" ] None)
+      [ "b" ] (Data.leaf (Some "2"))
+  in
+  let pickle = Sdb_pickle.Pickle.to_string Data.codec_pnode in
+  check Alcotest.string "canonical pickle" (pickle node) (pickle rebuilt)
 
 (* ------------------------------------------------------------------ *)
 (* The served database                                                  *)
@@ -204,8 +232,8 @@ let test_ns_snapshot_and_updates_since () =
   Ns.set_value ns (p "/b") (Some "2");
   let tree, lsn = Ns.snapshot_with_lsn ns in
   check Alcotest.int "lsn" 2 lsn;
-  let node = Data.materialize tree in
-  Alcotest.check Alcotest.bool "snapshot content" true (Data.mem node [ "a" ]);
+  let node = Data.pof_tree tree in
+  Alcotest.check Alcotest.bool "snapshot content" true (Data.pmem node [ "a" ]);
   (match Ns.updates_since ns 0 with
   | Some l -> check Alcotest.int "all updates" 2 (List.length l)
   | None -> Alcotest.fail "log should cover 0");

@@ -286,7 +286,7 @@ let test_ns_protocol_roundtrip () =
       let tree, lsn = Proto.Client.snapshot client in
       check Alcotest.int "snapshot lsn" 5 lsn;
       Alcotest.check Alcotest.bool "snapshot nonempty" true
-        (Data.count_nodes (Data.materialize tree) > 1);
+        (Data.pcount_nodes (Data.pof_tree tree) > 1);
       (match Proto.Client.updates_since client 0 with
       | Some l -> check Alcotest.int "all updates" 5 (List.length l)
       | None -> Alcotest.fail "log covers 0");

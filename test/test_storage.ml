@@ -93,6 +93,69 @@ let test_real_reject_paths () =
   | exception Fs.Io_error _ -> ()
 
 (* ------------------------------------------------------------------ *)
+(* Prefixed views                                                      *)
+
+let sorted_files fs = List.sort compare (fs.Fs.list_files ())
+
+(* The whole basic suite runs inside a view; every name outside the
+   prefix — including the very names the suite renames and removes —
+   is left exactly as it was. *)
+let test_prefixed_stays_inside () =
+  let _, fs = mem () in
+  let outside = [ ("a.txt", "A"); ("b.txt", "B"); ("p0.b.txt", "P0"); ("p1x", "X") ] in
+  List.iter (fun (name, contents) -> write fs name contents) outside;
+  basic_suite (fun () -> Fs.prefixed fs "p1.") ();
+  List.iter
+    (fun (name, contents) -> check Alcotest.string ("untouched " ^ name) contents (read fs name))
+    outside;
+  check Alcotest.(list string) "the view's files carry the prefix"
+    [ "a.txt"; "b.txt"; "p0.b.txt"; "p1.rand.bin"; "p1.seq.bin"; "p1.t.bin"; "p1x" ]
+    (sorted_files fs);
+  check Alcotest.(list string) "listing strips the prefix"
+    [ "rand.bin"; "seq.bin"; "t.bin" ]
+    (sorted_files (Fs.prefixed fs "p1."))
+
+(* A fresh engine deletes every file its view lists (an uncommitted
+   store's leftovers), so only the filtering keeps a neighbour alive. *)
+let test_prefixed_engines_share_a_directory () =
+  let _, fs = mem () in
+  let p0 = Helpers.KVDb.open_exn (Fs.prefixed fs "p0.") in
+  Helpers.KVDb.update p0 (Helpers.KV.Set ("k", "zero"));
+  Helpers.KVDb.close p0;
+  let p0_files = List.map (fun name -> (name, read fs name)) (sorted_files fs) in
+  write fs "p1.leftover" "from a crashed creation";
+  let p1 = Helpers.KVDb.open_exn (Fs.prefixed fs "p1.") in
+  check Alcotest.bool "own leftover removed" false (fs.Fs.exists "p1.leftover");
+  Helpers.KVDb.update p1 (Helpers.KV.Set ("k", "one"));
+  Helpers.KVDb.close p1;
+  List.iter
+    (fun (name, contents) -> check Alcotest.string ("intact " ^ name) contents (read fs name))
+    p0_files;
+  let get prefix =
+    let db = Helpers.KVDb.open_exn (Fs.prefixed fs prefix) in
+    let v = Helpers.KVDb.query db (fun st -> Hashtbl.find_opt st "k") in
+    Helpers.KVDb.close db;
+    v
+  in
+  check Alcotest.(option string) "p0" (Some "zero") (get "p0.");
+  check Alcotest.(option string) "p1" (Some "one") (get "p1.")
+
+let test_prefixed_real_durability () =
+  let root = Helpers.fresh_dir "prefixed" in
+  let db = Helpers.KVDb.open_exn (Fs.prefixed (Real.create ~root) "p2.") in
+  Helpers.KVDb.update db (Helpers.KV.Set ("k", "v"));
+  Helpers.KVDb.close db;
+  Array.iter
+    (fun name ->
+      check Alcotest.bool ("prefixed on disk: " ^ name) true
+        (String.starts_with ~prefix:"p2." name))
+    (Sys.readdir root);
+  let db = Helpers.KVDb.open_exn (Fs.prefixed (Real.create ~root) "p2.") in
+  check Alcotest.(option string) "survives reopen" (Some "v")
+    (Helpers.KVDb.query db (fun st -> Hashtbl.find_opt st "k"));
+  Helpers.KVDb.close db
+
+(* ------------------------------------------------------------------ *)
 (* Crash semantics (mem only)                                          *)
 
 let test_clean_crash_drops_unsynced () =
@@ -425,6 +488,15 @@ let () =
           Alcotest.test_case "mem backend" `Quick test_mem_basic;
           Alcotest.test_case "real backend" `Quick test_real_basic;
           Alcotest.test_case "real rejects path escape" `Quick test_real_reject_paths;
+        ] );
+      ( "prefixed",
+        [
+          Alcotest.test_case "operations stay inside the prefix" `Quick
+            test_prefixed_stays_inside;
+          Alcotest.test_case "engines share a directory" `Quick
+            test_prefixed_engines_share_a_directory;
+          Alcotest.test_case "real backend durability" `Quick
+            test_prefixed_real_durability;
         ] );
       ( "crash",
         [
