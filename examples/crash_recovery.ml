@@ -22,6 +22,7 @@ module App = struct
       (P.pair P.string P.string)
 
   let init () = Hashtbl.create 16
+  let persistent = false
 
   let apply st (Set (k, v)) =
     Hashtbl.replace st k v;

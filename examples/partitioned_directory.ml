@@ -35,6 +35,7 @@ module Dirs = struct
       ]
 
   let init () = Hashtbl.create 16
+  let persistent = false
 
   let dir_table st d =
     match Hashtbl.find_opt st d with

@@ -28,6 +28,7 @@ module App = struct
       ]
 
   let init () = Hashtbl.create 16
+  let persistent = false
 
   let apply st = function
     | Set (k, v) ->

@@ -54,6 +54,7 @@ module App = struct
       ]
 
   let init () = Hashtbl.create 32
+  let persistent = false
 
   (* apply must be total: preconditions live in the checked wrappers. *)
   let apply st = function

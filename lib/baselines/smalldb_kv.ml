@@ -24,6 +24,7 @@ module App = struct
   let codec_state = P.hashtbl P.string P.string
   let codec_update = codec_update
   let init () = Hashtbl.create 64
+  let persistent = false
 
   let apply state u =
     (match u with

@@ -107,6 +107,7 @@ module type APP = sig
   val codec_update : update Pickle.t
   val init : unit -> state
   val apply : state -> update -> state
+  val persistent : bool
 end
 
 type checkpoint_policy =
@@ -162,6 +163,7 @@ type stats = {
   log_bytes : int;
   phase : phase_times;
   recovery : recovery_info;
+  background_checkpoint : [ `Idle | `Pickling | `Ready ];
 }
 
 exception Poisoned
@@ -216,6 +218,20 @@ module Make (App : APP) = struct
     mutable first_lsn : int;  (* assigned at apply *)
   }
 
+  (* Where a fuzzy checkpoint's snapshot sits in the log: the entries
+     past [at_off] of generation [at_generation]'s log, [at_lsn]
+     onwards, are the tail its hand-over carries. *)
+  type mark = { at_generation : int; at_lsn : int; at_off : int }
+
+  (* A policy checkpoint pickling on its own domain.  The domain only
+     pickles; the blob and its pickle start and end times come back
+     through [Domain.join] once [finished] is set, its last act. *)
+  type pickling = {
+    mark : mark;
+    finished : bool Atomic.t;
+    domain : (string * float * float) Domain.t;
+  }
+
   type t = {
     fs : Fs.t;
     config : config;
@@ -243,6 +259,7 @@ module Make (App : APP) = struct
     mutable degraded_backoff : float;
     mutable auto_ckpt_retry_at : float;
     mutable auto_ckpt_backoff : float;
+    mutable pickling : pickling option;  (* at most one; set under ckpt_mutex *)
     mutable last_scrub : scrub_report option;
     mutable scrub_stop : bool;
     mutable scrub_thread : Thread.t option;
@@ -320,6 +337,7 @@ module Make (App : APP) = struct
       degraded_backoff = backoff_initial;
       auto_ckpt_retry_at = 0.;
       auto_ckpt_backoff = backoff_initial;
+      pickling = None;
       last_scrub = None;
       scrub_stop = false;
       scrub_thread = None;
@@ -485,14 +503,17 @@ module Make (App : APP) = struct
       Metrics.incr m_degraded_recoveries
     end
 
-  (* Write generation [next] from a state pickled over [t0, t1], start
+  (* Write generation [next] from a state pickled over [pickle], start
      its log with whatever [carry] copies in (the entries committed
      since the snapshot; it returns their count), and commit the switch.
      [in_update] runs the log swap under the Update lock.  A failure
      before the commit point scraps the partial generation and fails
      just this checkpoint, the engine staying on the current one; after
-     it, memory and disk may disagree, so the engine poisons. *)
-  let switch_generation t ~kind ~t0 ~t1 blob ~in_update ~carry =
+     it, memory and disk may disagree, so the engine poisons.  The
+     write phase is timed from here: a background pickle may have
+     finished long before its install starts. *)
+  let switch_generation t ~kind ~pickle:(t0, t1) blob ~in_update ~carry =
+    let ti = now () in
     let next = t.generation + 1 in
     let committed = ref false in
     (try
@@ -536,100 +557,114 @@ module Make (App : APP) = struct
       {
         p with
         ckpt_pickle_s = p.ckpt_pickle_s +. (t1 -. t0);
-        ckpt_write_s = p.ckpt_write_s +. (t2 -. t1);
+        ckpt_write_s = p.ckpt_write_s +. (t2 -. ti);
       };
     Metrics.incr m_checkpoints;
     Metrics.observe m_ckpt_pickle (t1 -. t0);
-    Metrics.observe m_ckpt_write (t2 -. t1);
-    if Trace.active () then
-      Trace.span "checkpoint"
-        ~attrs:
-          [
-            ("app", App.name);
-            ("kind", kind);
-            ("generation", string_of_int t.generation);
-          ]
-        ~start_s:t0 ~dur_s:(t2 -. t0)
+    Metrics.observe m_ckpt_write (t2 -. ti);
+    if Trace.active () then begin
+      let name =
+        match kind with
+        | `Blocking -> "blocking"
+        | `Concurrent -> "concurrent"
+        | `Background -> "background"
+      in
+      let attrs =
+        [ ("app", App.name); ("kind", name); ("generation", string_of_int t.generation) ]
+      in
+      match kind with
+      | `Background ->
+        (* Two disjoint intervals, only the install on the request
+           path; the pickle's timestamps were taken in its domain. *)
+        Trace.span "checkpoint.pickle" ~attrs ~start_s:t0 ~dur_s:(t1 -. t0);
+        Trace.span "checkpoint.install" ~attrs ~start_s:ti ~dur_s:(t2 -. ti)
+      | `Blocking | `Concurrent -> Trace.span "checkpoint" ~attrs ~start_s:t0 ~dur_s:(t2 -. t0)
+    end
 
   let checkpoint_locked t =
     let t0 = now () in
     let blob = checkpoint_blob ~lsn:t.lsn t.state in
-    switch_generation t ~kind:"blocking" ~t0 ~t1:(now ()) blob
+    switch_generation t ~kind:`Blocking ~pickle:(t0, now ()) blob
       ~in_update:(fun f -> f ())
       ~carry:(fun _ -> 0)
   [@@sdb.requires update]
 
-  (* [due] is re-checked under the locks: the members of a group all
-     finish together, and only the first of them should checkpoint. *)
-  let checkpoint_if t due =
-    check_usable t;
-    Sdb_check.Mu.lock t.ckpt_mutex;
-    Fun.protect
-      ~finally:(fun () -> Sdb_check.Mu.unlock t.ckpt_mutex)
-      (fun () ->
-        Vlock.acquire t.lock Vlock.Update;
-        Fun.protect
-          ~finally:(fun () -> Vlock.release t.lock Vlock.Update)
-          (fun () ->
-            check_usable t;
-            if due t then checkpoint_locked t))
+  (* A fuzzy checkpoint's snapshot is O(1): the state is persistent, so
+     the root taken under one brief Update hold, with its LSN and log
+     offset, stays a consistent version however many updates follow. *)
+  let mark_locked t =
+    { at_generation = t.generation; at_lsn = t.lsn; at_off = Wal.Writer.length t.wal }
+  [@@sdb.requires update]
+
+  (* Copy into the new generation's log [wal'] the frames committed
+     since [mark] — raw frames, no decoding — and return their count.
+     Runs as [switch_generation]'s [carry], inside its Update window:
+     asserted at runtime, since the static checker cannot follow the
+     closure there. *)
+  let carry_tail t mark wal' =
+    Sdb_check.assert_mode (Vlock.sanitizer t.lock) Sdb_check.Update
+      ~site:"checkpoint.carry";
+    let tail_len = Wal.Writer.length t.wal - mark.at_off in
+    if tail_len > 0 then begin
+      let r = t.fs.Fs.open_reader (Store.log_file t.generation) in
+      Fun.protect
+        ~finally:(fun () -> r.Fs.r_close ())
+        (fun () ->
+          r.Fs.r_seek mark.at_off;
+          let buf = Bytes.create tail_len in
+          let rec fill got =
+            if got < tail_len then begin
+              let n = r.Fs.r_read buf got (tail_len - got) in
+              if n = 0 then Fs.io_fail ~op:"read" "checkpoint hand-over: short tail read";
+              fill (got + n)
+            end
+          in
+          fill 0;
+          Wal.Writer.append_raw_frames wal' (Bytes.unsafe_to_string buf)
+            ~count:(t.lsn - mark.at_lsn));
+      Wal.Writer.sync wal'
+    end;
+    t.lsn - mark.at_lsn
+
+  (* The fuzzy hand-over, shared by [checkpoint_concurrent] and the
+     policy's background install: brief exclusion of updates,
+     proportional to the entries committed since [mark], to carry them
+     into the new generation's log and commit the switch. *)
+  let hand_over t ~kind mark ~pickle blob =
+    switch_generation t ~kind ~pickle blob
+      ~in_update:(fun f -> Vlock.with_lock t.lock Vlock.Update f)
+      ~carry:(carry_tail t mark)
   [@@sdb.acquires update]
 
-  let checkpoint t = checkpoint_if t (fun _ -> true) [@@sdb.acquires update]
-
-  (* The fuzzy checkpoint: snapshot cheaply (the state is immutable),
-     pickle with no lock held, then briefly take the update lock to
-     carry the few concurrently-committed entries into the new
-     generation's log and commit the switch. *)
-  let checkpoint_concurrent t =
-    check_usable t;
-    if t.config.archive_logs then
-      invalid_arg "Smalldb.checkpoint_concurrent: incompatible with archive_logs";
-    Sdb_check.Mu.lock t.ckpt_mutex;
-    Fun.protect
-      ~finally:(fun () -> Sdb_check.Mu.unlock t.ckpt_mutex)
-      (fun () ->
-        check_usable t;
-        (* Phase 1: O(1) snapshot.  A momentary update lock pins the
-           (state, lsn, log length) triple consistently. *)
-        let snapshot, snap_lsn, snap_off =
-          Vlock.with_lock t.lock Vlock.Update (fun () ->
-              (t.state, t.lsn, Wal.Writer.length t.wal))
-        in
-        (* Phase 2: the expensive work, with updates running freely. *)
-        let t0 = now () in
-        let blob = checkpoint_blob ~lsn:snap_lsn snapshot in
-        (* Phase 3: brief exclusion, proportional to the updates that
-           arrived during phase 2: blit the tail committed since the
-           snapshot — raw frames, no decoding. *)
-        let carry wal' =
-          let tail_len = Wal.Writer.length t.wal - snap_off in
-          if tail_len > 0 then begin
-            let r = t.fs.Fs.open_reader (Store.log_file t.generation) in
-            Fun.protect
-              ~finally:(fun () -> r.Fs.r_close ())
-              (fun () ->
-                r.Fs.r_seek snap_off;
-                let buf = Bytes.create tail_len in
-                let rec fill got =
-                  if got < tail_len then begin
-                    let n = r.Fs.r_read buf got (tail_len - got) in
-                    if n = 0 then
-                      Fs.io_fail ~op:"read" "checkpoint_concurrent: short tail read";
-                    fill (got + n)
-                  end
-                in
-                fill 0;
-                Wal.Writer.append_raw_frames wal' (Bytes.unsafe_to_string buf)
-                  ~count:(t.lsn - snap_lsn));
-            Wal.Writer.sync wal'
-          end;
-          t.lsn - snap_lsn
-        in
-        switch_generation t ~kind:"concurrent" ~t0 ~t1:(now ()) blob
-          ~in_update:(fun f -> Vlock.with_lock t.lock Vlock.Update f)
-          ~carry)
+  (* Under the checkpoint token: install a policy pickle that has
+     finished through the hand-over, or drop it if the generation moved
+     since its snapshot (a manual checkpoint or a scrub repair
+     superseded it).  A pickle still running is left alone.  A pickler
+     that raised re-raises here, as it would have inline. *)
+  let install_finished t =
+    match t.pickling with
+    | Some p when Atomic.get p.finished ->
+      t.pickling <- None;
+      let blob, t0, t1 = Domain.join p.domain in
+      if p.mark.at_generation = t.generation then
+        hand_over t ~kind:`Background p.mark ~pickle:(t0, t1) blob
+    | Some _ | None -> ()
   [@@sdb.acquires update]
+
+  (* The domain only pickles: it never touches the file system, the
+     metrics or the trace sink. *)
+  let spawn_pickle t state mark =
+    let finished = Atomic.make false in
+    let domain =
+      Domain.spawn (fun () ->
+          Fun.protect
+            ~finally:(fun () -> Atomic.set finished true)
+            (fun () ->
+              let t0 = now () in
+              let blob = checkpoint_blob ~lsn:mark.at_lsn state in
+              (blob, t0, now ())))
+    in
+    t.pickling <- Some { mark; finished; domain }
 
   let due_for_checkpoint t =
     match t.config.policy with
@@ -639,9 +674,76 @@ module Make (App : APP) = struct
     | Every_n_updates n -> n > 0 && t.since_ckpt >= n
     | Log_bytes_exceeds limit -> Wal.Writer.length t.wal > limit
 
+  (* Policy checkpoints of a persistent state pickle on a domain of
+     their own.  A state mutated in place cannot be snapshotted, and an
+     archive_logs store cannot carry a tail (it would duplicate
+     archived history): those checkpoint inline. *)
+  let pickles_in_background t = App.persistent && not t.config.archive_logs
+
+  (* Every checkpoint but the concurrent one: under the checkpoint
+     token, first install a finished policy pickle, then, under Update,
+     either write a checkpoint inline or pin a snapshot and hand it to a
+     pickling domain.  A policy checkpoint re-checks [due] under the
+     locks — the members of a group all finish together, and only the
+     first of them should checkpoint — and starts none while a pickle
+     is in flight. *)
+  let checkpoint_as t ~policy =
+    check_usable t;
+    Sdb_check.Mu.lock t.ckpt_mutex;
+    Fun.protect
+      ~finally:(fun () -> Sdb_check.Mu.unlock t.ckpt_mutex)
+      (fun () ->
+        check_usable t;
+        install_finished t;
+        Vlock.acquire t.lock Vlock.Update;
+        let snapshot =
+          Fun.protect
+            ~finally:(fun () -> Vlock.release t.lock Vlock.Update)
+            (fun () ->
+              check_usable t;
+              if policy && (t.pickling <> None || not (due_for_checkpoint t)) then None
+              else if policy && pickles_in_background t then Some (t.state, mark_locked t)
+              else begin
+                checkpoint_locked t;
+                None
+              end)
+        in
+        Option.iter (fun (state, mark) -> spawn_pickle t state mark) snapshot)
+  [@@sdb.acquires update]
+
+  let checkpoint t = checkpoint_as t ~policy:false [@@sdb.acquires update]
+
+  (* The fuzzy checkpoint on the caller's thread: snapshot, pickle with
+     no lock held, hand over. *)
+  let checkpoint_concurrent t =
+    check_usable t;
+    if not App.persistent then
+      invalid_arg "Smalldb.checkpoint_concurrent: App.state is not persistent";
+    if t.config.archive_logs then
+      invalid_arg "Smalldb.checkpoint_concurrent: incompatible with archive_logs";
+    Sdb_check.Mu.lock t.ckpt_mutex;
+    Fun.protect
+      ~finally:(fun () -> Sdb_check.Mu.unlock t.ckpt_mutex)
+      (fun () ->
+        check_usable t;
+        let state, mark =
+          Vlock.with_lock t.lock Vlock.Update (fun () -> (t.state, mark_locked t))
+        in
+        let t0 = now () in
+        let blob = checkpoint_blob ~lsn:mark.at_lsn state in
+        hand_over t ~kind:`Concurrent mark ~pickle:(t0, now ()) blob)
+  [@@sdb.acquires update]
+
+  (* After a commit: install a finished policy pickle, or start the
+     policy's next checkpoint when one is due.  Both checks here are
+     unlocked hints; [checkpoint_as] repeats them under the locks. *)
   let maybe_auto_checkpoint t =
-    if due_for_checkpoint t && now () >= t.auto_ckpt_retry_at then
-      try checkpoint_if t due_for_checkpoint
+    let ready = match t.pickling with Some p -> Atomic.get p.finished | None -> false in
+    if
+      ready
+      || t.pickling = None && due_for_checkpoint t && now () >= t.auto_ckpt_retry_at
+    then
+      try checkpoint_as t ~policy:true
       with Fs.No_space _ ->
         (* The update itself committed; the log just could not be
            compacted yet.  Back off and keep running — degraded mode is
@@ -1157,6 +1259,10 @@ module Make (App : APP) = struct
           log_bytes = Wal.Writer.length t.wal;
           phase = t.phase;
           recovery = t.recovery;
+          background_checkpoint =
+            (match t.pickling with
+            | None -> `Idle
+            | Some p -> if Atomic.get p.finished then `Ready else `Pickling);
         })
 
   let fold_log t ~init ~f =
@@ -1266,21 +1372,49 @@ module Make (App : APP) = struct
         | Error e -> Error e
   end
 
+  (* Close the log under Update: the instance is closed from here on. *)
+  let close_log t =
+    Vlock.acquire t.lock Vlock.Update;
+    (* a non-Io_error exception from the WAL close (e.g. an injected
+       fault) must not strand the Update mode *)
+    Fun.protect
+      ~finally:(fun () -> Vlock.release t.lock Vlock.Update)
+      (fun () ->
+        t.closed <- true;
+        try Wal.Writer.close t.wal with Fs.Io_error _ -> ())
+  [@@sdb.acquires update]
+
+  (* A finished policy pickle is installed first; one still running is
+     abandoned — its domain finishes on its own and nothing installs
+     it.  A failed install does not keep the instance open: it re-raises
+     once the log is closed, except a full disk, which only leaves the
+     log as the authoritative tail. *)
   let close t =
     if not t.closed then begin
       stop_scrubber t;
-      Vlock.acquire t.lock Vlock.Update;
-      (* a non-Io_error exception from the WAL close (e.g. an injected
-         fault) must not strand the Update mode *)
+      Sdb_check.Mu.lock t.ckpt_mutex;
       Fun.protect
-        ~finally:(fun () -> Vlock.release t.lock Vlock.Update)
+        ~finally:(fun () -> Sdb_check.Mu.unlock t.ckpt_mutex)
         (fun () ->
-          t.closed <- true;
-          try Wal.Writer.close t.wal with Fs.Io_error _ -> ())
+          let failed =
+            if t.closed || t.poisoned then None
+            else
+              match install_finished t with
+              | () | (exception Fs.No_space _) -> None
+              | exception e -> Some e
+          in
+          close_log t;
+          Option.iter raise failed)
     end
   [@@sdb.acquires update]
 
   let open_ ?(config = default_config) fs =
+    if config.read_path = `Epoch && not App.persistent then
+      Error
+        (Printf.sprintf
+           "%s: read_path = `Epoch needs a persistent App.state (persistent = false)"
+           App.name)
+    else
     match
       Store.recover ~archive_logs:config.archive_logs
         ~retain_previous:config.retain_previous fs

@@ -13,7 +13,9 @@
     a shared lock; an update holds the update lock through steps (1)
     and (2) — so enquiries keep running during the disk write — and
     upgrades to exclusive only for step (3); a checkpoint holds the
-    update lock for its whole duration.
+    update lock for its whole duration, except where a persistent
+    state lets it pickle outside the lock ({!checkpoint_policy},
+    {!Make.checkpoint_concurrent}).
 
     Instantiate {!Make} with an application: its state and update
     types, their pickles, and the (total, deterministic) [apply]
@@ -38,8 +40,34 @@ module type APP = sig
   (** Total and deterministic: replaying the same updates from the same
       state must rebuild the same state.  May mutate and return its
       argument or return a new value. *)
+
+  val persistent : bool
+  (** [true] when [apply] never mutates its argument and every state
+      it returns stays valid as long as it is referenced (path-copied,
+      like [Ns_data.pnode] or a [Map]): a root taken at one LSN is then
+      a consistent snapshot however many updates follow.  The epoch
+      read path and {!Make.checkpoint_concurrent} require it, and with
+      it the checkpoint policy pickles on a domain of its own (see
+      {!checkpoint_policy}).  [false] for state mutated in place, such
+      as a [Hashtbl]. *)
 end
 
+(** When the engine checkpoints on its own, checked after each commit.
+
+    With [App.persistent] (and [archive_logs] off) a policy checkpoint
+    leaves the request path: the committing updater pins an O(1)
+    snapshot of state, LSN and log offset under a brief update lock,
+    hands the pickle to a freshly spawned domain and returns.  At most
+    one such pickle is in flight per engine, and the domain never
+    touches the file system.  The first later commit, {!Make.checkpoint}
+    or {!Make.close} that finds it finished installs it through the
+    same hand-over as {!Make.checkpoint_concurrent}: write the
+    checkpoint file, then under a brief update lock carry the entries
+    committed since the snapshot into the new log and commit the
+    switch.  A pickle whose generation was superseded meanwhile (by a
+    manual checkpoint or a scrub repair) is dropped.  Otherwise — a
+    state mutated in place, or [archive_logs] — the committing updater
+    checkpoints inline, holding the update lock throughout. *)
 type checkpoint_policy =
   | Manual  (** only explicit {!Make.checkpoint} calls *)
   | Every_n_updates of int
@@ -80,9 +108,9 @@ type config = {
           epoch, loads the pointer, and queries that immutable version
           with no lock traffic at all; retired versions are reclaimed
           once every reader has moved past them.  {b Requires
-          [App.state] to be persistent} (path-copied, like
-          [Ns_data.pnode] or a [Map]) — a mutable state would be
-          shared, bare, with readers in other domains.  WAL,
+          [App.persistent]}: {!Make.open_} refuses the route for a
+          state mutated in place, which would be shared, bare, with
+          readers in other domains.  WAL,
           group commit, checkpointing and replication are unchanged;
           the fsync remains the commit point, and a version is
           published only after it commits. *)
@@ -101,7 +129,10 @@ type phase_times = {
   log_s : float;  (** log append + fsync *)
   apply_s : float;  (** in-memory mutation *)
   ckpt_pickle_s : float;
+      (** checkpoint pickling, on whichever thread or domain ran it *)
   ckpt_write_s : float;
+      (** checkpoint install: file write, log hand-over and switch; for
+          a background pickle, not the wait before its install *)
   restore_s : float;  (** checkpoint read + unpickle at open *)
   replay_s : float;  (** log replay at open *)
 }
@@ -125,6 +156,10 @@ type stats = {
   log_bytes : int;
   phase : phase_times;
   recovery : recovery_info;
+  background_checkpoint : [ `Idle | `Pickling | `Ready ];
+      (** the policy's background pickle: none, running, or finished
+          and waiting for the next commit, checkpoint or close to
+          install it *)
 }
 
 exception Poisoned
@@ -173,7 +208,8 @@ module Make (App : APP) : sig
 
   val open_ : ?config:config -> Sdb_storage.Fs.t -> (t, string) result
   (** Open or create the database in [fs]'s directory, running crash
-      recovery as needed. *)
+      recovery as needed.  [Error] for [read_path = `Epoch] when
+      [App.persistent] is [false]. *)
 
   val open_exn : ?config:config -> Sdb_storage.Fs.t -> t
 
@@ -222,7 +258,10 @@ module Make (App : APP) : sig
 
   val checkpoint : t -> unit
   (** Write a checkpoint and reset the log.  Holds the update lock for
-      the duration (enquiries proceed, updates wait).
+      the duration (enquiries proceed, updates wait).  A finished
+      background pickle of the policy is installed first; one still
+      running is left to be dropped, since this checkpoint supersedes
+      it.
 
       Runs out of disk space cleanly: {!Sdb_storage.Fs.No_space} before
       the commit point scraps the partial new generation and leaves the
@@ -236,19 +275,18 @@ module Make (App : APP) : sig
       limitation (§7: "the time required for making a checkpoint (when
       updates are excluded)").
 
-      Three phases: grab the state pointer and LSN under a brief shared
+      Three phases: grab the state pointer and LSN under a brief update
       lock; pickle and write the checkpoint file with {e no} lock held;
       then, under a brief update lock, start the new generation's log,
       copy into it the few entries committed while pickling ran, and
       commit the switch.  Update unavailability is proportional to the
       updates that arrived during the pickle, not to the database size.
 
-      Requires [App.state] to be {e immutable}: [apply] must return a
-      new value and never mutate its argument, or the pickled snapshot
-      would tear.  (The paper's hash-table name server does not
-      qualify; a [Map]-based application does.)  Incompatible with
-      [archive_logs] (the copied tail would duplicate history);
-      raises [Invalid_argument] in that configuration. *)
+      Requires [App.persistent], or the pickled snapshot would tear
+      (the paper's hash-table name server does not qualify; a
+      [Map]-based application does), and is incompatible with
+      [archive_logs] (the copied tail would duplicate history): raises
+      [Invalid_argument] otherwise. *)
 
   val stats : t -> stats
 
@@ -349,6 +387,8 @@ module Make (App : APP) : sig
   end
 
   val close : t -> unit
-  (** Close file handles.  No checkpoint is taken; the log is the
-      authoritative tail, exactly as after a crash. *)
+  (** Close file handles.  No checkpoint is written, except that a
+      finished background pickle of the policy is installed first; one
+      still running is abandoned, and close does not wait for it.  The
+      log is the authoritative tail, exactly as after a crash. *)
 end

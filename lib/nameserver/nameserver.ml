@@ -41,6 +41,7 @@ module App = struct
   let codec_state = Ns_data.codec_pnode
   let codec_update = codec_update
   let init () = Ns_data.empty_pnode
+  let persistent = true
 
   let apply state u =
     match u with

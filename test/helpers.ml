@@ -41,6 +41,7 @@ module KV = struct
       ]
 
   let init () = Hashtbl.create 16
+  let persistent = false
 
   let apply st = function
     | Set (k, v) ->

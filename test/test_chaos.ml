@@ -40,6 +40,7 @@ module KV = struct
       (P.pair P.string P.string)
 
   let init () = Hashtbl.create 16
+  let persistent = false
 
   let apply st (Set (k, v)) =
     Hashtbl.replace st k v;

@@ -147,6 +147,7 @@ let test_apply_failure_poisons () =
       P.enum ~name:"bomb.update" [ ("ok", Ok_up); ("boom", Boom) ]
 
     let init () = ref 0
+    let persistent = false
 
     let apply st = function
       | Ok_up ->
@@ -209,6 +210,7 @@ module Fragile = struct
       (P.pair P.string P.string)
 
   let init () = Hashtbl.create 16
+  let persistent = false
 
   let apply st (k, v) =
     Hashtbl.replace st k v;
@@ -358,6 +360,7 @@ let test_foreign_app_rejected () =
     let codec_state = P.list P.int
     let codec_update = P.int
     let init () = []
+    let persistent = true
     let apply st u = u :: st
   end in
   let module OtherDb = Smalldb.Make (Other) in
@@ -734,6 +737,7 @@ module MapKV = struct
       ]
 
   let init () = StrMap.empty
+  let persistent = true
 
   let apply st = function
     | Set (k, v) -> StrMap.add k v st
@@ -796,39 +800,332 @@ let test_concurrent_checkpoint_carries_tail () =
   check Alcotest.int "nothing lost on disk" total (MapDb.query db2 StrMap.cardinal);
   MapDb.close db2
 
-let test_concurrent_checkpoint_crash_sweep () =
-  (* Crash at every disk operation inside checkpoint_concurrent. *)
-  List.iter
-    (fun mode ->
-      let rec go k any =
-        let store = Mem.create_store ~seed:(9000 + k) () in
-        let fs = Mem.fs store in
-        let db = MapDb.open_exn fs in
-        for i = 0 to 7 do
-          MapDb.update db (MapKV.Set (sequenced_key i, sequenced_value i))
+(* ------------------------------------------------------------------ *)
+(* Policy checkpoints on the background domain                          *)
+
+(* A latch in the state codec: once armed, the next pickle of the state
+   parks, on whichever domain runs it, until released.  Tests park the
+   policy's background pickle with it instead of racing it.  The latch
+   is shared, so each test lets every pickle it started finish. *)
+module Latch = struct
+  let mu = Mutex.create ()
+  let cond = Condition.create ()
+  let armed = ref false
+  let parked = ref false
+  let released = ref true
+
+  let locked f =
+    Mutex.lock mu;
+    Fun.protect ~finally:(fun () -> Mutex.unlock mu) f
+
+  let arm () =
+    locked (fun () ->
+        armed := true;
+        released := false)
+
+  let release () =
+    locked (fun () ->
+        released := true;
+        Condition.broadcast cond)
+
+  (* Called by the codec: only the first pickle after [arm] parks. *)
+  let pass () =
+    locked (fun () ->
+        if !armed then begin
+          armed := false;
+          parked := true;
+          Condition.broadcast cond;
+          while not !released do
+            Condition.wait cond mu
+          done;
+          parked := false
+        end)
+
+  let await_parked () =
+    locked (fun () ->
+        while not !parked do
+          Condition.wait cond mu
+        done)
+end
+
+module ParkKV = struct
+  include MapKV
+
+  let name = "park-kv"
+
+  let codec_state =
+    P.conv ~name:"park-kv.state"
+      (fun m ->
+        Latch.pass ();
+        m)
+      Fun.id MapKV.codec_state
+end
+
+module ParkDb = Smalldb.Make (ParkKV)
+
+let every n = { Smalldb.default_config with policy = Smalldb.Every_n_updates n }
+let pset db i = ParkDb.update db (MapKV.Set (sequenced_key i, sequenced_value i))
+let pcount db = ParkDb.query db StrMap.cardinal
+let background db = (ParkDb.stats db).Smalldb.background_checkpoint
+let generation db = (ParkDb.stats db).Smalldb.generation
+
+(* Wait for something another thread or domain does; the deadline only
+   turns a hang into a failure. *)
+let await what cond =
+  let deadline = Unix.gettimeofday () +. 10. in
+  while not (cond ()) do
+    if Unix.gettimeofday () > deadline then fail ("timed out waiting for " ^ what);
+    Thread.delay 0.001
+  done
+
+(* The committing updater only spawns the pickle: with it parked,
+   updates and enquiries from other threads go on, and the next commit
+   after it finishes installs it with the entries committed since its
+   snapshot carried over. *)
+let test_background_parked_blocks_nothing () =
+  let store = Mem.create_store ~seed:81 () in
+  let fs = Mem.fs store in
+  let db = ParkDb.open_exn ~config:(every 4) fs in
+  Latch.arm ();
+  for i = 0 to 3 do
+    pset db i
+  done;
+  Latch.await_parked ();
+  check Alcotest.bool "pickle parked" true (background db = `Pickling);
+  let finished = Atomic.make false in
+  let other =
+    Thread.create
+      (fun () ->
+        for i = 4 to 5 do
+          pset db i
         done;
-        let crashed = ref false in
-        (try
-           Mem.set_crash_after store ~ops:k ~mode;
-           MapDb.checkpoint_concurrent db;
-           Mem.disarm_crash store
-         with Mem.Crash -> crashed := true);
-        Mem.disarm_crash store;
-        if !crashed then begin
-          (match MapDb.open_ fs with
-          | Error e -> Alcotest.fail (Printf.sprintf "ckpt crash@%d: %s" k e)
-          | Ok db2 ->
-            check Alcotest.int
-              (Printf.sprintf "ckpt crash@%d state" k)
-              8
-              (MapDb.query db2 StrMap.cardinal);
-            MapDb.close db2);
-          go (k + 1) true
-        end
-        else if not any then Alcotest.fail "sweep never crashed"
+        ignore (pcount db : int);
+        Atomic.set finished true)
+      ()
+  in
+  await "updates beside a parked pickle" (fun () -> Atomic.get finished);
+  Thread.join other;
+  check Alcotest.int "all applied" 6 (pcount db);
+  check Alcotest.int "nothing installed yet" 0 (generation db);
+  Latch.release ();
+  await "the pickle to finish" (fun () -> background db = `Ready);
+  pset db 6;
+  let s = ParkDb.stats db in
+  check Alcotest.int "installed by the next commit" 1 s.Smalldb.generation;
+  check Alcotest.int "tail since the snapshot carried" 3 s.Smalldb.log_entries;
+  check Alcotest.int "lsn" 7 s.Smalldb.lsn;
+  check Alcotest.bool "none due, none started" true (s.Smalldb.background_checkpoint = `Idle);
+  ParkDb.close db;
+  let db2 = ParkDb.open_exn fs in
+  check Alcotest.int "nothing lost on disk" 7 (pcount db2);
+  ParkDb.close db2
+
+(* The domain never touches the file system: an instance dropped after
+   a crash, whose pickle then finishes, leaves the reopened store
+   alone. *)
+let test_background_crash_then_release () =
+  let store = Mem.create_store ~seed:82 () in
+  let fs = Mem.fs store in
+  let db = ParkDb.open_exn ~config:(every 4) fs in
+  Latch.arm ();
+  for i = 0 to 5 do
+    pset db i
+  done;
+  Latch.await_parked ();
+  Mem.crash store ~mode:Mem.Torn;
+  let db2 = ParkDb.open_exn ~config:(every 4) fs in
+  let ops = Mem.mutating_ops store in
+  Latch.release ();
+  await "the dropped instance's pickle" (fun () -> background db = `Ready);
+  check Alcotest.int "no file-system operation" ops (Mem.mutating_ops store);
+  check Alcotest.int "every acknowledged update" 6 (pcount db2);
+  ParkDb.close db2
+
+let test_background_close_while_parked () =
+  let store = Mem.create_store ~seed:83 () in
+  let fs = Mem.fs store in
+  let db = ParkDb.open_exn ~config:(every 4) fs in
+  Latch.arm ();
+  for i = 0 to 4 do
+    pset db i
+  done;
+  Latch.await_parked ();
+  ParkDb.close db;
+  let ops = Mem.mutating_ops store in
+  Latch.release ();
+  await "the abandoned pickle" (fun () -> background db = `Ready);
+  check Alcotest.int "abandoned, never installed" ops (Mem.mutating_ops store);
+  let db2 = ParkDb.open_exn ~config:(every 4) fs in
+  check Alcotest.int "reopens on the old generation" 0 (generation db2);
+  check Alcotest.int "every update" 5 (pcount db2);
+  ParkDb.close db2
+
+(* A checkpoint that supersedes the parked pickle's generation makes the
+   install drop it. *)
+let test_background_superseded () =
+  List.iter
+    (fun (label, supersede) ->
+      let store = Mem.create_store ~seed:84 () in
+      let fs = Mem.fs store in
+      let db = ParkDb.open_exn ~config:(every 4) fs in
+      Latch.arm ();
+      for i = 0 to 3 do
+        pset db i
+      done;
+      Latch.await_parked ();
+      supersede store db;
+      check Alcotest.int (label ^ ": one new generation") 1 (generation db);
+      Latch.release ();
+      await "the superseded pickle" (fun () -> background db = `Ready);
+      pset db 4;
+      let s = ParkDb.stats db in
+      check Alcotest.int (label ^ ": pickle dropped") 1 s.Smalldb.generation;
+      check Alcotest.int (label ^ ": checkpoints") 1 s.Smalldb.checkpoints_written;
+      check Alcotest.bool (label ^ ": slot free") true (background db = `Idle);
+      ParkDb.close db;
+      let db2 = ParkDb.open_exn fs in
+      check Alcotest.int (label ^ ": reopened generation") 1 (generation db2);
+      check Alcotest.int (label ^ ": every update") 5 (pcount db2);
+      ParkDb.close db2)
+    [
+      ("checkpoint", fun _ db -> ParkDb.checkpoint db);
+      ( "scrub repair",
+        fun store db ->
+          Mem.damage store ~file:(Store.log_file 0) ~offset:0 ~len:1;
+          let r = ParkDb.scrub ~repair:true db in
+          check Alcotest.bool "repaired" true r.Smalldb.repaired );
+    ]
+
+(* The pickle and the install are two spans: the pickle's timestamps
+   come from its domain, the install nests in the committing request,
+   and the idle wait between them is in neither span nor in the
+   phase times. *)
+let test_background_spans () =
+  let store = Mem.create_store ~seed:85 () in
+  let db = ParkDb.open_exn ~config:(every 4) (Mem.fs store) in
+  for i = 0 to 3 do
+    pset db i
+  done;
+  await "the pickle to finish" (fun () -> background db = `Ready);
+  Thread.delay 0.05;
+  let before = (ParkDb.stats db).Smalldb.phase in
+  with_ring (fun ring ->
+      Trace.with_request "req-7" (fun () -> pset db 4);
+      let ckpt =
+        List.filter
+          (fun s -> String.length s.Trace.name > 10 && String.sub s.Trace.name 0 10 = "checkpoint")
+          (Trace.Ring.contents ring)
       in
-      go 1 false)
-    [ Mem.Clean; Mem.Torn ]
+      check
+        (Alcotest.list Alcotest.string)
+        "background checkpoint spans" [ "checkpoint.pickle"; "checkpoint.install" ]
+        (List.map (fun s -> s.Trace.name) ckpt);
+      let pickle = List.nth ckpt 0 and install = List.nth ckpt 1 in
+      check Alcotest.(option string) "install in the request" (Some "req-7")
+        (List.assoc_opt "req" install.Trace.attrs);
+      check Alcotest.bool "idle wait in neither span" true
+        (install.Trace.start_s -. (pickle.Trace.start_s +. pickle.Trace.dur_s) >= 0.05);
+      let after = (ParkDb.stats db).Smalldb.phase in
+      check (Alcotest.float 1e-9) "ckpt_pickle_s is the pickle" pickle.Trace.dur_s
+        (after.Smalldb.ckpt_pickle_s -. before.Smalldb.ckpt_pickle_s);
+      check (Alcotest.float 1e-9) "ckpt_write_s is the install" install.Trace.dur_s
+        (after.Smalldb.ckpt_write_s -. before.Smalldb.ckpt_write_s));
+  ParkDb.close db
+
+(* The persistence requirement is checked, not just documented. *)
+let test_epoch_route_needs_persistent_state () =
+  let store = Mem.create_store ~seed:86 () in
+  (match
+     KVDb.open_ ~config:{ Smalldb.default_config with read_path = `Epoch } (Mem.fs store)
+   with
+  | Ok _ -> fail "epoch route opened over a Hashtbl state"
+  | Error _ -> ());
+  check Alcotest.int "nothing written" 0 (Mem.mutating_ops store)
+
+let test_concurrent_checkpoint_needs_persistent_state () =
+  let _, _, db = mem_db () in
+  Alcotest.check_raises "mutable state rejected"
+    (Invalid_argument "Smalldb.checkpoint_concurrent: App.state is not persistent")
+    (fun () -> KVDb.checkpoint_concurrent db)
+
+(* Crash at every disk operation of a fuzzy hand-over, for each of its
+   two callers.  [prepare fs] opens a store and brings it to the
+   hand-over it returns; [survivors] reopens the store after a crash
+   at the [k]th disk operation and counts the updates it holds, which
+   must lie in [lo k, hi]. *)
+let test_concurrent_checkpoint_crash_sweep () =
+  let sweep ~input ~seed ~prepare ~survivors ~lo ~hi =
+    List.iter
+      (fun mode ->
+        let rec go k any =
+          let store = Mem.create_store ~seed:(seed + k) () in
+          let fs = Mem.fs store in
+          let hand_over = prepare fs in
+          let crashed = ref false in
+          (try
+             Mem.set_crash_after store ~ops:k ~mode;
+             hand_over ();
+             Mem.disarm_crash store
+           with Mem.Crash -> crashed := true);
+          Mem.disarm_crash store;
+          if !crashed then begin
+            let what = Printf.sprintf "%s crash@%d" input k in
+            let n = survivors fs what in
+            if n < lo k || n > hi then
+              fail (Printf.sprintf "%s: %d updates survived, expected %d..%d" what n (lo k) hi);
+            go (k + 1) true
+          end
+          else if not any then fail (input ^ ": sweep never crashed")
+        in
+        go 1 false)
+      [ Mem.Clean; Mem.Torn ]
+  in
+  sweep ~input:"checkpoint_concurrent" ~seed:9000 ~lo:(fun _ -> 8) ~hi:8
+    ~prepare:(fun fs ->
+      let db = MapDb.open_exn fs in
+      for i = 0 to 7 do
+        MapDb.update db (MapKV.Set (sequenced_key i, sequenced_value i))
+      done;
+      fun () -> MapDb.checkpoint_concurrent db)
+    ~survivors:(fun fs what ->
+      match MapDb.open_ fs with
+      | Error e -> fail (what ^ ": " ^ e)
+      | Ok db2 ->
+        let n = MapDb.query db2 StrMap.cardinal in
+        MapDb.close db2;
+        n);
+  (* The policy's background pickle, installed by the next commit.  That
+     update is durable once its own disk operations are done, and must
+     then survive every crash in the install, carried into the new log
+     or still in the old one. *)
+  let commit_ops =
+    let store = Mem.create_store () in
+    let db = ParkDb.open_exn (Mem.fs store) in
+    let before = Mem.mutating_ops store in
+    pset db 0;
+    let n = Mem.mutating_ops store - before in
+    ParkDb.close db;
+    n
+  in
+  sweep ~input:"policy install" ~seed:9100
+    ~lo:(fun k -> if k > commit_ops then 9 else 8)
+    ~hi:9
+    ~prepare:(fun fs ->
+      let db = ParkDb.open_exn ~config:(every 8) fs in
+      for i = 0 to 7 do
+        pset db i
+      done;
+      await "the policy pickle" (fun () -> background db = `Ready);
+      fun () ->
+        pset db 8;
+        check Alcotest.int "installed by the commit" 1 (generation db))
+    ~survivors:(fun fs what ->
+      match ParkDb.open_ fs with
+      | Error e -> fail (what ^ ": " ^ e)
+      | Ok db2 ->
+        let n = pcount db2 in
+        ParkDb.close db2;
+        n)
 
 let test_concurrent_checkpoint_rejects_archiving () =
   let store = Mem.create_store ~seed:73 () in
@@ -1208,6 +1505,19 @@ let () =
             test_concurrent_checkpoint_crash_sweep;
           Alcotest.test_case "rejects archiving" `Quick
             test_concurrent_checkpoint_rejects_archiving;
+          Alcotest.test_case "rejects mutable state" `Quick
+            test_concurrent_checkpoint_needs_persistent_state;
+          Alcotest.test_case "epoch route rejects mutable state" `Quick
+            test_epoch_route_needs_persistent_state;
+        ] );
+      ( "background-checkpoint",
+        [
+          Alcotest.test_case "parked pickle blocks nothing" `Quick
+            test_background_parked_blocks_nothing;
+          Alcotest.test_case "crash then release" `Quick test_background_crash_then_release;
+          Alcotest.test_case "close while parked" `Quick test_background_close_while_parked;
+          Alcotest.test_case "superseded pickle dropped" `Quick test_background_superseded;
+          Alcotest.test_case "pickle and install spans" `Quick test_background_spans;
         ] );
       ( "real-fs",
         [ Alcotest.test_case "end to end on a directory" `Quick test_real_fs_end_to_end ]
