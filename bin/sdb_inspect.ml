@@ -6,9 +6,9 @@
 
 module Fs = Sdb_storage.Fs
 module Store = Sdb_checkpoint.Checkpoint_store
+module Wal = Sdb_wal.Wal
 module Crc32 = Sdb_util.Crc32
 
-let wal_magic = "SDBWAL1\n"
 let pickle_magic = "SDBP1"
 
 let human n = Sdb_util.Tablefmt.fmt_bytes n
@@ -39,68 +39,61 @@ let show_checkpoint fs name =
         (Digest.to_hex (String.sub blob (String.length pickle_magic) 16))
     else Printf.printf "  %s: %s, NOT a pickled checkpoint\n" name (human n)
 
-(* Walk log frames by hand so damage is reported rather than hidden. *)
+let wal_error e = Format.asprintf "%a" Wal.pp_error e
+
+let read_exact r n =
+  let buf = Bytes.create n in
+  let rec go got =
+    if got = n then Ok buf
+    else
+      match r.Fs.r_read buf got (n - got) with
+      | 0 -> Error "truncated"
+      | k -> go (got + k)
+      | exception Fs.Read_error { reason; _ } -> Error reason
+  in
+  go 0
+
+(* The header through [Wal]; the frames walked by hand so damage is
+   reported rather than hidden. *)
 let show_log fs name =
   match fs.Fs.exists name with
   | false -> Printf.printf "  %s: absent\n" name
-  | true ->
+  | true -> (
     let size = fs.Fs.file_size name in
-    let header_size = String.length wal_magic + 16 in
-    if size < header_size then
-      Printf.printf "  %s: %s, shorter than a log header\n" name (human size)
-    else begin
+    match Wal.read_header fs name with
+    | Error e -> Printf.printf "  %s: %s, %s\n" name (human size) (wal_error e)
+    | Ok hdr ->
+      Printf.printf "  %s: %s, update fingerprint %s, base lsn %d\n" name (human size)
+        (Digest.to_hex hdr.Wal.fingerprint) hdr.Wal.base_lsn;
       let r = fs.Fs.open_reader name in
-      let read_exact n =
-        let buf = Bytes.create n in
-        let rec go got =
-          if got = n then Ok buf
-          else
-            match r.Fs.r_read buf got (n - got) with
-            | 0 -> Error "truncated"
-            | k -> go (got + k)
-            | exception Fs.Read_error { reason; _ } -> Error reason
-        in
-        go 0
-      in
-      (match read_exact header_size with
-      | Error reason -> Printf.printf "  %s: header unreadable (%s)\n" name reason
-      | Ok hdr ->
-        if Bytes.sub_string hdr 0 (String.length wal_magic) <> wal_magic then
-          Printf.printf "  %s: bad magic\n" name
-        else begin
-          Printf.printf "  %s: %s, update fingerprint %s\n" name (human size)
-            (Digest.to_hex (Bytes.sub_string hdr (String.length wal_magic) 16));
-          let rec frames idx offset =
-            if offset >= size then Printf.printf "    %d entries, clean end\n" idx
-            else
-              match read_exact 8 with
+      let read_exact = read_exact r in
+      let rec frames idx offset =
+        if offset >= size then Printf.printf "    %d entries, clean end\n" idx
+        else
+          match read_exact Wal.frame_overhead with
+          | Error reason ->
+            Printf.printf "    %d entries, then unreadable frame header (%s)\n" idx reason
+          | Ok fh ->
+            let len = Int32.to_int (Bytes.get_int32_le fh 0) in
+            let crc = Bytes.get_int32_le fh 4 in
+            if len < 0 || offset + Wal.frame_overhead + len > size then
+              Printf.printf "    %d entries, then truncated entry (claims %d bytes)\n" idx
+                len
+            else begin
+              match read_exact len with
               | Error reason ->
-                Printf.printf "    %d entries, then unreadable frame header (%s)\n" idx
+                Printf.printf "    entry %d at %d: %d bytes, DAMAGED (%s)\n" idx offset len
                   reason
-              | Ok fh ->
-                let len = Int32.to_int (Bytes.get_int32_le fh 0) in
-                let crc = Bytes.get_int32_le fh 4 in
-                if len < 0 || offset + 8 + len > size then
-                  Printf.printf "    %d entries, then truncated entry (claims %d bytes)\n"
-                    idx len
-                else begin
-                  match read_exact len with
-                  | Error reason ->
-                    Printf.printf "    entry %d at %d: %d bytes, DAMAGED (%s)\n" idx
-                      offset len reason
-                  | Ok payload ->
-                    let ok =
-                      Crc32.equal (Crc32.digest_bytes payload ~pos:0 ~len) crc
-                    in
-                    Printf.printf "    entry %d at %d: %d bytes, crc %s\n" idx offset len
-                      (if ok then "ok" else "MISMATCH");
-                    frames (idx + 1) (offset + 8 + len)
-                end
-          in
-          frames 0 header_size
-        end);
-      r.Fs.r_close ()
-    end
+              | Ok payload ->
+                let ok = Crc32.equal (Crc32.digest_bytes payload ~pos:0 ~len) crc in
+                Printf.printf "    entry %d at %d: %d bytes, crc %s\n" idx offset len
+                  (if ok then "ok" else "MISMATCH");
+                frames (idx + 1) (offset + Wal.frame_overhead + len)
+            end
+      in
+      r.Fs.r_seek Wal.header_size;
+      frames 0 Wal.header_size;
+      r.Fs.r_close ())
 
 let inspect dir =
   let fs = Sdb_storage.Real_fs.create ~root:dir in
@@ -133,36 +126,13 @@ let inspect dir =
    Wal.Reader (populating the sdb_wal_* counters as a side effect) and
    dump the whole registry in Prometheus text format. *)
 
-let read_log_fingerprint fs name =
-  let header_size = String.length wal_magic + 16 in
-  if not (fs.Fs.exists name) || fs.Fs.file_size name < header_size then None
-  else begin
-    let r = fs.Fs.open_reader name in
-    Fun.protect
-      ~finally:(fun () -> r.Fs.r_close ())
-      (fun () ->
-        let buf = Bytes.create header_size in
-        let rec go got =
-          if got = header_size then
-            if Bytes.sub_string buf 0 (String.length wal_magic) = wal_magic then
-              Some (Bytes.sub_string buf (String.length wal_magic) 16)
-            else None
-          else
-            match r.Fs.r_read buf got (header_size - got) with
-            | 0 -> None
-            | k -> go (got + k)
-            | exception Fs.Read_error _ -> None
-        in
-        go 0)
-  end
-
 let metrics_mode dir =
   let fs = Sdb_storage.Real_fs.create ~root:dir in
   (match Store.recover fs ~retain_previous:true with
   | Ok (Some r) -> (
     let log = r.Store.current.Store.log_file in
-    match read_log_fingerprint fs log with
-    | Some fingerprint ->
+    match Wal.read_header fs log with
+    | Ok { Wal.fingerprint; _ } ->
       (* Per-frame scan latency lands in a histogram so the summary
          table below has offline content: what a recovery replay of
          this store would pay per entry. *)
@@ -172,13 +142,12 @@ let metrics_mode dir =
       in
       let last = ref (Unix.gettimeofday ()) in
       ignore
-        (Sdb_wal.Wal.Reader.fold fs log ~fingerprint
-           ~policy:Sdb_wal.Wal.Reader.Stop_at_damage ~init:()
+        (Wal.Reader.fold fs log ~fingerprint ~policy:Wal.Reader.Stop_at_damage ~init:()
            ~f:(fun () _ ->
              let now = Unix.gettimeofday () in
              Sdb_obs.Metrics.observe m_scan (now -. !last);
              last := now))
-    | None -> ())
+    | Error _ -> ())
   | Ok None | Error _ -> ());
   print_string (Sdb_obs.Metrics.render ());
   (* The same histograms as a human-readable percentile table — the
@@ -264,67 +233,45 @@ let log_scan fs name findings =
   if not (fs.Fs.exists name) then findings
   else begin
     let size = fs.Fs.file_size name in
-    let header_size = String.length wal_magic + 16 in
-    if size < header_size then (name, 0, "shorter than a log header") :: findings
-    else begin
+    match Wal.read_header fs name with
+    | Error e -> (name, 0, wal_error e) :: findings
+    | Ok _ ->
       let r = fs.Fs.open_reader name in
       Fun.protect
         ~finally:(fun () -> r.Fs.r_close ())
         (fun () ->
-          let read_exact n =
-            let buf = Bytes.create n in
-            let rec go got =
-              if got = n then Ok buf
-              else
-                match r.Fs.r_read buf got (n - got) with
-                | 0 -> Error "truncated"
-                | k -> go (got + k)
-                | exception Fs.Read_error { reason; _ } -> Error reason
-            in
-            go 0
-          in
-          match read_exact header_size with
-          | Error reason -> (name, 0, "header unreadable: " ^ reason) :: findings
-          | Ok hdr ->
-            if Bytes.sub_string hdr 0 (String.length wal_magic) <> wal_magic then
-              (name, 0, "bad magic") :: findings
-            else begin
-              (* Skip damaged frames (resuming just past them) so every
-                 bad entry is reported, not only the first. *)
-              let rec frames offset findings =
-                if offset >= size then findings
-                else
-                  match read_exact 8 with
+          let read_exact = read_exact r in
+          (* Skip damaged frames (resuming just past them) so every bad
+             entry is reported, not only the first. *)
+          let rec frames offset findings =
+            if offset >= size then findings
+            else
+              match read_exact Wal.frame_overhead with
+              | Error reason ->
+                (name, offset, "unreadable frame header: " ^ reason) :: findings
+              | Ok fh ->
+                let len = Int32.to_int (Bytes.get_int32_le fh 0) in
+                let crc = Bytes.get_int32_le fh 4 in
+                if len < 0 || offset + Wal.frame_overhead + len > size then
+                  (name, offset, Printf.sprintf "truncated entry (claims %d bytes)" len)
+                  :: findings
+                else begin
+                  let after = offset + Wal.frame_overhead + len in
+                  match read_exact len with
                   | Error reason ->
-                    (name, offset, "unreadable frame header: " ^ reason)
-                    :: findings
-                  | Ok fh ->
-                    let len = Int32.to_int (Bytes.get_int32_le fh 0) in
-                    let crc = Bytes.get_int32_le fh 4 in
-                    if len < 0 || offset + 8 + len > size then
-                      (name, offset,
-                       Printf.sprintf "truncated entry (claims %d bytes)" len)
-                      :: findings
-                    else begin
-                      let after = offset + 8 + len in
-                      match read_exact len with
-                      | Error reason ->
-                        r.Fs.r_seek after;
-                        frames after
-                          ((name, offset, "unreadable entry: " ^ reason)
-                          :: findings)
-                      | Ok payload ->
-                        let findings =
-                          if Crc32.equal (Crc32.digest_bytes payload ~pos:0 ~len) crc
-                          then findings
-                          else (name, offset, "entry crc mismatch") :: findings
-                        in
-                        frames after findings
-                    end
-              in
-              frames header_size findings
-            end)
-    end
+                    r.Fs.r_seek after;
+                    frames after ((name, offset, "unreadable entry: " ^ reason) :: findings)
+                  | Ok payload ->
+                    let findings =
+                      if Crc32.equal (Crc32.digest_bytes payload ~pos:0 ~len) crc then
+                        findings
+                      else (name, offset, "entry crc mismatch") :: findings
+                    in
+                    frames after findings
+                end
+          in
+          r.Fs.r_seek Wal.header_size;
+          frames Wal.header_size findings)
   end
 
 let scrub_mode dir =

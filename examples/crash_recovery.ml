@@ -1,19 +1,26 @@
 (* Reliability demonstration (§4): inject crashes at every disk
    operation of an update workload — including torn pages — and show
    that recovery always lands on a clean prefix of the committed
-   updates, with partial log entries detected and discarded.
+   updates, with partial log entries detected and discarded.  Exits 1
+   if any crash point loses a committed update or recovers a phantom.
 
    Run with:  dune exec examples/crash_recovery.exe *)
 
 module P = Sdb_pickle.Pickle
 module Mem = Sdb_storage.Mem_fs
 
+module Smap = Map.Make (String)
+
 module App = struct
-  type state = (string, string) Hashtbl.t
+  type state = string Smap.t
   type update = Set of string * string
 
   let name = "crashdemo"
-  let codec_state = P.hashtbl P.string P.string
+
+  let codec_state =
+    P.conv ~name:"crashdemo.state" Smap.bindings
+      (fun bindings -> Smap.of_seq (List.to_seq bindings))
+      (P.list (P.pair P.string P.string))
 
   let codec_update =
     P.conv ~name:"crashdemo.update"
@@ -21,12 +28,8 @@ module App = struct
       (fun (k, v) -> Set (k, v))
       (P.pair P.string P.string)
 
-  let init () = Hashtbl.create 16
-  let persistent = false
-
-  let apply st (Set (k, v)) =
-    Hashtbl.replace st k v;
-    st
+  let init () = Smap.empty
+  let apply st (Set (k, v)) = Smap.add k v st
 end
 
 module Db = Smalldb.Make (App)
@@ -60,7 +63,7 @@ let () =
     else begin
       incr points;
       let db = Db.open_exn fs in
-      let recovered = Db.query db Hashtbl.length in
+      let recovered = Db.query db Smap.cardinal in
       let verdict =
         if recovered < !committed then begin
           incr lost;
@@ -84,3 +87,4 @@ let () =
     !phantom !points;
   if !lost = 0 && !phantom = 0 then
     print_endline "every crash recovered to a clean prefix of committed updates"
+  else exit 1

@@ -14,13 +14,20 @@ module P = Sdb_pickle.Pickle
 module Multidb = Sdb_multidb.Multidb
 module Mem = Sdb_storage.Mem_fs
 
+module Smap = Map.Make (String)
+
+let codec_smap ~name v =
+  P.conv ~name Smap.bindings
+    (fun bindings -> Smap.of_seq (List.to_seq bindings))
+    (P.list (P.pair P.string v))
+
 module Dirs = struct
   (* directory -> (file -> size) *)
-  type state = (string, (string, int) Hashtbl.t) Hashtbl.t
+  type state = int Smap.t Smap.t
   type update = Create_file of string * string * int | Delete_file of string * string
 
   let name = "directories"
-  let codec_state = P.hashtbl P.string (P.hashtbl P.string P.int)
+  let codec_state = codec_smap ~name:"dirs.state" (codec_smap ~name:"dirs.files" P.int)
 
   let codec_update =
     P.variant ~name:"dirs.update"
@@ -34,26 +41,14 @@ module Dirs = struct
           (fun (d, f) -> Delete_file (d, f));
       ]
 
-  let init () = Hashtbl.create 16
-  let persistent = false
-
-  let dir_table st d =
-    match Hashtbl.find_opt st d with
-    | Some t -> t
-    | None ->
-      let t = Hashtbl.create 8 in
-      Hashtbl.replace st d t;
-      t
+  let init () = Smap.empty
 
   let apply st = function
     | Create_file (d, f, size) ->
-      Hashtbl.replace (dir_table st d) f size;
-      st
-    | Delete_file (d, f) ->
-      (match Hashtbl.find_opt st d with
-      | Some t -> Hashtbl.remove t f
-      | None -> ());
-      st
+      Smap.update d
+        (fun files -> Some (Smap.add f size (Option.value files ~default:Smap.empty)))
+        st
+    | Delete_file (d, f) -> Smap.update d (Option.map (Smap.remove f)) st
 end
 
 module Multi = Multidb.Make (Dirs)
@@ -83,9 +78,10 @@ let () =
   (* Enquiries hit only the partition that owns the directory. *)
   let count_files db dir =
     Db.query (Multi.partition db (partition_of dir)) (fun st ->
-        match Hashtbl.find_opt st dir with Some t -> Hashtbl.length t | None -> 0)
+        match Smap.find_opt dir st with Some files -> Smap.cardinal files | None -> 0)
   in
-  Printf.printf "/home/user3 holds %d files\n" (count_files db "/home/user3");
+  let user3_files = count_files db "/home/user3" in
+  Printf.printf "/home/user3 holds %d files\n" user3_files;
 
   let stats db = List.init partitions (fun k -> Db.stats (Multi.partition db k)) in
   let sum f db = List.fold_left (fun acc s -> acc + f s) 0 (stats db) in
@@ -98,10 +94,18 @@ let () =
     (stats db);
 
   (* Restart: each partition replays only its own log. *)
+  let lsn = sum (fun s -> s.Smalldb.lsn) db in
   Multi.close db;
   let db2 = Multi.open_exn ~config ~partitions fs in
   Printf.printf "after restart: lsn %d, replayed %d entries\n"
     (sum (fun s -> s.Smalldb.lsn) db2)
     (sum (fun s -> s.Smalldb.recovery.Smalldb.replayed) db2);
   Printf.printf "/home/user3 still holds %d files\n" (count_files db2 "/home/user3");
-  Multi.close db2
+  let intact =
+    sum (fun s -> s.Smalldb.lsn) db2 = lsn && count_files db2 "/home/user3" = user3_files
+  in
+  Multi.close db2;
+  if not intact then begin
+    print_endline "restart lost or invented updates";
+    exit 1
+  end

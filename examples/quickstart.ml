@@ -7,13 +7,21 @@
    Run with:  dune exec examples/quickstart.exe *)
 
 module P = Sdb_pickle.Pickle
+module Smap = Map.Make (String)
 
 module App = struct
-  type state = (string, string) Hashtbl.t
+  (* Persistent: [apply] returns a new map and never mutates its
+     argument, so a checkpoint can pickle a snapshot while updates go
+     on. *)
+  type state = string Smap.t
   type update = Set of string * string | Remove of string
 
   let name = "quickstart"
-  let codec_state = P.hashtbl P.string P.string
+
+  let codec_state =
+    P.conv ~name:"quickstart.state" Smap.bindings
+      (fun bindings -> Smap.of_seq (List.to_seq bindings))
+      (P.list (P.pair P.string P.string))
 
   let codec_update =
     P.variant ~name:"quickstart.update"
@@ -27,16 +35,11 @@ module App = struct
           (fun k -> Remove k);
       ]
 
-  let init () = Hashtbl.create 16
-  let persistent = false
+  let init () = Smap.empty
 
   let apply st = function
-    | Set (k, v) ->
-      Hashtbl.replace st k v;
-      st
-    | Remove k ->
-      Hashtbl.remove st k;
-      st
+    | Set (k, v) -> Smap.add k v st
+    | Remove k -> Smap.remove k st
 end
 
 module Db = Smalldb.Make (App)
@@ -57,20 +60,20 @@ let () =
   Db.update db (App.Remove "scratch");
 
   (* Enquiries: pure memory. *)
-  let greeting = Db.query db (fun st -> Hashtbl.find_opt st "greeting") in
+  let greeting = Db.query db (Smap.find_opt "greeting") in
   Printf.printf "greeting = %s\n" (Option.value greeting ~default:"<unset>");
 
   (* A precondition checked under the update lock, before the commit. *)
   (match
      Db.update_checked db
        ~precondition:(fun st ->
-         if Hashtbl.mem st "greeting" then Ok () else Error "no greeting yet")
+         if Smap.mem "greeting" st then Ok () else Error "no greeting yet")
        (App.Set ("greeting", "hello again"))
    with
   | Ok () -> print_endline "checked update applied"
   | Error e -> Printf.printf "checked update refused: %s\n" e);
 
-  (* Checkpoint: pickles the whole table into a fresh generation and
+  (* Checkpoint: pickles the whole map into a fresh generation and
      empties the log. *)
   Db.checkpoint db;
   let s = Db.stats db in
@@ -80,7 +83,7 @@ let () =
 
   (* Reopen to prove durability. *)
   let db2 = Db.open_exn fs in
-  let greeting = Db.query db2 (fun st -> Hashtbl.find_opt st "greeting") in
+  let greeting = Db.query db2 (Smap.find_opt "greeting") in
   Printf.printf "after restart: greeting = %s (replayed %d log entries)\n"
     (Option.value greeting ~default:"<unset>")
     (Db.stats db2).Smalldb.recovery.Smalldb.replayed;

@@ -24,8 +24,10 @@ let codec_account =
     (P.field "groups" (P.list P.string) (fun a -> a.groups))
     (fun uid login full_name shell groups -> { uid; login; full_name; shell; groups })
 
+module Smap = Map.Make (String)
+
 module App = struct
-  type state = (string, account) Hashtbl.t
+  type state = account Smap.t
 
   type update =
     | Add_account of account
@@ -34,7 +36,11 @@ module App = struct
     | Add_to_group of string * string
 
   let name = "user-accounts"
-  let codec_state = P.hashtbl P.string codec_account
+
+  let codec_state =
+    P.conv ~name:"accounts.state" Smap.bindings
+      (fun bindings -> Smap.of_seq (List.to_seq bindings))
+      (P.list (P.pair P.string codec_account))
 
   let codec_update =
     P.variant ~name:"accounts.update"
@@ -53,29 +59,19 @@ module App = struct
           (fun (l, g) -> Add_to_group (l, g));
       ]
 
-  let init () = Hashtbl.create 32
-  let persistent = false
+  let init () = Smap.empty
 
   (* apply must be total: preconditions live in the checked wrappers. *)
   let apply st = function
-    | Add_account a ->
-      Hashtbl.replace st a.login a;
-      st
-    | Remove_account login ->
-      Hashtbl.remove st login;
-      st
+    | Add_account a -> Smap.add a.login a st
+    | Remove_account login -> Smap.remove login st
     | Change_shell (login, shell) ->
-      (match Hashtbl.find_opt st login with
-      | Some a -> Hashtbl.replace st login { a with shell }
-      | None -> ());
-      st
+      Smap.update login (Option.map (fun a -> { a with shell })) st
     | Add_to_group (login, group) ->
-      (match Hashtbl.find_opt st login with
-      | Some a ->
-        if not (List.mem group a.groups) then
-          Hashtbl.replace st login { a with groups = group :: a.groups }
-      | None -> ());
-      st
+      Smap.update login
+        (Option.map (fun a ->
+             if List.mem group a.groups then a else { a with groups = group :: a.groups }))
+        st
 end
 
 module Db = Smalldb.Make (App)
@@ -85,8 +81,8 @@ module Db = Smalldb.Make (App)
 let add_account db a =
   Db.update_checked db
     ~precondition:(fun st ->
-      if Hashtbl.mem st a.login then Error (a.login ^ ": login already taken")
-      else if Hashtbl.fold (fun _ b acc -> acc || b.uid = a.uid) st false then
+      if Smap.mem a.login st then Error (a.login ^ ": login already taken")
+      else if Smap.exists (fun _ b -> b.uid = a.uid) st then
         Error (Printf.sprintf "uid %d already in use" a.uid)
       else Ok ())
     (App.Add_account a)
@@ -94,7 +90,7 @@ let add_account db a =
 let change_shell db login shell =
   Db.update_checked db
     ~precondition:(fun st ->
-      if Hashtbl.mem st login then Ok () else Error (login ^ ": no such account"))
+      if Smap.mem login st then Ok () else Error (login ^ ": no such account"))
     (App.Change_shell (login, shell))
 
 let () =
@@ -132,7 +128,7 @@ let () =
   (* Report. *)
   print_endline "accounts:";
   Db.query db (fun st ->
-      Hashtbl.fold (fun _ a acc -> a :: acc) st []
+      Smap.fold (fun _ a acc -> a :: acc) st []
       |> List.sort (fun a b -> compare a.uid b.uid)
       |> List.iter (fun a ->
              Printf.printf "  %4d %-10s %-20s %-10s [%s]\n" a.uid a.login a.full_name
@@ -140,5 +136,5 @@ let () =
                (String.concat "," a.groups)));
   let s = Db.stats db in
   Printf.printf "%d accounts, %d updates logged, generation %d\n"
-    (Db.query db Hashtbl.length) s.Smalldb.log_entries s.Smalldb.generation;
+    (Db.query db Smap.cardinal) s.Smalldb.log_entries s.Smalldb.generation;
   Db.close db

@@ -45,7 +45,7 @@ let recover fs store =
   end
   else Ok ()
 
-let fresh_log fs = Wal.Writer.create fs log_file_name ~fingerprint:log_fp
+let fresh_log fs = Wal.Writer.create fs log_file_name ~fingerprint:log_fp ~base_lsn:0
 
 let open_ fs =
   match Paged_store.open_ fs ~file:data_file () with

@@ -16,21 +16,25 @@ let codec_update =
         (fun k -> Remove k);
     ]
 
+module Smap = Map.Make (String)
+
 module App = struct
-  type state = (string, string) Hashtbl.t
+  type state = string Smap.t
   type nonrec update = update
 
   let name = "smalldb-kv"
-  let codec_state = P.hashtbl P.string P.string
-  let codec_update = codec_update
-  let init () = Hashtbl.create 64
-  let persistent = false
 
-  let apply state u =
-    (match u with
-    | Set (k, v) -> Hashtbl.replace state k v
-    | Remove k -> Hashtbl.remove state k);
-    state
+  let codec_state =
+    P.conv ~name:"kv.state" Smap.bindings
+      (fun bindings -> Smap.of_seq (List.to_seq bindings))
+      (P.list (P.pair P.string P.string))
+
+  let codec_update = codec_update
+  let init () = Smap.empty
+
+  let apply state = function
+    | Set (k, v) -> Smap.add k v state
+    | Remove k -> Smap.remove k state
 end
 
 module Db = Smalldb.Make (App)
@@ -40,11 +44,11 @@ type t = Db.t
 let open_with ?config fs = Db.open_ ?config fs
 let open_ fs = open_with fs
 let db t = t
-let get t k = Db.query t (fun tbl -> Hashtbl.find_opt tbl k)
+let get t k = Db.query t (Smap.find_opt k)
 let set t k v = Db.update t (Set (k, v))
 let remove t k = Db.update t (Remove k)
-let iter t f = Db.query t (fun tbl -> Hashtbl.iter f tbl)
-let length t = Db.query t Hashtbl.length
+let iter t f = Db.query t (Smap.iter f)
+let length t = Db.query t Smap.cardinal
 let checkpoint = Db.checkpoint
 let quiesce = Db.checkpoint
 

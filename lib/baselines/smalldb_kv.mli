@@ -1,9 +1,9 @@
 (** The paper's design instantiated as a key-value store, so E7 can
     benchmark it against the §2 alternatives behind the same interface.
 
-    Enquiries are hash-table lookups in memory; an update is one log
-    write (pickled parameters, one fsync); {!checkpoint} pickles the
-    whole table into a fresh generation. *)
+    Enquiries are lookups in an in-memory persistent map; an update is
+    one log write (pickled parameters, one fsync); {!checkpoint}
+    pickles the whole map into a fresh generation. *)
 
 include Kv_intf.S
 
@@ -11,10 +11,9 @@ type update = Set of string * string | Remove of string
 
 val codec_update : update Sdb_pickle.Pickle.t
 
-module App :
-  Smalldb.APP
-    with type state = (string, string) Hashtbl.t
-     and type update = update
+module Smap : Map.S with type key = string
+
+module App : Smalldb.APP with type state = string Smap.t and type update = update
 
 module Db : module type of Smalldb.Make (App)
 

@@ -107,7 +107,6 @@ module type APP = sig
   val codec_update : update Pickle.t
   val init : unit -> state
   val apply : state -> update -> state
-  val persistent : bool
 end
 
 type checkpoint_policy =
@@ -218,9 +217,9 @@ module Make (App : APP) = struct
     mutable first_lsn : int;  (* assigned at apply *)
   }
 
-  (* Where a fuzzy checkpoint's snapshot sits in the log: the entries
-     past [at_off] of generation [at_generation]'s log, [at_lsn]
-     onwards, are the tail its hand-over carries. *)
+  (* Where a checkpoint's snapshot sits in the log: the entries past
+     [at_off] of generation [at_generation]'s log, [at_lsn] onwards, are
+     the tail its hand-over carries. *)
   type mark = { at_generation : int; at_lsn : int; at_off : int }
 
   (* A policy checkpoint pickling on its own domain.  The domain only
@@ -236,14 +235,13 @@ module Make (App : APP) = struct
     fs : Fs.t;
     config : config;
     lock : Vlock.t;
-    ckpt_mutex : Sdb_check.Mu.t;  (* serializes checkpoints of both kinds *)
+    ckpt_mutex : Sdb_check.Mu.t;  (* serializes checkpoints and scrubs *)
     commit : member Commit.t;
     (* reusable pickle scratch; guarded by the Update lock *)
     pickle_buf : Buffer.t;
     (* The lock-free read path (config.read_path = `Epoch): the state
        root is also published through an epoch-protected snapshot
-       pointer, swung at the end of every Exclusive window.  Requires
-       App.state to be persistent (see the mli). *)
+       pointer, swung at the end of every Exclusive window. *)
     epoch : App.state Epoch.t option;
     mutable state : App.state;
     mutable wal : Wal.Writer.t;
@@ -313,7 +311,7 @@ module Make (App : APP) = struct
       lock;
       (* `Vlock kind: the checkpoint token only serializes checkpointers
          and scrubbers against each other and is held across deliberate
-         I/O (the concurrent checkpoint's WAL tail blit), so it is exempt
+         I/O (the pickle and the hand-over's WAL tail blit), so it is exempt
          from the no-blocking-under-mutex rule — at runtime (the
          sanitizer's I/O assert filters on kind) and statically. *)
       ckpt_mutex = Sdb_check.Mu.make ~kind:`Vlock ("smalldb.ckpt:" ^ App.name);
@@ -365,7 +363,7 @@ module Make (App : APP) = struct
     let state = App.init () in
     let blob = checkpoint_blob ~lsn:0 state in
     Store.write_checkpoint fs ~version:0 blob;
-    let wal = Wal.Writer.create fs (Store.log_file 0) ~fingerprint:update_fp in
+    let wal = Wal.Writer.create fs (Store.log_file 0) ~fingerprint:update_fp ~base_lsn:0 in
     Store.commit ~archive_logs:config.archive_logs
       ~retain_previous:config.retain_previous ~old_version:None ~new_version:0 fs;
     Ok (make fs config state wal 0 0 fresh_recovery)
@@ -384,74 +382,102 @@ module Make (App : APP) = struct
                meta.app App.name)
         else Ok (meta, state))
 
+  (* Fold [f acc lsn update] over the entries of [log] below LSN [upto],
+     from [init] at [lsn].  The log's header must record [lsn] as its
+     base: a log that does not start where the state folded so far ends
+     belongs to another generation.  Entries from [upto] on were carried
+     into the next log and are not even decoded. *)
+  let log_base fs log =
+    match Wal.read_header fs log with
+    | Ok h -> Ok h.Wal.base_lsn
+    | Error e -> Error (Format.asprintf "log %s: %a" log Wal.pp_error e)
+
+  let fold_from fs log ~policy ~lsn ~upto ~init ~f =
+    match log_base fs log with
+    | Error e -> Error e
+    | Ok base when base <> lsn ->
+      Error
+        (Printf.sprintf "log %s starts at lsn %d, but the state before it ends at lsn %d"
+           log base lsn)
+    | Ok _ -> (
+      match
+        Wal.Reader.fold fs log ~fingerprint:update_fp ~policy ~init:(init, lsn)
+          ~f:(fun (acc, lsn) (entry : Wal.Reader.entry) ->
+            if lsn >= upto then (acc, lsn)
+            else (f acc lsn (Pickle.decode App.codec_update entry.payload), lsn + 1))
+      with
+      | Error e -> Error (Format.asprintf "log %s: %a" log Wal.pp_error e)
+      | Ok ((acc, lsn), outcome) -> Ok (acc, lsn, outcome)
+      | exception Pickle.Error m ->
+        Error (Printf.sprintf "log %s: undecodable committed entry: %s" log m))
+
   let wal_policy = function
     | `Stop_at_damage -> Wal.Reader.Stop_at_damage
     | `Skip_damaged -> Wal.Reader.Skip_damaged
-
-  (* Fold [f acc index update] over one log's decoded entries. *)
-  let fold_updates fs log ~policy ~init ~f =
-    Wal.Reader.fold fs log ~fingerprint:update_fp ~policy ~init
-      ~f:(fun acc (entry : Wal.Reader.entry) ->
-        f acc entry.index (Pickle.decode App.codec_update entry.payload))
 
   (* Replay one log over (state, lsn); apply errors are fatal because a
      committed update must be applicable.  Valid committed entries
      beyond damage are a hard error (§4), not a torn tail: truncating
      would silently lose them, so escalate instead of guessing. *)
-  let replay fs config ~log ~state ~lsn =
+  let replay fs config ~log ~state ~lsn ~upto =
     match
-      fold_updates fs log ~policy:(wal_policy config.log_recovery)
-        ~init:(state, lsn) ~f:(fun (state, lsn) _ u -> (App.apply state u, lsn + 1))
+      fold_from fs log ~policy:(wal_policy config.log_recovery) ~lsn ~upto ~init:state
+        ~f:(fun state _ u -> App.apply state u)
     with
-    | Error e -> Error (Format.asprintf "log %s: %a" log Wal.pp_error e)
-    | Ok (_, outcome) when outcome.Wal.Reader.entries_beyond_damage > 0 ->
+    | Ok (_, _, outcome) when outcome.Wal.Reader.entries_beyond_damage > 0 ->
       Error
         (Printf.sprintf
            "log %s: interior damage with %d committed entries beyond it; use \
             Skip_damaged recovery or restore from a replica"
            log outcome.Wal.Reader.entries_beyond_damage)
-    | Ok ((state, lsn), outcome) -> Ok (state, lsn, outcome)
-    | exception Pickle.Error m ->
-      Error (Printf.sprintf "log %s: undecodable committed entry: %s" log m)
+    | r -> r
 
+  (* The current log starts at its checkpoint's LSN.  When that
+     checkpoint is unreadable, the previous generation's checkpoint and
+     log stand in for it, the log only below the current log's base:
+     the entries from there on were carried into the current log by the
+     hand-over, and are replayed from it. *)
   let restore fs config (rcv : Store.recovery) =
     let gen = rcv.Store.current in
     let t0 = now () in
-    let current_ckpt = load_checkpoint fs gen.Store.checkpoint_file in
     let via_previous reason =
       match rcv.Store.previous with
+      | None -> Error reason
       | Some prev -> (
-        match load_checkpoint fs prev.Store.checkpoint_file with
-        | Error e ->
-          Error
-            (Printf.sprintf "%s; previous generation also unusable: %s" reason e)
-        | Ok (meta, state) -> (
+        match (load_checkpoint fs prev.Store.checkpoint_file, log_base fs gen.Store.log_file) with
+        | Error e, _ ->
+          Error (Printf.sprintf "%s; previous generation also unusable: %s" reason e)
+        | _, Error e -> Error (Printf.sprintf "%s; %s" reason e)
+        | Ok (meta, state), Ok upto -> (
           match
-            replay fs config ~log:prev.Store.log_file ~state ~lsn:meta.base_lsn
+            replay fs config ~log:prev.Store.log_file ~state ~lsn:meta.base_lsn ~upto
           with
           | Error e -> Error (Printf.sprintf "%s; previous log: %s" reason e)
-          | Ok (state, lsn, _outcome) -> Ok (meta, state, lsn, true)))
-      | None -> Error reason
+          | Ok (_, lsn, _) when lsn <> upto ->
+            Error
+              (Printf.sprintf "%s; previous log ends at lsn %d, short of lsn %d" reason lsn
+                 upto)
+          | Ok (state, lsn, _outcome) -> Ok (state, lsn, true)))
     in
     let loaded =
-      match current_ckpt with
-      | Ok (meta, state) -> Ok (meta, state, meta.base_lsn, false)
+      match load_checkpoint fs gen.Store.checkpoint_file with
+      | Ok (meta, state) -> Ok (state, meta.base_lsn, false)
       | Error reason -> via_previous reason
     in
     match loaded with
     | Error e -> Error e
-    | Ok (_meta, state, lsn, used_previous) -> (
+    | Ok (state, lsn, used_previous) -> (
       let t1 = now () in
-      match replay fs config ~log:gen.Store.log_file ~state ~lsn with
+      match replay fs config ~log:gen.Store.log_file ~state ~lsn ~upto:max_int with
       | Error e -> Error e
       | Ok (state, lsn, outcome) ->
         let t2 = now () in
-        let entries_in_file =
-          outcome.Wal.Reader.entries_read + outcome.Wal.Reader.skipped
-        in
+        (* Skipped damaged entries have no LSN: the writer counts the
+           valid entries, so the log's base is [lsn] minus that count. *)
         let wal =
           Wal.Writer.reopen fs gen.Store.log_file ~fingerprint:update_fp
-            ~valid_length:outcome.Wal.Reader.valid_length ~entries:entries_in_file
+            ~valid_length:outcome.Wal.Reader.valid_length
+            ~entries:outcome.Wal.Reader.entries_read
         in
         let recovery =
           {
@@ -466,7 +492,7 @@ module Make (App : APP) = struct
         let t = make fs config state wal gen.Store.version lsn recovery in
         (* Replayed log entries are not covered by the checkpoint we
            restored from: they count toward the next policy boundary. *)
-        t.since_ckpt <- entries_in_file;
+        t.since_ckpt <- outcome.Wal.Reader.entries_read + outcome.Wal.Reader.skipped;
         t.phase <- { t.phase with restore_s = t1 -. t0; replay_s = t2 -. t1 };
         Metrics.incr m_recoveries;
         Metrics.observe m_recovery_restore (t1 -. t0);
@@ -503,28 +529,67 @@ module Make (App : APP) = struct
       Metrics.incr m_degraded_recoveries
     end
 
-  (* Write generation [next] from a state pickled over [pickle], start
-     its log with whatever [carry] copies in (the entries committed
-     since the snapshot; it returns their count), and commit the switch.
-     [in_update] runs the log swap under the Update lock.  A failure
-     before the commit point scraps the partial generation and fails
-     just this checkpoint, the engine staying on the current one; after
-     it, memory and disk may disagree, so the engine poisons.  The
-     write phase is timed from here: a background pickle may have
-     finished long before its install starts. *)
-  let switch_generation t ~kind ~pickle:(t0, t1) blob ~in_update ~carry =
+  (* A checkpoint's snapshot is O(1): the state is persistent, so the
+     root taken under one brief Update hold, with its LSN and log
+     offset, stays a consistent version however many updates follow. *)
+  let mark_locked t =
+    { at_generation = t.generation; at_lsn = t.lsn; at_off = Wal.Writer.length t.wal }
+  [@@sdb.requires update]
+
+  (* Copy into the new generation's log [wal'] the frames committed
+     since [mark] — raw frames, no decoding. *)
+  let carry_tail t mark wal' =
+    let tail_len = Wal.Writer.length t.wal - mark.at_off in
+    if tail_len > 0 then begin
+      let r = t.fs.Fs.open_reader (Store.log_file t.generation) in
+      Fun.protect
+        ~finally:(fun () -> r.Fs.r_close ())
+        (fun () ->
+          r.Fs.r_seek mark.at_off;
+          let buf = Bytes.create tail_len in
+          let rec fill got =
+            if got < tail_len then begin
+              let n = r.Fs.r_read buf got (tail_len - got) in
+              if n = 0 then Fs.io_fail ~op:"read" "checkpoint hand-over: short tail read";
+              fill (got + n)
+            end
+          in
+          fill 0;
+          Wal.Writer.append_raw_frames wal' (Bytes.unsafe_to_string buf)
+            ~count:(t.lsn - mark.at_lsn));
+      Wal.Writer.sync wal'
+    end
+  [@@sdb.requires update]
+
+  (* The hand-over of a state pickled at [mark] into [blob], over
+     [pickle]'s interval: write generation [next]'s checkpoint file,
+     then, under a brief Update hold proportional to the entries
+     committed since the mark, start its log at the mark's LSN, carry
+     those entries into it, and commit the switch.  A failure before
+     the commit point scraps the partial generation and fails just this
+     checkpoint, the engine staying on the current one; after it,
+     memory and disk may disagree, so the engine poisons.  The write
+     phase is timed from here: a background pickle may have finished
+     long before its install starts. *)
+  let switch_generation t ~kind mark ~pickle:(t0, t1) blob =
     let ti = now () in
     let next = t.generation + 1 in
     let committed = ref false in
     (try
        Store.write_checkpoint t.fs ~version:next blob;
-       in_update (fun () ->
+       Vlock.with_lock t.lock Vlock.Update (fun () ->
+           (* An engine poisoned since the mark must not carry its
+              suspect tail into a committed generation. *)
+           check_usable t;
            (* Start the new generation's log before touching the old
               one: any failure up to the commit point leaves the current
               generation intact and appendable. *)
-           let wal = Wal.Writer.create t.fs (Store.log_file next) ~fingerprint:update_fp in
-           let carried = carry wal in
+           let wal =
+             Wal.Writer.create t.fs (Store.log_file next) ~fingerprint:update_fp
+               ~base_lsn:mark.at_lsn
+           in
            (try
+              carry_tail t mark wal;
               Store.commit ~archive_logs:t.config.archive_logs
                 ~retain_previous:t.config.retain_previous
                 ~old_version:(Some t.generation) ~new_version:next t.fs
@@ -539,10 +604,10 @@ module Make (App : APP) = struct
            t.generation <- next;
            t.ckpts <- t.ckpts + 1;
            (* a carried tail is not covered by the snapshot just written *)
-           t.since_ckpt <- carried;
+           t.since_ckpt <- t.lsn - mark.at_lsn;
            note_space_reclaimed t)
      with
-     | (Fs.No_space _ | Wal.Append_rolled_back _) as e when not !committed ->
+     | (Fs.No_space _ | Wal.Append_rolled_back _ | Poisoned) as e when not !committed ->
        (* Disk full strictly before the commit point — the [newversion]
           write is all-or-nothing under the [No_space] contract, and a
           rolled-back tail copy touched only the unreferenced new log. *)
@@ -563,14 +628,12 @@ module Make (App : APP) = struct
     Metrics.observe m_ckpt_pickle (t1 -. t0);
     Metrics.observe m_ckpt_write (t2 -. ti);
     if Trace.active () then begin
-      let name =
-        match kind with
-        | `Blocking -> "blocking"
-        | `Concurrent -> "concurrent"
-        | `Background -> "background"
-      in
       let attrs =
-        [ ("app", App.name); ("kind", name); ("generation", string_of_int t.generation) ]
+        [
+          ("app", App.name);
+          ("kind", match kind with `Manual -> "manual" | `Background -> "background");
+          ("generation", string_of_int t.generation);
+        ]
       in
       match kind with
       | `Background ->
@@ -578,76 +641,41 @@ module Make (App : APP) = struct
            path; the pickle's timestamps were taken in its domain. *)
         Trace.span "checkpoint.pickle" ~attrs ~start_s:t0 ~dur_s:(t1 -. t0);
         Trace.span "checkpoint.install" ~attrs ~start_s:ti ~dur_s:(t2 -. ti)
-      | `Blocking | `Concurrent -> Trace.span "checkpoint" ~attrs ~start_s:t0 ~dur_s:(t2 -. t0)
+      | `Manual -> Trace.span "checkpoint" ~attrs ~start_s:t0 ~dur_s:(t2 -. t0)
     end
-
-  let checkpoint_locked t =
-    let t0 = now () in
-    let blob = checkpoint_blob ~lsn:t.lsn t.state in
-    switch_generation t ~kind:`Blocking ~pickle:(t0, now ()) blob
-      ~in_update:(fun f -> f ())
-      ~carry:(fun _ -> 0)
-  [@@sdb.requires update]
-
-  (* A fuzzy checkpoint's snapshot is O(1): the state is persistent, so
-     the root taken under one brief Update hold, with its LSN and log
-     offset, stays a consistent version however many updates follow. *)
-  let mark_locked t =
-    { at_generation = t.generation; at_lsn = t.lsn; at_off = Wal.Writer.length t.wal }
-  [@@sdb.requires update]
-
-  (* Copy into the new generation's log [wal'] the frames committed
-     since [mark] — raw frames, no decoding — and return their count.
-     Runs as [switch_generation]'s [carry], inside its Update window:
-     asserted at runtime, since the static checker cannot follow the
-     closure there. *)
-  let carry_tail t mark wal' =
-    Sdb_check.assert_mode (Vlock.sanitizer t.lock) Sdb_check.Update
-      ~site:"checkpoint.carry";
-    let tail_len = Wal.Writer.length t.wal - mark.at_off in
-    if tail_len > 0 then begin
-      let r = t.fs.Fs.open_reader (Store.log_file t.generation) in
-      Fun.protect
-        ~finally:(fun () -> r.Fs.r_close ())
-        (fun () ->
-          r.Fs.r_seek mark.at_off;
-          let buf = Bytes.create tail_len in
-          let rec fill got =
-            if got < tail_len then begin
-              let n = r.Fs.r_read buf got (tail_len - got) in
-              if n = 0 then Fs.io_fail ~op:"read" "checkpoint hand-over: short tail read";
-              fill (got + n)
-            end
-          in
-          fill 0;
-          Wal.Writer.append_raw_frames wal' (Bytes.unsafe_to_string buf)
-            ~count:(t.lsn - mark.at_lsn));
-      Wal.Writer.sync wal'
-    end;
-    t.lsn - mark.at_lsn
-
-  (* The fuzzy hand-over, shared by [checkpoint_concurrent] and the
-     policy's background install: brief exclusion of updates,
-     proportional to the entries committed since [mark], to carry them
-     into the new generation's log and commit the switch. *)
-  let hand_over t ~kind mark ~pickle blob =
-    switch_generation t ~kind ~pickle blob
-      ~in_update:(fun f -> Vlock.with_lock t.lock Vlock.Update f)
-      ~carry:(carry_tail t mark)
   [@@sdb.acquires update]
 
-  (* Under the checkpoint token: install a policy pickle that has
-     finished through the hand-over, or drop it if the generation moved
-     since its snapshot (a manual checkpoint or a scrub repair
-     superseded it).  A pickle still running is left alone.  A pickler
-     that raised re-raises here, as it would have inline. *)
-  let install_finished t =
+  (* Under the checkpoint token: the snapshot under a brief Update hold,
+     the pickle on this thread with no lock held, then the hand-over. *)
+  let write_generation t =
+    let state, mark =
+      Vlock.with_lock t.lock Vlock.Update (fun () ->
+          check_usable t;
+          (t.state, mark_locked t))
+    in
+    let t0 = now () in
+    let blob = checkpoint_blob ~lsn:mark.at_lsn state in
+    switch_generation t ~kind:`Manual mark ~pickle:(t0, now ()) blob
+  [@@sdb.acquires update]
+
+  (* Under the checkpoint token: take the policy pickle out of its slot
+     if it has finished.  [Domain.join] re-raises a pickler's exception,
+     as a pickle on the caller's thread would. *)
+  let take_finished t =
     match t.pickling with
     | Some p when Atomic.get p.finished ->
       t.pickling <- None;
       let blob, t0, t1 = Domain.join p.domain in
-      if p.mark.at_generation = t.generation then
-        hand_over t ~kind:`Background p.mark ~pickle:(t0, t1) blob
+      Some (p.mark, (t0, t1), blob)
+    | Some _ | None -> None
+
+  (* Install a finished policy pickle, or drop it if the generation
+     moved since its snapshot (a scrub repair superseded it).  A pickle
+     still running is left alone. *)
+  let install_finished t =
+    match take_finished t with
+    | Some (mark, pickle, blob) when mark.at_generation = t.generation ->
+      switch_generation t ~kind:`Background mark ~pickle blob
     | Some _ | None -> ()
   [@@sdb.acquires update]
 
@@ -674,20 +702,26 @@ module Make (App : APP) = struct
     | Every_n_updates n -> n > 0 && t.since_ckpt >= n
     | Log_bytes_exceeds limit -> Wal.Writer.length t.wal > limit
 
-  (* Policy checkpoints of a persistent state pickle on a domain of
-     their own.  A state mutated in place cannot be snapshotted, and an
-     archive_logs store cannot carry a tail (it would duplicate
-     archived history): those checkpoint inline. *)
-  let pickles_in_background t = App.persistent && not t.config.archive_logs
+  (* Writes exactly one generation.  A finished policy pickle is
+     dropped, not installed: this checkpoint supersedes it, as it does
+     one still running, which its install will drop. *)
+  let checkpoint t =
+    check_usable t;
+    Sdb_check.Mu.lock t.ckpt_mutex;
+    Fun.protect
+      ~finally:(fun () -> Sdb_check.Mu.unlock t.ckpt_mutex)
+      (fun () ->
+        check_usable t;
+        ignore (take_finished t : _ option);
+        write_generation t)
+  [@@sdb.acquires update]
 
-  (* Every checkpoint but the concurrent one: under the checkpoint
-     token, first install a finished policy pickle, then, under Update,
-     either write a checkpoint inline or pin a snapshot and hand it to a
-     pickling domain.  A policy checkpoint re-checks [due] under the
-     locks — the members of a group all finish together, and only the
-     first of them should checkpoint — and starts none while a pickle
-     is in flight. *)
-  let checkpoint_as t ~policy =
+  (* The policy's checkpoint: install a finished pickle, then, when one
+     is due and none is in flight, pin a snapshot under Update and hand
+     it to a pickling domain.  [due] is re-checked under the locks — the
+     members of a group all finish together, and only the first of them
+     should checkpoint. *)
+  let policy_checkpoint t =
     check_usable t;
     Sdb_check.Mu.lock t.ckpt_mutex;
     Fun.protect
@@ -695,55 +729,26 @@ module Make (App : APP) = struct
       (fun () ->
         check_usable t;
         install_finished t;
-        Vlock.acquire t.lock Vlock.Update;
         let snapshot =
-          Fun.protect
-            ~finally:(fun () -> Vlock.release t.lock Vlock.Update)
-            (fun () ->
+          Vlock.with_lock t.lock Vlock.Update (fun () ->
               check_usable t;
-              if policy && (t.pickling <> None || not (due_for_checkpoint t)) then None
-              else if policy && pickles_in_background t then Some (t.state, mark_locked t)
-              else begin
-                checkpoint_locked t;
-                None
-              end)
+              if t.pickling = None && due_for_checkpoint t then
+                Some (t.state, mark_locked t)
+              else None)
         in
         Option.iter (fun (state, mark) -> spawn_pickle t state mark) snapshot)
   [@@sdb.acquires update]
 
-  let checkpoint t = checkpoint_as t ~policy:false [@@sdb.acquires update]
-
-  (* The fuzzy checkpoint on the caller's thread: snapshot, pickle with
-     no lock held, hand over. *)
-  let checkpoint_concurrent t =
-    check_usable t;
-    if not App.persistent then
-      invalid_arg "Smalldb.checkpoint_concurrent: App.state is not persistent";
-    if t.config.archive_logs then
-      invalid_arg "Smalldb.checkpoint_concurrent: incompatible with archive_logs";
-    Sdb_check.Mu.lock t.ckpt_mutex;
-    Fun.protect
-      ~finally:(fun () -> Sdb_check.Mu.unlock t.ckpt_mutex)
-      (fun () ->
-        check_usable t;
-        let state, mark =
-          Vlock.with_lock t.lock Vlock.Update (fun () -> (t.state, mark_locked t))
-        in
-        let t0 = now () in
-        let blob = checkpoint_blob ~lsn:mark.at_lsn state in
-        hand_over t ~kind:`Concurrent mark ~pickle:(t0, now ()) blob)
-  [@@sdb.acquires update]
-
   (* After a commit: install a finished policy pickle, or start the
      policy's next checkpoint when one is due.  Both checks here are
-     unlocked hints; [checkpoint_as] repeats them under the locks. *)
+     unlocked hints; [policy_checkpoint] repeats them under the locks. *)
   let maybe_auto_checkpoint t =
     let ready = match t.pickling with Some p -> Atomic.get p.finished | None -> false in
     if
       ready
       || t.pickling = None && due_for_checkpoint t && now () >= t.auto_ckpt_retry_at
     then
-      try checkpoint_as t ~policy:true
+      try policy_checkpoint t
       with Fs.No_space _ ->
         (* The update itself committed; the log just could not be
            compacted yet.  Back off and keep running — degraded mode is
@@ -1033,35 +1038,24 @@ module Make (App : APP) = struct
 
   (* Frame-level verification of one log file: CRC-checks every entry
      under [Skip_damaged] so damage past the first bad entry is still
-     enumerated, optionally folding the decoded updates. *)
-  let verify_log t log findings ~f ~init =
-    match
-      Wal.Reader.fold t.fs log ~fingerprint:update_fp
-        ~policy:Wal.Reader.Skip_damaged ~init ~f
-    with
-    | Error e ->
-      findings :=
-        { file = log; offset = 0; reason = Format.asprintf "%a" Wal.pp_error e }
-        :: !findings;
+     enumerated, folding the updates below [upto] as [fold_from] does.
+     Each damaged entry, or the unusable file, is a finding. *)
+  let verify_log t log findings ~lsn ~upto ~init ~f =
+    let add offset reason = findings := { file = log; offset; reason } :: !findings in
+    match fold_from t.fs log ~policy:Wal.Reader.Skip_damaged ~lsn ~upto ~init ~f with
+    | Error reason ->
+      add 0 reason;
       None
-    | exception Pickle.Error m ->
-      findings :=
-        { file = log; offset = 0; reason = "undecodable committed entry: " ^ m }
-        :: !findings;
-      None
-    | Ok (acc, outcome) ->
-      List.iter
-        (fun (offset, reason) ->
-          findings := { file = log; offset; reason } :: !findings)
-        outcome.Wal.Reader.damage;
-      Some (acc, outcome)
+    | Ok (acc, lsn, outcome) ->
+      List.iter (fun (offset, reason) -> add offset reason) outcome.Wal.Reader.damage;
+      Some (acc, lsn, outcome)
 
   (* Re-read current (and retained previous) checkpoint + log under the
-     checkpoint mutex and the update lock — the same discipline as a
-     blocking checkpoint, so enquiries keep running while updates and
-     checkpoints wait.  With [repair] (and damage found), a fresh
-     generation is checkpointed from the known-good in-memory state and
-     the damaged files are dropped. *)
+     checkpoint token and the update lock, so enquiries keep running
+     while updates and checkpoints wait.  With [repair] (and damage
+     found), a fresh generation is checkpointed from the known-good
+     in-memory state, still under the token, and the damaged files are
+     dropped. *)
   let scrub ?(repair = false) ?digest t =
     check_usable t;
     let t0 = now () in
@@ -1069,10 +1063,8 @@ module Make (App : APP) = struct
     Fun.protect
       ~finally:(fun () -> Sdb_check.Mu.unlock t.ckpt_mutex)
       (fun () ->
-        Vlock.acquire t.lock Vlock.Update;
-        Fun.protect
-          ~finally:(fun () -> Vlock.release t.lock Vlock.Update)
-          (fun () ->
+        let scanned, findings, replay_consistent =
+          Vlock.with_lock t.lock Vlock.Update (fun () ->
             check_usable t;
             Sdb_check.assert_mode (Vlock.sanitizer t.lock) Sdb_check.Update
               ~site:"scrub";
@@ -1096,9 +1088,11 @@ module Make (App : APP) = struct
             if gen > 0 && t.fs.Fs.exists prev_log then begin
               note prev_log;
               scan_file t prev_log findings;
+              (* frames only: from its own base, nothing decoded *)
+              let lsn = Result.value (log_base t.fs prev_log) ~default:0 in
               ignore
-                (verify_log t prev_log findings ~init:() ~f:(fun () _ -> ())
-                  : (unit * _) option)
+                (verify_log t prev_log findings ~lsn ~upto:lsn ~init:() ~f:(fun () _ _ -> ())
+                  : (unit * int * _) option)
             end;
             (* 2. Shadow replay: decode the checkpoint, replay the log
                into it, and cross-check the result against memory. *)
@@ -1113,15 +1107,11 @@ module Make (App : APP) = struct
               then findings := { file = ckpt; offset = 0; reason } :: !findings
             | Ok (meta, shadow0) -> (
               match
-                verify_log t log findings ~init:(shadow0, meta.base_lsn)
-                  ~f:(fun (st, lsn) entry ->
-                    let u =
-                      Pickle.decode App.codec_update entry.Wal.Reader.payload
-                    in
-                    (App.apply st u, lsn + 1))
+                verify_log t log findings ~lsn:meta.base_lsn ~upto:max_int ~init:shadow0
+                  ~f:(fun st _ u -> App.apply st u)
               with
               | None -> replay_consistent := false
-              | Some ((shadow, shadow_lsn), outcome) ->
+              | Some (shadow, shadow_lsn, outcome) ->
                 if
                   outcome.Wal.Reader.skipped > 0
                   || outcome.Wal.Reader.stopped_early <> None
@@ -1155,47 +1145,49 @@ module Make (App : APP) = struct
                   | _ -> ()
                 end))
             ;
-            let findings = List.rev !findings in
-            Metrics.incr m_scrub_runs;
-            Metrics.add m_scrub_damage (List.length findings);
-            (* 3. Self-repair: memory is the known-good copy (§4 —
-               restore consistency by writing a fresh checkpoint from
-               it), then drop the damaged files the new generation no
-               longer references. *)
-            let repaired = ref false in
-            if repair && findings <> [] then begin
-              match checkpoint_locked t with
-              | () ->
-                repaired := true;
-                Metrics.incr m_scrub_repairs;
-                List.iter
-                  (fun (f : scrub_finding) ->
-                    if f.offset >= 0 && t.fs.Fs.exists f.file then
-                      try t.fs.Fs.remove f.file with Fs.Io_error _ -> ())
-                  findings
-              | exception Fs.No_space _ -> ()
-              (* repair needs headroom; report unrepaired, try later *)
-            end;
-            let report =
-              {
-                scanned_files = List.rev !scanned;
-                findings;
-                replay_consistent = !replay_consistent;
-                repaired = !repaired;
-                scrub_duration_s = now () -. t0;
-              }
-            in
-            t.last_scrub <- Some report;
-            if Trace.active () then
-              Trace.span "scrub"
-                ~attrs:
-                  [
-                    ("app", App.name);
-                    ("findings", string_of_int (List.length findings));
-                    ("repaired", string_of_bool !repaired);
-                  ]
-                ~start_s:t0 ~dur_s:report.scrub_duration_s;
-            report))
+            (List.rev !scanned, List.rev !findings, !replay_consistent))
+        in
+        Metrics.incr m_scrub_runs;
+        Metrics.add m_scrub_damage (List.length findings);
+        (* 3. Self-repair: memory is the known-good copy (§4 — restore
+           consistency by writing a fresh checkpoint from it), then drop
+           the damaged files the new generation no longer references. *)
+        let repaired =
+          repair && findings <> []
+          &&
+          match write_generation t with
+          | () ->
+            Metrics.incr m_scrub_repairs;
+            List.iter
+              (fun (f : scrub_finding) ->
+                if f.offset >= 0 && t.fs.Fs.exists f.file then
+                  try t.fs.Fs.remove f.file with Fs.Io_error _ -> ())
+              findings;
+            true
+          | exception Fs.No_space _ -> false
+          (* repair needs headroom; report unrepaired, try later *)
+        in
+        let report =
+          {
+            scanned_files = scanned;
+            findings;
+            replay_consistent;
+            repaired;
+            scrub_duration_s = now () -. t0;
+          }
+        in
+        t.last_scrub <- Some report;
+        if Trace.active () then
+          Trace.span "scrub"
+            ~attrs:
+              [
+                ("app", App.name);
+                ("findings", string_of_int (List.length findings));
+                ("repaired", string_of_bool repaired);
+              ]
+            ~start_s:t0 ~dur_s:report.scrub_duration_s;
+        report)
+  [@@sdb.acquires update]
 
   let last_scrub t = t.last_scrub
 
@@ -1265,38 +1257,32 @@ module Make (App : APP) = struct
             | Some p -> if Atomic.get p.finished then `Ready else `Pickling);
         })
 
+  (* The update lock pins the log file name and its base LSN without
+     blocking enquiries. *)
+  let log_start t = t.lsn - Wal.Writer.entries t.wal [@@sdb.requires update]
+
+  let fold_current_log t ~init ~f =
+    match
+      fold_from t.fs (Store.log_file t.generation) ~policy:Wal.Reader.Stop_at_damage
+        ~lsn:(log_start t) ~upto:max_int ~init ~f
+    with
+    | Ok (acc, _, _outcome) -> acc
+    | Error e -> Fs.io_fail ~op:"read" e
+  [@@sdb.requires update]
+
   let fold_log t ~init ~f =
     check_usable t;
-    (* The update lock pins the log file name and the LSN base without
-       blocking enquiries. *)
-    Vlock.with_lock t.lock Vlock.Update (fun () ->
-        let log = Store.log_file t.generation in
-        let base = t.lsn - Wal.Writer.entries t.wal in
-        match
-          fold_updates t.fs log ~policy:Wal.Reader.Stop_at_damage ~init
-            ~f:(fun acc i u -> f acc (base + i) u)
-        with
-        | Ok (acc, _outcome) -> acc
-        | Error e -> Fs.io_fail ~op:"read" (Format.asprintf "%a" Wal.pp_error e))
+    Vlock.with_lock t.lock Vlock.Update (fun () -> fold_current_log t ~init ~f)
 
   let log_suffix t ~from =
     check_usable t;
     Vlock.with_lock t.lock Vlock.Update (fun () ->
-        let base = t.lsn - Wal.Writer.entries t.wal in
-        if from < base then None
-        else begin
-          let log = Store.log_file t.generation in
-          match
-            Wal.Reader.fold t.fs log ~fingerprint:update_fp
-              ~policy:Wal.Reader.Stop_at_damage ~init:[] ~f:(fun acc entry ->
-                let lsn = base + entry.Wal.Reader.index in
-                if lsn >= from then
-                  (lsn, Pickle.decode App.codec_update entry.Wal.Reader.payload) :: acc
-                else acc)
-          with
-          | Ok (acc, _outcome) -> Some (List.rev acc)
-          | Error e -> Fs.io_fail ~op:"read" (Format.asprintf "%a" Wal.pp_error e)
-        end)
+        if from < log_start t then None
+        else
+          Some
+            (List.rev
+               (fold_current_log t ~init:[] ~f:(fun acc lsn u ->
+                    if lsn >= from then (lsn, u) :: acc else acc))))
 
   module History = struct
     (* The archive is usable only when it is contiguous from the very
@@ -1315,35 +1301,28 @@ module Make (App : APP) = struct
              (List.length archives) t.generation)
       else Ok (List.map snd archives @ [ Store.log_file t.generation ])
 
-    (* Fold [f] over one log file; damage or truncation in an archive is
-       corruption of history, not a recoverable tail. *)
-    let fold_file t ~log ~strict acc lsn f =
-      match
-        fold_updates t.fs log ~policy:Wal.Reader.Stop_at_damage ~init:(acc, lsn)
-          ~f:(fun (acc, lsn) _ u -> (f acc lsn u, lsn + 1))
-      with
-      | Error e -> Error (Format.asprintf "history: %s: %a" log Wal.pp_error e)
-      | Ok ((acc, lsn), outcome) ->
-        if strict && outcome.Wal.Reader.stopped_early <> None then
-          Error (Printf.sprintf "history: archived log %s is damaged" log)
-        else Ok (acc, lsn)
-      | exception Pickle.Error m -> Error (Printf.sprintf "history: %s: %s" log m)
-
+    (* Each log is folded only below the next one's base: the entries
+       from there on were carried into the next log.  Damage or
+       truncation in an archive is corruption of history, not a
+       recoverable tail. *)
     let fold_all t ~init ~f =
       check_usable t;
       Vlock.with_lock t.lock Vlock.Update (fun () ->
           match plan t with
           | Error e -> Error e
           | Ok logs ->
-            let current = Store.log_file t.generation in
             let rec go acc lsn = function
               | [] -> Ok (acc, lsn)
               | log :: rest -> (
+                let upto = match rest with [] -> Ok max_int | next :: _ -> log_base t.fs next in
                 match
-                  fold_file t ~log ~strict:(not (String.equal log current)) acc lsn f
+                  Result.bind upto (fun upto ->
+                      fold_from t.fs log ~policy:Wal.Reader.Stop_at_damage ~lsn ~upto ~init:acc ~f)
                 with
-                | Error e -> Error e
-                | Ok (acc, lsn) -> go acc lsn rest)
+                | Error e -> Error ("history: " ^ e)
+                | Ok (_, _, outcome) when rest <> [] && outcome.Wal.Reader.stopped_early <> None ->
+                  Error (Printf.sprintf "history: archived log %s is damaged" log)
+                | Ok (acc, lsn, _) -> go acc lsn rest)
             in
             go init 0 logs)
 
@@ -1409,12 +1388,6 @@ module Make (App : APP) = struct
   [@@sdb.acquires update]
 
   let open_ ?(config = default_config) fs =
-    if config.read_path = `Epoch && not App.persistent then
-      Error
-        (Printf.sprintf
-           "%s: read_path = `Epoch needs a persistent App.state (persistent = false)"
-           App.name)
-    else
     match
       Store.recover ~archive_logs:config.archive_logs
         ~retain_previous:config.retain_previous fs

@@ -12,10 +12,10 @@
     Concurrency follows the paper's three-mode locking: enquiries hold
     a shared lock; an update holds the update lock through steps (1)
     and (2) — so enquiries keep running during the disk write — and
-    upgrades to exclusive only for step (3); a checkpoint holds the
-    update lock for its whole duration, except where a persistent
-    state lets it pickle outside the lock ({!checkpoint_policy},
-    {!Make.checkpoint_concurrent}).
+    upgrades to exclusive only for step (3).  A checkpoint holds the
+    update lock only briefly, twice: to pin a snapshot of the
+    (persistent) state, and to hand the pickled snapshot over
+    ({!Make.checkpoint}).
 
     Instantiate {!Make} with an application: its state and update
     types, their pickles, and the (total, deterministic) [apply]
@@ -38,36 +38,21 @@ module type APP = sig
 
   val apply : state -> update -> state
   (** Total and deterministic: replaying the same updates from the same
-      state must rebuild the same state.  May mutate and return its
-      argument or return a new value. *)
-
-  val persistent : bool
-  (** [true] when [apply] never mutates its argument and every state
-      it returns stays valid as long as it is referenced (path-copied,
-      like [Ns_data.pnode] or a [Map]): a root taken at one LSN is then
-      a consistent snapshot however many updates follow.  The epoch
-      read path and {!Make.checkpoint_concurrent} require it, and with
-      it the checkpoint policy pickles on a domain of its own (see
-      {!checkpoint_policy}).  [false] for state mutated in place, such
-      as a [Hashtbl]. *)
+      state must rebuild the same state.  Never mutates its argument:
+      the state is persistent (path-copied, like [Ns_data.pnode] or a
+      [Map]), so a root taken at one LSN stays a consistent snapshot —
+      checkpoints pickle it with updates running, and the epoch read
+      path shares it with other domains. *)
 end
 
 (** When the engine checkpoints on its own, checked after each commit.
 
-    With [App.persistent] (and [archive_logs] off) a policy checkpoint
-    leaves the request path: the committing updater pins an O(1)
-    snapshot of state, LSN and log offset under a brief update lock,
-    hands the pickle to a freshly spawned domain and returns.  At most
-    one such pickle is in flight per engine, and the domain never
-    touches the file system.  The first later commit, {!Make.checkpoint}
-    or {!Make.close} that finds it finished installs it through the
-    same hand-over as {!Make.checkpoint_concurrent}: write the
-    checkpoint file, then under a brief update lock carry the entries
-    committed since the snapshot into the new log and commit the
-    switch.  A pickle whose generation was superseded meanwhile (by a
-    manual checkpoint or a scrub repair) is dropped.  Otherwise — a
-    state mutated in place, or [archive_logs] — the committing updater
-    checkpoints inline, holding the update lock throughout. *)
+    The committing updater pins the snapshot {!Make.checkpoint} pins,
+    hands the pickle to a fresh domain (at most one in flight per
+    engine; it never touches the file system) and returns.  The first
+    later commit or {!Make.close} that finds it finished installs it
+    through {!Make.checkpoint}'s hand-over, unless a checkpoint or scrub
+    repair superseded it. *)
 type checkpoint_policy =
   | Manual  (** only explicit {!Make.checkpoint} calls *)
   | Every_n_updates of int
@@ -78,8 +63,10 @@ type config = {
   retain_previous : bool;
       (** keep one previous checkpoint + log for hard-error recovery
           (§4): when the current checkpoint is unreadable, open loads
-          the previous checkpoint, replays the previous log, then
-          replays the current log.  Costs disk space, nothing else *)
+          the previous checkpoint, replays the previous log up to the
+          current log's base LSN (the entries from there on were carried
+          into the current log), then replays the current log.  Costs
+          disk space, nothing else *)
   policy : checkpoint_policy;
   log_recovery : [ `Stop_at_damage | `Skip_damaged ];
       (** [`Skip_damaged] is the §4 option of ignoring just a damaged
@@ -87,7 +74,9 @@ type config = {
           independent *)
   archive_logs : bool;
       (** keep superseded logs as [archive-logfile<N>] — §4's complete
-          audit trail, consumed through {!Make.History} *)
+          audit trail, consumed through {!Make.History}.  An archived
+          log ends with the tail its successor starts with; the next
+          log's base LSN says where *)
   group_commit : bool;
       (** commit concurrent unconditional updates ({!Make.update},
           {!Make.update_batch}) as a group sharing one log write and one
@@ -107,10 +96,7 @@ type config = {
           pointer inside its Exclusive window, a reader enters an
           epoch, loads the pointer, and queries that immutable version
           with no lock traffic at all; retired versions are reclaimed
-          once every reader has moved past them.  {b Requires
-          [App.persistent]}: {!Make.open_} refuses the route for a
-          state mutated in place, which would be shared, bare, with
-          readers in other domains.  WAL,
+          once every reader has moved past them.  WAL,
           group commit, checkpointing and replication are unchanged;
           the fsync remains the commit point, and a version is
           published only after it commits. *)
@@ -129,7 +115,8 @@ type phase_times = {
   log_s : float;  (** log append + fsync *)
   apply_s : float;  (** in-memory mutation *)
   ckpt_pickle_s : float;
-      (** checkpoint pickling, on whichever thread or domain ran it *)
+      (** checkpoint pickling, on whichever thread or domain ran it, no
+          lock held *)
   ckpt_write_s : float;
       (** checkpoint install: file write, log hand-over and switch; for
           a background pickle, not the wait before its install *)
@@ -158,8 +145,7 @@ type stats = {
   recovery : recovery_info;
   background_checkpoint : [ `Idle | `Pickling | `Ready ];
       (** the policy's background pickle: none, running, or finished
-          and waiting for the next commit, checkpoint or close to
-          install it *)
+          and waiting for the next commit or close to install it *)
 }
 
 exception Poisoned
@@ -208,8 +194,9 @@ module Make (App : APP) : sig
 
   val open_ : ?config:config -> Sdb_storage.Fs.t -> (t, string) result
   (** Open or create the database in [fs]'s directory, running crash
-      recovery as needed.  [Error] for [read_path = `Epoch] when
-      [App.persistent] is [false]. *)
+      recovery as needed.  [Error] when the current log's base LSN is
+      not its checkpoint's LSN, or a log is in a format this build does
+      not read (a version-1 [SDBWAL1] log). *)
 
   val open_exn : ?config:config -> Sdb_storage.Fs.t -> t
 
@@ -257,36 +244,21 @@ module Make (App : APP) : sig
       fsync. *)
 
   val checkpoint : t -> unit
-  (** Write a checkpoint and reset the log.  Holds the update lock for
-      the duration (enquiries proceed, updates wait).  A finished
-      background pickle of the policy is installed first; one still
-      running is left to be dropped, since this checkpoint supersedes
-      it.
+  (** Write exactly one new generation, without excluding updates while
+      the state is pickled (lifting §7's first availability limit, "the
+      time required for making a checkpoint (when updates are
+      excluded)"): pin the state root, LSN and log offset under a brief
+      update lock; pickle and write the checkpoint file with no lock
+      held; then, under a brief update lock, start the new log with
+      that LSN as its base, copy in the entries committed meanwhile,
+      and commit the switch.  A policy pickle, finished or not, is
+      superseded and dropped.
 
       Runs out of disk space cleanly: {!Sdb_storage.Fs.No_space} before
       the commit point scraps the partial new generation and leaves the
       engine fully usable on the old one (no poison).  A successful
-      checkpoint also exits {!Degraded} mode, since the fresh empty log
-      is what reclaims space. *)
-
-  val checkpoint_concurrent : t -> unit
-  (** A fuzzy checkpoint that does {e not} exclude updates while the
-      state is pickled — addressing the paper's first availability
-      limitation (§7: "the time required for making a checkpoint (when
-      updates are excluded)").
-
-      Three phases: grab the state pointer and LSN under a brief update
-      lock; pickle and write the checkpoint file with {e no} lock held;
-      then, under a brief update lock, start the new generation's log,
-      copy into it the few entries committed while pickling ran, and
-      commit the switch.  Update unavailability is proportional to the
-      updates that arrived during the pickle, not to the database size.
-
-      Requires [App.persistent], or the pickled snapshot would tear
-      (the paper's hash-table name server does not qualify; a
-      [Map]-based application does), and is incompatible with
-      [archive_logs] (the copied tail would duplicate history): raises
-      [Invalid_argument] otherwise. *)
+      checkpoint also exits {!Degraded} mode, since the fresh log is
+      what reclaims space. *)
 
   val stats : t -> stats
 
@@ -303,9 +275,9 @@ module Make (App : APP) : sig
   (** Re-read the current (and retained previous) checkpoint + log and
       verify them end to end: a page-wise media scan of every file, a
       CRC check of every log frame, and a shadow replay of checkpoint +
-      log cross-checked against the live state.  Runs under the same
-      lock discipline as a blocking checkpoint: enquiries keep running,
-      updates and checkpoints wait.
+      log cross-checked against the live state.  The verification
+      holds the update lock: enquiries keep running, updates and
+      checkpoints wait.
 
       [digest] enables the memory cross-check; it must be {e canonical}
       (equal states give equal strings — a plain pickle of a hash table
@@ -368,7 +340,10 @@ module Make (App : APP) : sig
   (** The complete audit trail (§4: "the log files form a complete
       audit trail for the database, and could be retained if desired").
       Requires the store to have run with [archive_logs = true] since
-      creation, so that every update since LSN 0 is still on disk. *)
+      creation, so that every update since LSN 0 is still on disk.  Each
+      archived log is read only below the next log's base LSN: its last
+      entries were carried into that log by the checkpoint that
+      archived it, and are read from there, once. *)
   module History : sig
     val available : t -> bool
     (** True when the archive is contiguous from LSN 0 to the current

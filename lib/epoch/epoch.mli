@@ -10,8 +10,7 @@
     The payload must be {e immutable} (persistent, path-copied): a
     published version is shared with every concurrent reader, in other
     domains included, so mutating it is a data race.  This is the same
-    contract [checkpoint_concurrent] documents, now load-bearing for
-    every query. *)
+    contract [Smalldb.APP.apply] documents for every application state. *)
 
 type 'a t
 

@@ -31,8 +31,7 @@ let codec_update =
    next version in O(depth · log fanout) and sharing everything it did
    not touch with the previous one.  That is what lets the engine
    publish versions to the lock-free read path (config.read_path =
-   `Epoch) — and it makes checkpoint_concurrent's immutability
-   requirement hold by construction. *)
+   `Epoch) and pickle a checkpoint's snapshot while updates go on. *)
 module App = struct
   type state = Ns_data.pnode
   type nonrec update = update
@@ -41,7 +40,6 @@ module App = struct
   let codec_state = Ns_data.codec_pnode
   let codec_update = codec_update
   let init () = Ns_data.empty_pnode
-  let persistent = true
 
   let apply state u =
     match u with

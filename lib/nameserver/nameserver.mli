@@ -28,8 +28,8 @@ module App :
 (** The state is the {e persistent} tree ({!Ns_data.pnode}): [apply]
     path-copies, so each committed version is immutable and shares all
     untouched subtrees with its predecessor — the property the
-    lock-free read path ([read_path = `Epoch]) and concurrent
-    checkpoints require. *)
+    lock-free read path ([read_path = `Epoch]) and checkpoints pickling
+    with updates running rely on. *)
 
 module Db : module type of Smalldb.Make (App)
 

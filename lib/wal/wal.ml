@@ -34,9 +34,10 @@ let m_torn_tails =
   Metrics.counter "sdb_wal_torn_tails_total"
     ~help:"Scans that stopped early at a damaged or truncated tail."
 
-let magic = "SDBWAL1\n"
+let magic = "SDBWAL2\n"
+let magic_v1 = "SDBWAL1\n"
 let fingerprint_size = 16
-let header_size = String.length magic + fingerprint_size
+let header_size = String.length magic + fingerprint_size + 8
 let frame_overhead = 8 (* u32 length + u32 crc *)
 let max_entry_size = 1 lsl 28
 
@@ -53,6 +54,50 @@ let pp_error ppf = function
 let check_fingerprint fp =
   if String.length fp <> fingerprint_size then
     invalid_arg "Wal: fingerprint must be 16 bytes"
+
+type header = { fingerprint : string; base_lsn : int }
+
+(* Read exactly [n] bytes unless EOF or damage intervenes. *)
+type chunk = Full of bytes | Short of int | Damaged of string
+
+let read_exact r n =
+  let buf = Bytes.create n in
+  let rec go got =
+    if got = n then Full buf
+    else
+      match r.Fs.r_read buf got (n - got) with
+      | 0 -> Short got
+      | k -> go (got + k)
+      | exception Fs.Read_error { reason; _ } -> Damaged reason
+  in
+  go 0
+
+(* The one parser of the header, from [r]'s current position.  The
+   magic is read first, so a version-1 log, whose header is shorter, is
+   named as such however short it is. *)
+let parse_header r =
+  let rest () =
+    match read_exact r (header_size - String.length magic) with
+    | Full b ->
+      let base_lsn = Int64.to_int (Bytes.get_int64_le b fingerprint_size) in
+      Ok { fingerprint = Bytes.sub_string b 0 fingerprint_size; base_lsn }
+    | Short _ -> Error (Not_a_log "file shorter than header")
+    | Damaged reason -> Error (Not_a_log ("damaged header: " ^ reason))
+  in
+  match read_exact r (String.length magic) with
+  | Full m when Bytes.equal m (Bytes.of_string magic) -> rest ()
+  | Full m when Bytes.equal m (Bytes.of_string magic_v1) ->
+    Error (Not_a_log "SDBWAL1 (log format version 1, no base LSN): this build reads only SDBWAL2")
+  | Full _ -> Error (Not_a_log "bad magic")
+  | Short _ -> Error (Not_a_log "file shorter than header")
+  | Damaged reason -> Error (Not_a_log ("damaged header: " ^ reason))
+
+let read_header fs file =
+  if not (fs.Fs.exists file) then Error (Not_a_log "file does not exist")
+  else begin
+    let r = fs.Fs.open_reader file in
+    Fun.protect ~finally:(fun () -> r.Fs.r_close ()) (fun () -> parse_header r)
+  end
 
 exception Append_rolled_back of exn
 
@@ -71,10 +116,13 @@ module Writer = struct
     mutable staged_bytes : int;
   }
 
-  let create fs file ~fingerprint =
+  let create fs file ~fingerprint ~base_lsn =
     check_fingerprint fingerprint;
+    if base_lsn < 0 then invalid_arg "Wal.Writer.create: negative base_lsn";
+    let lsn = Bytes.create 8 in
+    Bytes.set_int64_le lsn 0 (Int64.of_int base_lsn);
     let w = fs.Fs.create file in
-    w.Fs.w_write (magic ^ fingerprint);
+    w.Fs.w_write (magic ^ fingerprint ^ Bytes.to_string lsn);
     w.Fs.w_sync ();
     { fs; file; w; entries = 0; length = header_size; closed = false;
       staged = []; staged_frames = 0; staged_bytes = 0 }
@@ -257,21 +305,6 @@ module Reader = struct
     damage : (int * string) list;
   }
 
-  (* Read exactly [n] bytes unless EOF or damage intervenes. *)
-  type chunk = Full of bytes | Short of int | Damaged of string
-
-  let read_exact r n =
-    let buf = Bytes.create n in
-    let rec go got =
-      if got = n then Full buf
-      else
-        match r.Fs.r_read buf got (n - got) with
-        | 0 -> Short got
-        | k -> go (got + k)
-        | exception Fs.Read_error { reason; _ } -> Damaged reason
-    in
-    go 0
-
   let fold fs file ~fingerprint ~policy ~init ~f =
     check_fingerprint fingerprint;
     if not (fs.Fs.exists file) then Error (Not_a_log "file does not exist")
@@ -280,17 +313,12 @@ module Reader = struct
       Fun.protect
         ~finally:(fun () -> r.Fs.r_close ())
         (fun () ->
-          match read_exact r header_size with
-          | Short _ -> Error (Not_a_log "file shorter than header")
-          | Damaged reason -> Error (Not_a_log ("damaged header: " ^ reason))
-          | Full hdr ->
-            let found_magic = Bytes.sub_string hdr 0 (String.length magic) in
-            if not (String.equal found_magic magic) then
-              Error (Not_a_log "bad magic")
-            else begin
-              let found_fp = Bytes.sub_string hdr (String.length magic) fingerprint_size in
-              if not (String.equal found_fp fingerprint) then
-                Error (Fingerprint_mismatch { expected = fingerprint; found = found_fp })
+          match parse_header r with
+          | Error e -> Error e
+          | Ok hdr ->
+              if not (String.equal hdr.fingerprint fingerprint) then
+                Error
+                  (Fingerprint_mismatch { expected = fingerprint; found = hdr.fingerprint })
               else begin
                 let size = r.Fs.r_size in
                 (* Probe past a damaged entry with a known extent: any
@@ -397,8 +425,7 @@ module Reader = struct
                       end
                 in
                 Ok (loop init 0 0 [] header_size)
-              end
-            end)
+              end)
     end
 
   let count_entries fs file ~fingerprint =

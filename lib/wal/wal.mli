@@ -3,12 +3,17 @@
     A log file is a fixed header followed by framed entries:
 
     {v
-    header : magic "SDBWAL1\n" | fingerprint (16 bytes)
+    header : magic "SDBWAL2\n" | fingerprint (16 bytes) | base LSN (u64 LE)
     entry  : length (u32 LE) | crc32 of payload (u32 LE) | payload
     v}
 
     The fingerprint is the pickle fingerprint of the update type, so a
     log written by a program with different types is rejected at open.
+    The base LSN is the LSN of the log's first entry: a log starting
+    with a tail carried over from the previous generation says so, and
+    readers of several generations cut each at the next one's base.
+    A version-1 log ([SDBWAL1], no base LSN) is refused with
+    {!Not_a_log} naming the version.
 
     Appending an entry and forcing it with one fsync is the paper's
     commit point: "if we crash before the write occurs on the disk, the
@@ -41,6 +46,12 @@ exception Append_rolled_back of exn
     append failure escapes {e without} this wrapper, partial bytes may
     remain and the caller must treat the log as suspect. *)
 
+type header = { fingerprint : string; base_lsn : int }
+
+val read_header : Sdb_storage.Fs.t -> string -> (header, error) result
+(** The header of a log file, with the same checks {!Reader.fold}
+    makes, except the fingerprint, which is returned, not compared. *)
+
 val header_size : int
 val frame_overhead : int
 (** Bytes of framing added per entry (length + CRC words). *)
@@ -48,8 +59,9 @@ val frame_overhead : int
 module Writer : sig
   type t
 
-  val create : Sdb_storage.Fs.t -> string -> fingerprint:string -> t
-  (** Create/truncate the file, write and sync the header. *)
+  val create : Sdb_storage.Fs.t -> string -> fingerprint:string -> base_lsn:int -> t
+  (** Create/truncate the file, write and sync the header, which
+      records [base_lsn], the LSN its first entry will have. *)
 
   val reopen :
     Sdb_storage.Fs.t -> string -> fingerprint:string -> valid_length:int ->
@@ -94,7 +106,7 @@ module Writer : sig
   val append_raw_frames : t -> string -> count:int -> unit
   (** Append bytes that are already valid frames ([count] of them),
       e.g. a byte range copied out of another log of the same
-      fingerprint.  Used by the fuzzy checkpoint to carry the
+      fingerprint.  Used by the checkpoint hand-over to carry the
       concurrently-committed tail into the new generation without
       re-encoding it. *)
 

@@ -20,13 +20,19 @@ let fresh_dir =
     in
     dir
 
-(* The canonical test application: a string->string table. *)
+module Smap = Map.Make (String)
+
+(* The canonical test application: a string->string map. *)
 module KV = struct
-  type state = (string, string) Hashtbl.t
+  type state = string Smap.t
   type update = Set of string * string | Del of string
 
   let name = "test-kv"
-  let codec_state = P.hashtbl P.string P.string
+
+  let codec_state =
+    P.conv ~name:"test-kv.state" Smap.bindings
+      (fun bindings -> Smap.of_seq (List.to_seq bindings))
+      (P.list (P.pair P.string P.string))
 
   let codec_update =
     P.variant ~name:"test-kv.update"
@@ -40,16 +46,11 @@ module KV = struct
           (fun k -> Del k);
       ]
 
-  let init () = Hashtbl.create 16
-  let persistent = false
+  let init () = Smap.empty
 
   let apply st = function
-    | Set (k, v) ->
-      Hashtbl.replace st k v;
-      st
-    | Del k ->
-      Hashtbl.remove st k;
-      st
+    | Set (k, v) -> Smap.add k v st
+    | Del k -> Smap.remove k st
 end
 
 module KVDb = Smalldb.Make (KV)
@@ -59,9 +60,7 @@ let mem_db ?config ?seed () =
   let fs = Mem.fs store in
   (store, fs, KVDb.open_exn ?config fs)
 
-let kv_contents db =
-  KVDb.query db (fun st ->
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) st [] |> List.sort compare)
+let kv_contents db = KVDb.query db Smap.bindings
 
 (* A self-verifying sequential workload: update i sets key "k<i>" to
    "v<i>".  After recovery, the surviving state must be exactly the
@@ -82,6 +81,26 @@ let sequenced_prefix db =
       check Alcotest.string "prefix value" (sequenced_value i) v)
     bindings;
   n
+
+let contains ~needle haystack =
+  let nl = String.length needle and hl = String.length haystack in
+  let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
+  go 0
+
+(* Wait for something another thread or domain does; the deadline only
+   turns a hang into a failure. *)
+let await what cond =
+  let deadline = Unix.gettimeofday () +. 10. in
+  while not (cond ()) do
+    if Unix.gettimeofday () > deadline then fail ("timed out waiting for " ^ what);
+    Thread.delay 0.001
+  done
+
+(* A policy checkpoint pickles on a domain of its own and is installed
+   by the next commit or [close]: wait until no pickle is running. *)
+let settle db =
+  await "the policy pickle" (fun () ->
+      (KVDb.stats db).Smalldb.background_checkpoint <> `Pickling)
 
 let qtest ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest

@@ -26,12 +26,18 @@ module Mem = Sdb_storage.Mem_fs
 module Fault = Sdb_storage.Fault_fs
 module Store = Sdb_checkpoint.Checkpoint_store
 
+module Smap = Map.Make (String)
+
 module KV = struct
-  type state = (string, string) Hashtbl.t
+  type state = string Smap.t
   type update = Set of string * string
 
   let name = "chaos-kv"
-  let codec_state = P.hashtbl P.string P.string
+
+  let codec_state =
+    P.conv ~name:"chaos-kv.state" Smap.bindings
+      (fun bindings -> Smap.of_seq (List.to_seq bindings))
+      (P.list (P.pair P.string P.string))
 
   let codec_update =
     P.conv ~name:"chaos-kv.update"
@@ -39,12 +45,8 @@ module KV = struct
       (fun (k, v) -> Set (k, v))
       (P.pair P.string P.string)
 
-  let init () = Hashtbl.create 16
-  let persistent = false
-
-  let apply st (Set (k, v)) =
-    Hashtbl.replace st k v;
-    st
+  let init () = Smap.empty
+  let apply st (Set (k, v)) = Smap.add k v st
 end
 
 module Db = Smalldb.Make (KV)
@@ -76,10 +78,10 @@ let violation fmt =
 (* Clean-prefix check on the live state. *)
 let prefix_of db =
   Db.query db (fun st ->
-      let n = Hashtbl.length st in
+      let n = Smap.cardinal st in
       let ok = ref true in
       for i = 0 to n - 1 do
-        if Hashtbl.find_opt st (key i) <> Some (value i) then ok := false
+        if Smap.find_opt (key i) st <> Some (value i) then ok := false
       done;
       if !ok then Some n else None)
 

@@ -14,7 +14,7 @@ let mem () =
    sequence the engine performs. *)
 let install fs ~retain ~old v blob =
   Store.write_checkpoint fs ~version:v blob;
-  let w = Wal.Writer.create fs (Store.log_file v) ~fingerprint:fp in
+  let w = Wal.Writer.create fs (Store.log_file v) ~fingerprint:fp ~base_lsn:0 in
   Wal.Writer.close w;
   Store.commit fs ~retain_previous:retain ~old_version:old ~new_version:v
 
@@ -80,7 +80,7 @@ let test_recover_completes_committed_switch () =
   (* Begin a switch to 1 but "crash" right after the commit point:
      newversion written, nothing cleaned up. *)
   Store.write_checkpoint fs ~version:1 "blob1";
-  let w = Wal.Writer.create fs (Store.log_file 1) ~fingerprint:fp in
+  let w = Wal.Writer.create fs (Store.log_file 1) ~fingerprint:fp ~base_lsn:0 in
   Wal.Writer.close w;
   Fs.write_file fs Store.newversion_file "1";
   let r = expect_current fs ~retain:false 1 in
@@ -121,7 +121,7 @@ let test_recover_removes_stale_old_generations () =
   install fs ~retain:false ~old:None 0 "blob0";
   (* Leftovers that cleanup missed (e.g. crash during deletes). *)
   Fs.write_file fs "checkpoint7" "blob7";
-  let w = Wal.Writer.create fs "logfile7" ~fingerprint:fp in
+  let w = Wal.Writer.create fs "logfile7" ~fingerprint:fp ~base_lsn:0 in
   Wal.Writer.close w;
   Fs.write_file fs Store.version_file "7";
   (* Now 7 is current; 0 is stale. *)

@@ -98,11 +98,16 @@ let test_cli_end_to_end () =
       Alcotest.check Alcotest.bool "status mentions lsn" true
         (String.length out > 0
         && String.sub out 0 4 = "lsn:");
-      (* The inspector reads the directory the server just wrote. *)
+      let lsn = Scanf.sscanf out "lsn: %d" Fun.id in
+      (* The inspector reads the directory the server just wrote: the
+         checkpoint above started the current log at the store's lsn. *)
       let code, out = run_capture [| exe "sdb_inspect.exe"; dir |] in
       check Alcotest.int "inspect exit" 0 code;
       Alcotest.check Alcotest.bool "inspect names a generation" true
-        (String.length out > 0))
+        (String.length out > 0);
+      let base = Printf.sprintf "base lsn %d\n" lsn in
+      Alcotest.check Alcotest.bool ("inspect shows the log's " ^ base) true
+        (Helpers.contains ~needle:base out))
 
 let () =
 

@@ -6,7 +6,7 @@ open Helpers
 
 let check = Alcotest.check
 
-let get db k = KVDb.query db (fun st -> Hashtbl.find_opt st k)
+let get db k = KVDb.query db (Smap.find_opt k)
 let set db k v = KVDb.update db (KV.Set (k, v))
 
 (* ------------------------------------------------------------------ *)
@@ -91,7 +91,7 @@ let test_precondition_blocks_update () =
   let r =
     KVDb.update_checked db
       ~precondition:(fun st ->
-        if Hashtbl.mem st "absent" then Ok () else Error "missing key")
+        if Smap.mem "absent" st then Ok () else Error "missing key")
       (KV.Set ("x", "1"))
   in
   check (Alcotest.result Alcotest.unit Alcotest.string) "rejected" (Error "missing key") r;
@@ -107,7 +107,7 @@ let test_precondition_passes () =
   let r =
     KVDb.update_checked db
       ~precondition:(fun st ->
-        if Hashtbl.mem st "x" then Ok () else Error "missing")
+        if Smap.mem "x" st then Ok () else Error "missing")
       (KV.Set ("x", "2"))
   in
   check (Alcotest.result Alcotest.unit Alcotest.string) "accepted" (Ok ()) r;
@@ -137,22 +137,19 @@ let test_batch_single_sync () =
 
 let test_apply_failure_poisons () =
   let module Bomb = struct
-    type state = int ref
+    type state = int
     type update = Ok_up | Boom
 
     let name = "bomb"
-    let codec_state = P.ref_cell P.int
+    let codec_state = P.int
 
     let codec_update =
       P.enum ~name:"bomb.update" [ ("ok", Ok_up); ("boom", Boom) ]
 
-    let init () = ref 0
-    let persistent = false
+    let init () = 0
 
     let apply st = function
-      | Ok_up ->
-        incr st;
-        st
+      | Ok_up -> st + 1
       | Boom -> failwith "apply exploded"
   end in
   let module Db = Smalldb.Make (Bomb) in
@@ -167,7 +164,7 @@ let test_apply_failure_poisons () =
   (match Db.update db Bomb.Ok_up with
   | _ -> Alcotest.fail "expected Poisoned"
   | exception Smalldb.Poisoned -> ());
-  match Db.query db (fun st -> !st) with
+  match Db.query db Fun.id with
   | _ -> Alcotest.fail "query should be poisoned too"
   | exception Smalldb.Poisoned -> ()
 
@@ -197,11 +194,11 @@ let test_raising_precondition_releases_lock () =
    an encoding failure releases the lock without poisoning (nothing
    reached the disk). *)
 module Fragile = struct
-  type state = (string, string) Hashtbl.t
+  type state = string Smap.t
   type update = string * string
 
   let name = "fragile-kv"
-  let codec_state = P.hashtbl P.string P.string
+  let codec_state = KV.codec_state
 
   let codec_update =
     P.conv ~name:"fragile.update"
@@ -209,12 +206,8 @@ module Fragile = struct
       Fun.id
       (P.pair P.string P.string)
 
-  let init () = Hashtbl.create 16
-  let persistent = false
-
-  let apply st (k, v) =
-    Hashtbl.replace st k v;
-    st
+  let init () = Smap.empty
+  let apply st (k, v) = Smap.add k v st
 end
 
 module FragileDb = Smalldb.Make (Fragile)
@@ -231,7 +224,7 @@ let test_raising_pickler_releases_lock () =
   FragileDb.update db ("b", "2");
   check Alcotest.(option string) "still usable"
     (Some "2")
-    (FragileDb.query db (fun st -> Hashtbl.find_opt st "b"));
+    (FragileDb.query db (Smap.find_opt "b"));
   check Alcotest.int "only the good updates committed" 2
     (FragileDb.stats db).Smalldb.lsn
 
@@ -245,7 +238,7 @@ let test_raising_pickler_in_batch () =
   FragileDb.update_batch db [ ("a", "1"); ("c", "3") ];
   check Alcotest.(option string) "still usable"
     (Some "3")
-    (FragileDb.query db (fun st -> Hashtbl.find_opt st "c"))
+    (FragileDb.query db (Smap.find_opt "c"))
 
 let test_raising_subscriber_after_commit () =
   (* A subscriber that raises propagates to the updater — but only
@@ -265,12 +258,20 @@ let test_raising_subscriber_after_commit () =
 (* ------------------------------------------------------------------ *)
 (* Checkpoint policies                                                  *)
 
+(* A policy checkpoint pickles on its own domain: the commit that makes
+   one due starts it, and the next commit or [close] installs it, with
+   the entries committed since its snapshot carried over.  The tests
+   [settle] after each commit, so each pickle has finished by then. *)
 let test_policy_every_n () =
   let config = { Smalldb.default_config with policy = Smalldb.Every_n_updates 3 } in
   let _, _, db = mem_db ~config () in
   for i = 0 to 8 do
-    KVDb.update db (sequenced_update i)
+    KVDb.update db (sequenced_update i);
+    settle db
   done;
+  (* The 4th and 7th updates installed the first two; close installs the third,
+     which covers every update. *)
+  KVDb.close db;
   let s = KVDb.stats db in
   check Alcotest.int "three checkpoints" 3 s.Smalldb.checkpoints_written;
   check Alcotest.int "generation" 3 s.Smalldb.generation;
@@ -281,20 +282,25 @@ let test_policy_every_n_batch_crossing () =
      the checkpoint: the policy counts updates since the last
      checkpoint, not [committed mod n]. *)
   let config = { Smalldb.default_config with policy = Smalldb.Every_n_updates 5 } in
-  let _, _, db = mem_db ~config () in
+  let _, fs, db = mem_db ~config () in
   KVDb.update_batch db (List.init 7 sequenced_update);
+  settle db;
+  KVDb.close db;
   let s = KVDb.stats db in
   check Alcotest.int "batch crossing the boundary checkpoints" 1
     s.Smalldb.checkpoints_written;
   check Alcotest.int "log reset" 0 s.Smalldb.log_entries;
   (* The counter restarts from the checkpoint: five more singles fire
      exactly one more. *)
+  let db2 = KVDb.open_exn ~config fs in
   for i = 7 to 11 do
-    KVDb.update db (sequenced_update i)
+    KVDb.update db2 (sequenced_update i);
+    settle db2
   done;
+  KVDb.close db2;
   check Alcotest.int "counter reset at the checkpoint" 2
-    (KVDb.stats db).Smalldb.checkpoints_written;
-  check Alcotest.int "nothing lost" 12 (sequenced_prefix db)
+    (s.Smalldb.checkpoints_written + (KVDb.stats db2).Smalldb.checkpoints_written);
+  check Alcotest.int "nothing lost" 12 (sequenced_prefix (KVDb.open_exn ~config fs))
 
 let test_policy_log_bytes () =
   let config =
@@ -302,7 +308,8 @@ let test_policy_log_bytes () =
   in
   let _, _, db = mem_db ~config () in
   for i = 0 to 19 do
-    KVDb.update db (sequenced_update i)
+    KVDb.update db (sequenced_update i);
+    settle db
   done;
   let s = KVDb.stats db in
   Alcotest.check Alcotest.bool "checkpointed at least once" true
@@ -360,7 +367,6 @@ let test_foreign_app_rejected () =
     let codec_state = P.list P.int
     let codec_update = P.int
     let init () = []
-    let persistent = true
     let apply st u = u :: st
   end in
   let module OtherDb = Smalldb.Make (Other) in
@@ -430,6 +436,26 @@ let test_hard_error_without_retention_fails () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "opened with damaged checkpoint and no fallback"
 
+(* A current log that does not start where its checkpoint ends is
+   another generation's: recovery refuses it instead of replaying it. *)
+let test_log_base_mismatch_refused () =
+  let _, fs, db = mem_db () in
+  for i = 0 to 2 do
+    KVDb.update db (sequenced_update i)
+  done;
+  KVDb.checkpoint db;
+  KVDb.close db;
+  let w =
+    Sdb_wal.Wal.Writer.create fs (Store.log_file 1) ~fingerprint:(P.fingerprint KV.codec_update)
+      ~base_lsn:0
+  in
+  Sdb_wal.Wal.Writer.close w;
+  match KVDb.open_ fs with
+  | Error e ->
+    check Alcotest.bool "names both lsns" true
+      (Helpers.contains ~needle:"starts at lsn 0" e && Helpers.contains ~needle:"lsn 3" e)
+  | Ok _ -> fail "opened a log that does not start at its checkpoint's lsn"
+
 let test_interior_log_damage_refused () =
   (* Valid committed entries beyond a damaged one: recovery must refuse
      to silently truncate them under the default policy, and recover
@@ -449,7 +475,7 @@ let test_interior_log_damage_refused () =
   match KVDb.open_ ~config:skip_config fs with
   | Ok db2 ->
     check Alcotest.int "entries beyond damage recovered" 4
-      (KVDb.query db2 Hashtbl.length)
+      (KVDb.query db2 Smap.cardinal)
   | Error e -> Alcotest.fail e
 
 let test_skip_damaged_log_entry () =
@@ -521,17 +547,17 @@ let test_history_fold_and_state_at () =
   (* Time travel. *)
   (match KVDb.History.state_at db ~lsn:5 with
   | Error e -> Alcotest.fail e
-  | Ok st -> check Alcotest.int "state at lsn 5" 5 (Hashtbl.length st));
+  | Ok st -> check Alcotest.int "state at lsn 5" 5 (Smap.cardinal st));
   (match KVDb.History.state_at db ~lsn:0 with
   | Error e -> Alcotest.fail e
-  | Ok st -> check Alcotest.int "state at lsn 0" 0 (Hashtbl.length st));
+  | Ok st -> check Alcotest.int "state at lsn 0" 0 (Smap.cardinal st));
   (match KVDb.History.state_at db ~lsn:10 with
   | Error e -> Alcotest.fail e
   | Ok st ->
-    check Alcotest.int "state at tip" 10 (Hashtbl.length st);
+    check Alcotest.int "state at tip" 10 (Smap.cardinal st);
     (* It must equal the live state. *)
     let live = kv_contents db in
-    let replayed = Hashtbl.fold (fun k v acc -> (k, v) :: acc) st [] |> List.sort compare in
+    let replayed = Smap.bindings st in
     check Alcotest.(list (pair string string)) "tip equals live" live replayed);
   match KVDb.History.state_at db ~lsn:11 with
   | Error _ -> ()
@@ -611,9 +637,9 @@ let prop_history_prefix =
                 if i < lsn then
                   Hashtbl.replace model (Printf.sprintf "k%d" k) (string_of_int v))
               ops;
-            Hashtbl.length st = Hashtbl.length model
+            Smap.cardinal st = Hashtbl.length model
             && Hashtbl.fold
-                 (fun k v acc -> acc && Hashtbl.find_opt st k = Some v)
+                 (fun k v acc -> acc && Smap.find_opt k st = Some v)
                  model true)
         probe)
 
@@ -707,62 +733,25 @@ let test_recovery_spans_after_reopen () =
       KVDb.close db2)
 
 (* ------------------------------------------------------------------ *)
-(* Concurrent (fuzzy) checkpoints                                       *)
-
-(* An immutable application, as checkpoint_concurrent requires. *)
-module StrMap = Map.Make (String)
-
-module MapKV = struct
-  type state = string StrMap.t
-  type update = Set of string * string | Del of string
-
-  let name = "map-kv"
-
-  let codec_state =
-    P.conv ~name:"map-kv.state"
-      (fun m -> StrMap.bindings m)
-      (fun bindings -> StrMap.of_seq (List.to_seq bindings))
-      (P.list (P.pair P.string P.string))
-
-  let codec_update =
-    P.variant ~name:"map-kv.update"
-      [
-        P.case "set"
-          (P.pair P.string P.string)
-          (function Set (k, v) -> Some (k, v) | Del _ -> None)
-          (fun (k, v) -> Set (k, v));
-        P.case "del" P.string
-          (function Del k -> Some k | Set _ -> None)
-          (fun k -> Del k);
-      ]
-
-  let init () = StrMap.empty
-  let persistent = true
-
-  let apply st = function
-    | Set (k, v) -> StrMap.add k v st
-    | Del k -> StrMap.remove k st
-end
-
-module MapDb = Smalldb.Make (MapKV)
+(* Checkpoints beside concurrent updates                                *)
 
 let test_concurrent_checkpoint_basic () =
   let store = Mem.create_store ~seed:71 () in
   let fs = Mem.fs store in
-  let db = MapDb.open_exn fs in
+  let db = KVDb.open_exn fs in
   for i = 0 to 9 do
-    MapDb.update db (MapKV.Set (sequenced_key i, sequenced_value i))
+    KVDb.update db (sequenced_update i)
   done;
-  MapDb.checkpoint_concurrent db;
-  let s = MapDb.stats db in
+  KVDb.checkpoint db;
+  let s = KVDb.stats db in
   check Alcotest.int "generation advanced" 1 s.Smalldb.generation;
   check Alcotest.int "log reset" 0 s.Smalldb.log_entries;
   check Alcotest.int "lsn preserved" 10 s.Smalldb.lsn;
-  MapDb.update db (MapKV.Set (sequenced_key 10, sequenced_value 10));
-  MapDb.close db;
-  let db2 = MapDb.open_exn fs in
-  check Alcotest.int "state complete" 11 (MapDb.query db2 StrMap.cardinal);
-  check Alcotest.int "one replay" 1 (MapDb.stats db2).Smalldb.recovery.Smalldb.replayed
+  KVDb.update db (sequenced_update 10);
+  KVDb.close db;
+  let db2 = KVDb.open_exn fs in
+  check Alcotest.int "state complete" 11 (KVDb.query db2 Smap.cardinal);
+  check Alcotest.int "one replay" 1 (KVDb.stats db2).Smalldb.recovery.Smalldb.replayed
 
 let test_concurrent_checkpoint_carries_tail () =
   (* Updates committed between the snapshot and the switch must land in
@@ -770,10 +759,10 @@ let test_concurrent_checkpoint_carries_tail () =
      a writer thread runs while the checkpoint pickles a large state. *)
   let store = Mem.create_store ~seed:72 () in
   let fs = Mem.fs store in
-  let db = MapDb.open_exn fs in
+  let db = KVDb.open_exn fs in
   (* Large-ish state so phase 2 takes measurable time. *)
   for i = 0 to 4999 do
-    MapDb.update db (MapKV.Set (Printf.sprintf "bulk%05d" i, String.make 40 'x'))
+    KVDb.update db (KV.Set (Printf.sprintf "bulk%05d" i, String.make 40 'x'))
   done;
   let stop = ref false in
   let written = ref 0 in
@@ -781,24 +770,24 @@ let test_concurrent_checkpoint_carries_tail () =
     Thread.create
       (fun () ->
         while not !stop do
-          MapDb.update db (MapKV.Set (Printf.sprintf "live%06d" !written, "v"));
+          KVDb.update db (KV.Set (Printf.sprintf "live%06d" !written, "v"));
           incr written;
           Thread.yield ()
         done)
       ()
   in
   for _ = 1 to 3 do
-    MapDb.checkpoint_concurrent db
+    KVDb.checkpoint db
   done;
   stop := true;
   Thread.join writer;
   let total = 5000 + !written in
-  check Alcotest.int "nothing lost in memory" total (MapDb.query db StrMap.cardinal);
-  check Alcotest.int "lsn" total (MapDb.stats db).Smalldb.lsn;
-  MapDb.close db;
-  let db2 = MapDb.open_exn fs in
-  check Alcotest.int "nothing lost on disk" total (MapDb.query db2 StrMap.cardinal);
-  MapDb.close db2
+  check Alcotest.int "nothing lost in memory" total (KVDb.query db Smap.cardinal);
+  check Alcotest.int "lsn" total (KVDb.stats db).Smalldb.lsn;
+  KVDb.close db;
+  let db2 = KVDb.open_exn fs in
+  check Alcotest.int "nothing lost on disk" total (KVDb.query db2 Smap.cardinal);
+  KVDb.close db2
 
 (* ------------------------------------------------------------------ *)
 (* Policy checkpoints on the background domain                          *)
@@ -849,7 +838,7 @@ module Latch = struct
 end
 
 module ParkKV = struct
-  include MapKV
+  include KV
 
   let name = "park-kv"
 
@@ -858,25 +847,16 @@ module ParkKV = struct
       (fun m ->
         Latch.pass ();
         m)
-      Fun.id MapKV.codec_state
+      Fun.id KV.codec_state
 end
 
 module ParkDb = Smalldb.Make (ParkKV)
 
 let every n = { Smalldb.default_config with policy = Smalldb.Every_n_updates n }
-let pset db i = ParkDb.update db (MapKV.Set (sequenced_key i, sequenced_value i))
-let pcount db = ParkDb.query db StrMap.cardinal
+let pset db i = ParkDb.update db (sequenced_update i)
+let pcount db = ParkDb.query db Smap.cardinal
 let background db = (ParkDb.stats db).Smalldb.background_checkpoint
 let generation db = (ParkDb.stats db).Smalldb.generation
-
-(* Wait for something another thread or domain does; the deadline only
-   turns a hang into a failure. *)
-let await what cond =
-  let deadline = Unix.gettimeofday () +. 10. in
-  while not (cond ()) do
-    if Unix.gettimeofday () > deadline then fail ("timed out waiting for " ^ what);
-    Thread.delay 0.001
-  done
 
 (* The committing updater only spawns the pickle: with it parked,
    updates and enquiries from other threads go on, and the next commit
@@ -960,23 +940,27 @@ let test_background_close_while_parked () =
   check Alcotest.int "every update" 5 (pcount db2);
   ParkDb.close db2
 
-(* A checkpoint that supersedes the parked pickle's generation makes the
-   install drop it. *)
+(* A checkpoint that supersedes the policy pickle's generation writes
+   one generation and makes the pickle's install drop it, whether the
+   pickle is still parked or has finished. *)
 let test_background_superseded () =
   List.iter
-    (fun (label, supersede) ->
+    (fun (label, parked, supersede) ->
       let store = Mem.create_store ~seed:84 () in
       let fs = Mem.fs store in
       let db = ParkDb.open_exn ~config:(every 4) fs in
-      Latch.arm ();
+      if parked then Latch.arm ();
       for i = 0 to 3 do
         pset db i
       done;
-      Latch.await_parked ();
+      if parked then Latch.await_parked ()
+      else await "the pickle to finish" (fun () -> background db = `Ready);
       supersede store db;
       check Alcotest.int (label ^ ": one new generation") 1 (generation db);
-      Latch.release ();
-      await "the superseded pickle" (fun () -> background db = `Ready);
+      if parked then begin
+        Latch.release ();
+        await "the superseded pickle" (fun () -> background db = `Ready)
+      end;
       pset db 4;
       let s = ParkDb.stats db in
       check Alcotest.int (label ^ ": pickle dropped") 1 s.Smalldb.generation;
@@ -988,8 +972,10 @@ let test_background_superseded () =
       check Alcotest.int (label ^ ": every update") 5 (pcount db2);
       ParkDb.close db2)
     [
-      ("checkpoint", fun _ db -> ParkDb.checkpoint db);
+      ("checkpoint", true, fun _ db -> ParkDb.checkpoint db);
+      ("checkpoint, pickle finished", false, fun _ db -> ParkDb.checkpoint db);
       ( "scrub repair",
+        true,
         fun store db ->
           Mem.damage store ~file:(Store.log_file 0) ~offset:0 ~len:1;
           let r = ParkDb.scrub ~repair:true db in
@@ -1032,24 +1018,118 @@ let test_background_spans () =
         (after.Smalldb.ckpt_write_s -. before.Smalldb.ckpt_write_s));
   ParkDb.close db
 
-(* The persistence requirement is checked, not just documented. *)
-let test_epoch_route_needs_persistent_state () =
-  let store = Mem.create_store ~seed:86 () in
-  (match
-     KVDb.open_ ~config:{ Smalldb.default_config with read_path = `Epoch } (Mem.fs store)
-   with
-  | Ok _ -> fail "epoch route opened over a Hashtbl state"
-  | Error _ -> ());
-  check Alcotest.int "nothing written" 0 (Mem.mutating_ops store)
+(* A counter is not idempotent: an update applied twice shows in the
+   value, not only in the LSN.  Its state codec passes the latch. *)
+module Counter = struct
+  type state = int
+  type update = int
 
-let test_concurrent_checkpoint_needs_persistent_state () =
-  let _, _, db = mem_db () in
-  Alcotest.check_raises "mutable state rejected"
-    (Invalid_argument "Smalldb.checkpoint_concurrent: App.state is not persistent")
-    (fun () -> KVDb.checkpoint_concurrent db)
+  let name = "counter"
 
-(* Crash at every disk operation of a fuzzy hand-over, for each of its
-   two callers.  [prepare fs] opens a store and brings it to the
+  let codec_state =
+    P.conv ~name:"counter.state"
+      (fun n ->
+        Latch.pass ();
+        n)
+      Fun.id P.int
+
+  let codec_update = P.int
+  let init () = 0
+  let apply s d = s + d
+end
+
+module CounterDb = Smalldb.Make (Counter)
+
+(* The policy pickle is parked while two more updates commit, and the
+   8th update installs it with the three entries since its snapshot
+   carried into the new log.  With the new checkpoint damaged, the
+   previous generation stands in: its log still holds that tail, and
+   must be replayed only up to the current log's base. *)
+let test_fallback_after_carried_tail () =
+  let store = Mem.create_store ~seed:87 () in
+  let fs = Mem.fs store in
+  let config = { (every 5) with retain_previous = true } in
+  let db = CounterDb.open_exn ~config fs in
+  Latch.arm ();
+  for _ = 1 to 5 do
+    CounterDb.update db 1
+  done;
+  Latch.await_parked ();
+  for _ = 6 to 7 do
+    CounterDb.update db 1
+  done;
+  Latch.release ();
+  await "the pickle to finish" (fun () ->
+      (CounterDb.stats db).Smalldb.background_checkpoint = `Ready);
+  CounterDb.update db 1;
+  let s = CounterDb.stats db in
+  check Alcotest.int "installed by the 8th update" 1 s.Smalldb.generation;
+  check Alcotest.int "tail carried" 3 s.Smalldb.log_entries;
+  CounterDb.close db;
+  Mem.damage store ~file:(Store.checkpoint_file 1) ~offset:0 ~len:4;
+  let db2 = CounterDb.open_exn ~config fs in
+  let s2 = CounterDb.stats db2 in
+  check Alcotest.bool "used previous generation" true
+    s2.Smalldb.recovery.Smalldb.used_previous_generation;
+  check Alcotest.int "lsn: the 8 acknowledged updates" 8 s2.Smalldb.lsn;
+  check Alcotest.int "value: each applied once" 8 (CounterDb.query db2 Fun.id);
+  CounterDb.close db2
+
+(* With archive_logs, an archived log ends with the tail its successor
+   starts with: the history yields each update exactly once.  The
+   pickle parks while updates commit beside it on other threads. *)
+let test_history_across_carried_tail () =
+  let store = Mem.create_store ~seed:88 () in
+  let db = ParkDb.open_exn ~config:{ (every 4) with archive_logs = true } (Mem.fs store) in
+  let on_thread what f =
+    let finished = Atomic.make false in
+    let th =
+      Thread.create
+        (fun () ->
+          f ();
+          Atomic.set finished true)
+        ()
+    in
+    await what (fun () -> Atomic.get finished);
+    Thread.join th
+  in
+  Latch.arm ();
+  on_thread "the updates that start the pickle" (fun () ->
+      for i = 0 to 3 do
+        pset db i
+      done);
+  Latch.await_parked ();
+  on_thread "updates beside the parked pickle" (fun () ->
+      for i = 4 to 5 do
+        pset db i
+      done);
+  Latch.release ();
+  await "the pickle to finish" (fun () -> background db = `Ready);
+  pset db 6;
+  check Alcotest.int "tail carried" 3 (ParkDb.stats db).Smalldb.log_entries;
+  pset db 7;
+  pset db 8;
+  ParkDb.checkpoint db;
+  pset db 9;
+  (match ParkDb.History.fold db ~init:[] ~f:(fun acc lsn u -> (lsn, u) :: acc) with
+  | Error e -> fail e
+  | Ok entries ->
+    check
+      Alcotest.(list int)
+      "each lsn exactly once" (List.init 10 Fun.id)
+      (List.rev_map fst entries);
+    List.iter
+      (fun (lsn, u) -> check Alcotest.bool "the update of its lsn" true (u = sequenced_update lsn))
+      entries);
+  match ParkDb.History.state_at db ~lsn:10 with
+  | Error e -> fail e
+  | Ok st ->
+    check
+      Alcotest.(list (pair string string))
+      "tip equals live" (ParkDb.query db Smap.bindings) (Smap.bindings st)
+
+(* Crash at every disk operation of a checkpoint's hand-over, for each
+   of its two callers.  [prepare fs] opens a store and brings it to the
    hand-over it returns; [survivors] reopens the store after a crash
    at the [k]th disk operation and counts the updates it holds, which
    must lie in [lo k, hi]. *)
@@ -1080,19 +1160,19 @@ let test_concurrent_checkpoint_crash_sweep () =
         go 1 false)
       [ Mem.Clean; Mem.Torn ]
   in
-  sweep ~input:"checkpoint_concurrent" ~seed:9000 ~lo:(fun _ -> 8) ~hi:8
+  sweep ~input:"checkpoint" ~seed:9000 ~lo:(fun _ -> 8) ~hi:8
     ~prepare:(fun fs ->
-      let db = MapDb.open_exn fs in
+      let db = KVDb.open_exn fs in
       for i = 0 to 7 do
-        MapDb.update db (MapKV.Set (sequenced_key i, sequenced_value i))
+        KVDb.update db (sequenced_update i)
       done;
-      fun () -> MapDb.checkpoint_concurrent db)
+      fun () -> KVDb.checkpoint db)
     ~survivors:(fun fs what ->
-      match MapDb.open_ fs with
+      match KVDb.open_ fs with
       | Error e -> fail (what ^ ": " ^ e)
       | Ok db2 ->
-        let n = MapDb.query db2 StrMap.cardinal in
-        MapDb.close db2;
+        let n = KVDb.query db2 Smap.cardinal in
+        KVDb.close db2;
         n);
   (* The policy's background pickle, installed by the next commit.  That
      update is durable once its own disk operations are done, and must
@@ -1126,16 +1206,6 @@ let test_concurrent_checkpoint_crash_sweep () =
         let n = pcount db2 in
         ParkDb.close db2;
         n)
-
-let test_concurrent_checkpoint_rejects_archiving () =
-  let store = Mem.create_store ~seed:73 () in
-  let db =
-    MapDb.open_exn ~config:{ Smalldb.default_config with archive_logs = true }
-      (Mem.fs store)
-  in
-  Alcotest.check_raises "archive_logs rejected"
-    (Invalid_argument "Smalldb.checkpoint_concurrent: incompatible with archive_logs")
-    (fun () -> MapDb.checkpoint_concurrent db)
 
 (* ------------------------------------------------------------------ *)
 (* Real file system integration                                         *)
@@ -1195,7 +1265,7 @@ let test_concurrent_updates_and_queries () =
         Thread.create
           (fun () ->
             for _ = 0 to 200 do
-              let n = KVDb.query db Hashtbl.length in
+              let n = KVDb.query db Smap.cardinal in
               if n < 0 then incr reader_errors
             done)
           ())
@@ -1203,7 +1273,7 @@ let test_concurrent_updates_and_queries () =
   List.iter Thread.join writers;
   List.iter Thread.join readers;
   check Alcotest.int "no reader errors" 0 !reader_errors;
-  check Alcotest.int "all writes applied" 400 (KVDb.query db Hashtbl.length);
+  check Alcotest.int "all writes applied" 400 (KVDb.query db Smap.cardinal);
   check Alcotest.int "lsn" 400 (KVDb.stats db).Smalldb.lsn
 
 let test_checkpoint_during_concurrent_queries () =
@@ -1216,7 +1286,7 @@ let test_checkpoint_during_concurrent_queries () =
     Thread.create
       (fun () ->
         while not !stop do
-          ignore (KVDb.query db Hashtbl.length)
+          ignore (KVDb.query db Smap.cardinal)
         done)
       ()
   in
@@ -1313,11 +1383,9 @@ let test_fsync_fault_poisons () =
 (* ------------------------------------------------------------------ *)
 (* Integrity scrubbing                                                  *)
 
-(* Canonical digest for the KV app: sorted bindings, so equal tables
-   give equal strings regardless of insertion order. *)
+(* Canonical digest for the KV app: its bindings, in key order. *)
 let kv_digest st =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) st []
-  |> List.sort compare
+  Smap.bindings st
   |> List.concat_map (fun (k, v) -> [ k; v ])
   |> String.concat "\x00" |> Digest.string
 
@@ -1374,15 +1442,27 @@ let test_scrub_detects_and_repairs_damage () =
   check Alcotest.int "repaired store recovers" 21 (sequenced_prefix db2);
   KVDb.close db2
 
+(* A well-formed checkpoint of another state, as the engine writes them:
+   its metadata (application name, base LSN) paired with the state. *)
+let codec_checkpoint =
+  P.pair
+    (P.record2 "smalldb.checkpoint_meta"
+       (P.field "app" P.string fst)
+       (P.field "base_lsn" P.int snd)
+       (fun app base_lsn -> (app, base_lsn)))
+    KV.codec_state
+
 let test_scrub_digest_mismatch () =
-  let _, _, db = mem_db () in
+  let _, fs, db = mem_db () in
   for i = 0 to 4 do
     KVDb.update db (sequenced_update i)
   done;
-  (* Corrupt memory behind the engine's back: every file is pristine,
-     yet disk no longer replays to the live state.  Only the digest
-     cross-check can see this. *)
-  KVDb.query db (fun st -> Hashtbl.replace st "sneak" "gremlin");
+  (* Memory and disk diverge behind the engine's back: every file is
+     pristine — the checkpoint a valid one at the right LSN, of a state
+     holding one key too many — yet disk no longer replays to the live
+     state.  Only the digest cross-check can see this. *)
+  Fs.write_file fs (Store.checkpoint_file 0)
+    (P.to_string codec_checkpoint ((KV.name, 0), Smap.singleton "sneak" "gremlin"));
   let r = KVDb.scrub ~digest:kv_digest db in
   check Alcotest.bool "whole-state finding" true
     (List.exists (fun f -> f.Smalldb.offset = -1) r.Smalldb.findings);
@@ -1478,6 +1558,10 @@ let () =
           Alcotest.test_case "skip damaged log entry" `Quick test_skip_damaged_log_entry;
           Alcotest.test_case "interior log damage refused" `Quick
             test_interior_log_damage_refused;
+          Alcotest.test_case "retained fallback after a carried tail" `Quick
+            test_fallback_after_carried_tail;
+          Alcotest.test_case "log base mismatch refused" `Quick
+            test_log_base_mismatch_refused;
         ] );
       ( "history",
         [
@@ -1487,6 +1571,8 @@ let () =
             test_history_unavailable_without_archiving;
           Alcotest.test_case "survives crash mid-checkpoint" `Quick
             test_history_survives_crash_mid_checkpoint;
+          Alcotest.test_case "history across a carried tail" `Quick
+            test_history_across_carried_tail;
           prop_history_prefix;
         ] );
       ( "instrumentation",
@@ -1503,12 +1589,6 @@ let () =
             test_concurrent_checkpoint_carries_tail;
           Alcotest.test_case "crash sweep" `Quick
             test_concurrent_checkpoint_crash_sweep;
-          Alcotest.test_case "rejects archiving" `Quick
-            test_concurrent_checkpoint_rejects_archiving;
-          Alcotest.test_case "rejects mutable state" `Quick
-            test_concurrent_checkpoint_needs_persistent_state;
-          Alcotest.test_case "epoch route rejects mutable state" `Quick
-            test_epoch_route_needs_persistent_state;
         ] );
       ( "background-checkpoint",
         [

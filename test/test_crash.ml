@@ -402,9 +402,9 @@ let prop_engine_matches_model =
       let db = ref (KVDb.open_exn fs) in
       let agree () =
         KVDb.query !db (fun st ->
-            Hashtbl.length st = Hashtbl.length model
+            Smap.cardinal st = Hashtbl.length model
             && Hashtbl.fold
-                 (fun k v acc -> acc && Hashtbl.find_opt st k = Some v)
+                 (fun k v acc -> acc && Smap.find_opt k st = Some v)
                  model true)
       in
       let ok =

@@ -111,7 +111,7 @@ let test_concurrent_dense_lsns_stage_order () =
     seen;
   check Alcotest.int "lsn total" total (KVDb.stats db).Smalldb.lsn;
   check Alcotest.int "all keys present" total
-    (KVDb.query db (fun st -> Hashtbl.length st));
+    (KVDb.query db Smap.cardinal);
   (* The log is the stage order; subscribers must have seen exactly it. *)
   let logged =
     KVDb.fold_log db ~init:[] ~f:(fun acc lsn u -> (lsn, u) :: acc) |> List.rev
@@ -126,7 +126,7 @@ let test_concurrent_dense_lsns_stage_order () =
   KVDb.close db;
   let db2 = KVDb.open_exn (Mem.fs store) in
   check Alcotest.int "recovered all" total
-    (KVDb.query db2 (fun st -> Hashtbl.length st));
+    (KVDb.query db2 Smap.cardinal);
   KVDb.close db2
 
 let test_precondition_fails_only_its_member () =
@@ -224,7 +224,7 @@ let test_checked_insert_sees_earlier_commits () =
   let insert round =
     let key = Printf.sprintf "key-%03d" round in
     KVDb.update_checked db
-      ~precondition:(fun st -> if Hashtbl.mem st key then Error () else Ok ())
+      ~precondition:(fun st -> if Smap.mem key st then Error () else Ok ())
       (KV.Set (key, "inserted"))
     = Ok ()
   in
@@ -323,7 +323,7 @@ let test_fsync_fault_poisons_and_wakes_all () =
   (try KVDb.close db with _ -> ());
   let db2 = KVDb.open_exn (Mem.fs store) in
   KVDb.query db2 (fun st ->
-      Hashtbl.iter (fun _ v -> check Alcotest.string "value intact" "v" v) st);
+      Smap.iter (fun _ v -> check Alcotest.string "value intact" "v" v) st);
   KVDb.update db2 (KV.Set ("after", "y"));
   KVDb.close db2
 
@@ -360,7 +360,7 @@ let test_no_space_degrades_and_fails_all_members () =
   | _ -> fail "engine must be degraded (read-only), not poisoned");
   (* Nothing reached the log: memory still equals disk. *)
   check Alcotest.int "state untouched" 0
-    (KVDb.query db (fun st -> Hashtbl.length st));
+    (KVDb.query db Smap.cardinal);
   (* Space turns up; the engine exits degraded mode by itself. *)
   Fault.set_capacity ctl None;
   Thread.delay 0.03;

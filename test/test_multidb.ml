@@ -14,7 +14,7 @@ let mem_mdb ?config ?(partitions = 4) ?(seed = 61) () =
   (store, fs, MDb.open_exn ?config ~partitions fs)
 
 let part = MDb.partition
-let get db ~partition k = KVDb.query (part db partition) (fun st -> Hashtbl.find_opt st k)
+let get db ~partition k = KVDb.query (part db partition) (Smap.find_opt k)
 let set db ~partition k v = KVDb.update (part db partition) (KV.Set (k, v))
 
 let fill db ~partitions ~n =
@@ -24,7 +24,7 @@ let fill db ~partitions ~n =
   done
 
 let partition_sizes db ~partitions =
-  List.init partitions (fun k -> KVDb.query (part db k) Hashtbl.length)
+  List.init partitions (fun k -> KVDb.query (part db k) Smap.cardinal)
 
 (* Store-wide totals summed over the partitions' engines. *)
 let total f db =
@@ -137,7 +137,13 @@ let test_recovery_across_multiple_logs () =
 let test_auto_round_robin_policy () =
   let config = { Smalldb.default_config with policy = Smalldb.Every_n_updates 10 } in
   let _, _, db = mem_mdb ~config () in
-  fill db ~partitions:4 ~n:45;
+  (* Each partition's 10th update starts its pickle and its 11th
+     installs it. *)
+  for i = 0 to 44 do
+    let partition = i mod 4 in
+    set db ~partition (Printf.sprintf "p%d-k%04d" partition i) (string_of_int i);
+    settle (part db partition)
+  done;
   let total_ckpts = List.fold_left ( + ) 0 (generations db) in
   check Alcotest.int "four automatic checkpoints" 4 total_ckpts
 
@@ -164,7 +170,7 @@ let test_update_checked () =
   (match
      KVDb.update_checked (part db 1)
        ~precondition:(fun st ->
-         if Hashtbl.mem st "exists" then Ok () else Error "not in this partition")
+         if Smap.mem "exists" st then Ok () else Error "not in this partition")
        (KV.Set ("x", "1"))
    with
   | Error "not in this partition" -> ()
@@ -326,9 +332,9 @@ let prop_multidb_model =
         List.for_all
           (fun p ->
             KVDb.query (part !db p) (fun st ->
-                Hashtbl.length st = Hashtbl.length model.(p)
+                Smap.cardinal st = Hashtbl.length model.(p)
                 && Hashtbl.fold
-                     (fun k v acc -> acc && Hashtbl.find_opt st k = Some v)
+                     (fun k v acc -> acc && Smap.find_opt k st = Some v)
                      model.(p) true))
           (List.init partitions Fun.id)
       in

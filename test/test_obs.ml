@@ -91,11 +91,6 @@ let test_enable_disable () =
   Metrics.incr c;
   check Alcotest.int "recording resumes" 1 (Metrics.counter_value c)
 
-let contains ~needle haystack =
-  let nl = String.length needle and hl = String.length haystack in
-  let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
-  go 0
-
 let test_render () =
   let c =
     Metrics.counter "test_obs_render_total" ~help:"Render me."
@@ -106,15 +101,15 @@ let test_render () =
   Metrics.observe h 0.25;
   let out = Metrics.render () in
   check Alcotest.bool "help line" true
-    (contains ~needle:"# HELP test_obs_render_total Render me." out);
+    (Helpers.contains ~needle:"# HELP test_obs_render_total Render me." out);
   check Alcotest.bool "type line" true
-    (contains ~needle:"# TYPE test_obs_render_total counter" out);
+    (Helpers.contains ~needle:"# TYPE test_obs_render_total counter" out);
   check Alcotest.bool "labelled sample" true
-    (contains ~needle:"test_obs_render_total{phase=\"log\"} 4" out);
+    (Helpers.contains ~needle:"test_obs_render_total{phase=\"log\"} 4" out);
   check Alcotest.bool "summary quantile" true
-    (contains ~needle:"test_obs_render_seconds{quantile=\"0.5\"}" out);
+    (Helpers.contains ~needle:"test_obs_render_seconds{quantile=\"0.5\"}" out);
   check Alcotest.bool "summary count" true
-    (contains ~needle:"test_obs_render_seconds_count 1" out)
+    (Helpers.contains ~needle:"test_obs_render_seconds_count 1" out)
 
 let test_reset_keeps_handles () =
   let c = Metrics.counter "test_obs_reset_total" in
@@ -124,7 +119,7 @@ let test_reset_keeps_handles () =
   Metrics.incr c;
   check Alcotest.int "handle still live" 1 (Metrics.counter_value c);
   check Alcotest.bool "still rendered" true
-    (contains ~needle:"test_obs_reset_total 1" (Metrics.render ()))
+    (Helpers.contains ~needle:"test_obs_reset_total 1" (Metrics.render ()))
 
 (* ------------------------------------------------------------------ *)
 (* Tracing                                                             *)
@@ -279,7 +274,7 @@ let test_render_p999 () =
   let h = Metrics.histogram "test_obs_p999_seconds" in
   Metrics.observe h 0.25;
   check Alcotest.bool "0.999 quantile rendered" true
-    (contains ~needle:"test_obs_p999_seconds{quantile=\"0.999\"}"
+    (Helpers.contains ~needle:"test_obs_p999_seconds{quantile=\"0.999\"}"
        (Metrics.render ()))
 
 let test_jsonl_sink () =

@@ -291,7 +291,7 @@ let test_engine_stress () =
         Thread.create
           (fun () ->
             while not (Atomic.get stop) do
-              ignore (Helpers.KVDb.query db Hashtbl.length);
+              ignore (Helpers.KVDb.query db Helpers.Smap.cardinal);
               Thread.yield ()
             done)
           ())

@@ -97,11 +97,6 @@ let test_forward_step_clears_window () =
   Slo.record slo bad;
   check Alcotest.int "records at new epoch" 1 (Slo.report slo).Slo.r_total
 
-let contains ~needle haystack =
-  let nl = String.length needle and hl = String.length haystack in
-  let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
-  go 0
-
 let test_expose () =
   let _clock, slo = make "test_slo_expose" in
   for _ = 1 to 9 do Slo.record slo good done;
@@ -109,11 +104,11 @@ let test_expose () =
   Slo.expose slo;
   let out = Metrics.render () in
   check Alcotest.bool "burn gauge" true
-    (contains ~needle:"sdb_slo_burn_rate{slo=\"test_slo_expose\"} 1" out);
+    (Helpers.contains ~needle:"sdb_slo_burn_rate{slo=\"test_slo_expose\"} 1" out);
   check Alcotest.bool "compliance gauge" true
-    (contains ~needle:"sdb_slo_compliant{slo=\"test_slo_expose\"} 1" out);
+    (Helpers.contains ~needle:"sdb_slo_compliant{slo=\"test_slo_expose\"} 1" out);
   check Alcotest.bool "objective gauge" true
-    (contains ~needle:"sdb_slo_objective_seconds{slo=\"test_slo_expose\"} 0.01" out)
+    (Helpers.contains ~needle:"sdb_slo_objective_seconds{slo=\"test_slo_expose\"} 0.01" out)
 
 let test_validation () =
   let bad_create f = try ignore (f ()); false with Invalid_argument _ -> true in

@@ -133,7 +133,7 @@ let test_prefixed_engines_share_a_directory () =
     p0_files;
   let get prefix =
     let db = Helpers.KVDb.open_exn (Fs.prefixed fs prefix) in
-    let v = Helpers.KVDb.query db (fun st -> Hashtbl.find_opt st "k") in
+    let v = Helpers.KVDb.query db (Helpers.Smap.find_opt "k") in
     Helpers.KVDb.close db;
     v
   in
@@ -152,7 +152,7 @@ let test_prefixed_real_durability () =
     (Sys.readdir root);
   let db = Helpers.KVDb.open_exn (Fs.prefixed (Real.create ~root) "p2.") in
   check Alcotest.(option string) "survives reopen" (Some "v")
-    (Helpers.KVDb.query db (fun st -> Hashtbl.find_opt st "k"));
+    (Helpers.KVDb.query db (Helpers.Smap.find_opt "k"));
   Helpers.KVDb.close db
 
 (* ------------------------------------------------------------------ *)

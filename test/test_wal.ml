@@ -30,7 +30,7 @@ let no_stop outcome =
 
 let test_roundtrip () =
   let _, fs = mem () in
-  let w = Wal.Writer.create fs "log" ~fingerprint:fp in
+  let w = Wal.Writer.create fs "log" ~fingerprint:fp ~base_lsn:0 in
   check Alcotest.int "no entries" 0 (Wal.Writer.entries w);
   check Alcotest.int "header length" Wal.header_size (Wal.Writer.length w);
   check Alcotest.int "index 0" 0 (Wal.Writer.append_sync w "first");
@@ -42,7 +42,7 @@ let test_roundtrip () =
 
 let test_entry_indices_offsets () =
   let _, fs = mem () in
-  let w = Wal.Writer.create fs "log" ~fingerprint:fp in
+  let w = Wal.Writer.create fs "log" ~fingerprint:fp ~base_lsn:0 in
   ignore (Wal.Writer.append_sync w "aa");
   ignore (Wal.Writer.append_sync w "bbb");
   Wal.Writer.close w;
@@ -65,7 +65,7 @@ let test_entry_indices_offsets () =
 
 let test_one_write_one_sync_per_commit () =
   let _, fs = mem () in
-  let w = Wal.Writer.create fs "log" ~fingerprint:fp in
+  let w = Wal.Writer.create fs "log" ~fingerprint:fp ~base_lsn:0 in
   let before = Fs.Counters.copy fs.Fs.counters in
   ignore (Wal.Writer.append_sync w "payload");
   let d = Fs.Counters.diff ~after:fs.Fs.counters ~before in
@@ -74,7 +74,7 @@ let test_one_write_one_sync_per_commit () =
 
 let test_group_commit_one_sync () =
   let _, fs = mem () in
-  let w = Wal.Writer.create fs "log" ~fingerprint:fp in
+  let w = Wal.Writer.create fs "log" ~fingerprint:fp ~base_lsn:0 in
   let before = Fs.Counters.copy fs.Fs.counters in
   List.iter (Wal.Writer.stage w) [ "a"; "b"; "c" ];
   ignore (Wal.Writer.flush_group w : int * int);
@@ -100,15 +100,38 @@ let test_header_validation () =
   | Error (Wal.Not_a_log _) -> ()
   | _ -> Alcotest.fail "expected Not_a_log for short");
   (* Fingerprint mismatch. *)
-  let w = Wal.Writer.create fs "log" ~fingerprint:fp in
+  let w = Wal.Writer.create fs "log" ~fingerprint:fp ~base_lsn:0 in
   ignore (Wal.Writer.append_sync w "x");
   match read_all ~fingerprint:other_fp fs "log" with
   | Error (Wal.Fingerprint_mismatch _) -> ()
   | _ -> Alcotest.fail "expected Fingerprint_mismatch"
 
+(* The header records the log's base LSN; a version-1 log, empty or
+   not, is refused with a message naming its version. *)
+let test_header_base_lsn () =
+  let _, fs = mem () in
+  let w = Wal.Writer.create fs "log" ~fingerprint:fp ~base_lsn:42 in
+  ignore (Wal.Writer.append_sync w "x");
+  Wal.Writer.close w;
+  (match Wal.read_header fs "log" with
+  | Ok h ->
+    check Alcotest.int "base lsn" 42 h.Wal.base_lsn;
+    check Alcotest.string "fingerprint" fp h.Wal.fingerprint
+  | Error e -> Alcotest.fail (Format.asprintf "%a" Wal.pp_error e));
+  expect_entries "entries after the header" [ "x" ] no_stop fs "log";
+  List.iter
+    (fun (name, contents) ->
+      Fs.write_file fs name contents;
+      match read_all fs name with
+      | Error (Wal.Not_a_log m) ->
+        check Alcotest.bool (name ^ " names version 1") true
+          (Helpers.contains ~needle:"SDBWAL1" m)
+      | _ -> Alcotest.fail ("expected Not_a_log for " ^ name))
+    [ ("v1-empty", "SDBWAL1\n" ^ fp); ("v1", "SDBWAL1\n" ^ fp ^ String.make 12 '\x00') ]
+
 let test_truncated_tail_discarded () =
   let _, fs = mem () in
-  let w = Wal.Writer.create fs "log" ~fingerprint:fp in
+  let w = Wal.Writer.create fs "log" ~fingerprint:fp ~base_lsn:0 in
   ignore (Wal.Writer.append_sync w "good1");
   ignore (Wal.Writer.append_sync w "good2");
   let boundary = Wal.Writer.length w in
@@ -133,7 +156,7 @@ let test_truncated_tail_discarded () =
 
 let test_crc_corruption_stops () =
   let _, fs = mem () in
-  let w = Wal.Writer.create fs "log" ~fingerprint:fp in
+  let w = Wal.Writer.create fs "log" ~fingerprint:fp ~base_lsn:0 in
   ignore (Wal.Writer.append_sync w "aaaa");
   let boundary = Wal.Writer.length w in
   ignore (Wal.Writer.append_sync w "bbbb");
@@ -158,7 +181,7 @@ let test_crc_corruption_stops () =
 
 let test_damaged_page_stops_or_skips () =
   let store, fs = mem () in
-  let w = Wal.Writer.create fs "log" ~fingerprint:fp in
+  let w = Wal.Writer.create fs "log" ~fingerprint:fp ~base_lsn:0 in
   ignore (Wal.Writer.append_sync w (String.make 2000 'a'));
   let boundary = Wal.Writer.length w in
   ignore (Wal.Writer.append_sync w (String.make 2000 'b'));
@@ -181,7 +204,7 @@ let test_damaged_page_stops_or_skips () =
 
 let test_reopen_appends () =
   let _, fs = mem () in
-  let w = Wal.Writer.create fs "log" ~fingerprint:fp in
+  let w = Wal.Writer.create fs "log" ~fingerprint:fp ~base_lsn:0 in
   ignore (Wal.Writer.append_sync w "one");
   ignore (Wal.Writer.append_sync w "two");
   Wal.Writer.close w;
@@ -199,7 +222,7 @@ let test_reopen_appends () =
 
 let test_reopen_truncates_torn_tail () =
   let _, fs = mem () in
-  let w = Wal.Writer.create fs "log" ~fingerprint:fp in
+  let w = Wal.Writer.create fs "log" ~fingerprint:fp ~base_lsn:0 in
   ignore (Wal.Writer.append_sync w "keep");
   let boundary = Wal.Writer.length w in
   ignore (Wal.Writer.append_sync w "torn-away");
@@ -224,7 +247,7 @@ let test_crash_mid_append_recovers_prefix () =
   for seed = 1 to 40 do
     let store = Mem.create_store ~seed () in
     let fs = Mem.fs store in
-    let w = Wal.Writer.create fs "log" ~fingerprint:fp in
+    let w = Wal.Writer.create fs "log" ~fingerprint:fp ~base_lsn:0 in
     let committed = ref 0 in
     (try
        Mem.set_crash_after store ~ops:(4 + (seed mod 17)) ~mode:Mem.Torn;
@@ -255,7 +278,7 @@ let test_interior_damage_detected () =
      damage; a damaged final entry is a torn tail.  The reader must
      tell them apart. *)
   let store, fs = mem () in
-  let w = Wal.Writer.create fs "log" ~fingerprint:fp in
+  let w = Wal.Writer.create fs "log" ~fingerprint:fp ~base_lsn:0 in
   ignore (Wal.Writer.append_sync w (String.make 2000 'a'));
   let boundary = Wal.Writer.length w in
   ignore (Wal.Writer.append_sync w (String.make 2000 'b'));
@@ -272,7 +295,7 @@ let test_interior_damage_detected () =
   | Error e -> Alcotest.fail (Format.asprintf "%a" Wal.pp_error e));
   (* Tail: fresh log, damage only the final entry. *)
   let store2, fs2 = mem () in
-  let w = Wal.Writer.create fs2 "log" ~fingerprint:fp in
+  let w = Wal.Writer.create fs2 "log" ~fingerprint:fp ~base_lsn:0 in
   ignore (Wal.Writer.append_sync w (String.make 2000 'a'));
   let b2 = Wal.Writer.length w in
   ignore (Wal.Writer.append_sync w (String.make 2000 'b'));
@@ -289,7 +312,7 @@ let test_crc_interior_damage_detected () =
   (* Same distinction for a silent bit flip (CRC mismatch, no device
      error). *)
   let _, fs = mem () in
-  let w = Wal.Writer.create fs "log" ~fingerprint:fp in
+  let w = Wal.Writer.create fs "log" ~fingerprint:fp ~base_lsn:0 in
   ignore (Wal.Writer.append_sync w "first");
   let boundary = Wal.Writer.length w in
   ignore (Wal.Writer.append_sync w "second");
@@ -306,18 +329,18 @@ let test_crc_interior_damage_detected () =
 
 let test_writer_misuse () =
   let _, fs = mem () in
-  let w = Wal.Writer.create fs "log" ~fingerprint:fp in
+  let w = Wal.Writer.create fs "log" ~fingerprint:fp ~base_lsn:0 in
   Wal.Writer.close w;
   (match Wal.Writer.append_sync w "x" with
   | _ -> Alcotest.fail "expected Io_error after close"
   | exception Fs.Io_error _ -> ());
   Alcotest.check_raises "bad fingerprint size"
     (Invalid_argument "Wal: fingerprint must be 16 bytes") (fun () ->
-      ignore (Wal.Writer.create fs "log2" ~fingerprint:"short"))
+      ignore (Wal.Writer.create fs "log2" ~fingerprint:"short" ~base_lsn:0))
 
 let test_count_entries () =
   let _, fs = mem () in
-  let w = Wal.Writer.create fs "log" ~fingerprint:fp in
+  let w = Wal.Writer.create fs "log" ~fingerprint:fp ~base_lsn:0 in
   for i = 1 to 7 do
     Wal.Writer.stage w (string_of_int i)
   done;
@@ -338,7 +361,7 @@ let prop_random_truncation =
     (fun (payloads, cut) ->
       let store = Mem.create_store ~seed:1 () in
       let fs = Mem.fs store in
-      let w = Wal.Writer.create fs "log" ~fingerprint:fp in
+      let w = Wal.Writer.create fs "log" ~fingerprint:fp ~base_lsn:0 in
       List.iter (Wal.Writer.stage w) payloads;
       ignore (Wal.Writer.flush_group w : int * int);
       Wal.Writer.close w;
@@ -366,7 +389,7 @@ let test_raw_frames_counted () =
   let m_appends = Metrics.counter "sdb_wal_appends_total" in
   let m_bytes = Metrics.counter "sdb_wal_appended_bytes_total" in
   let _, fs = mem () in
-  let w = Wal.Writer.create fs "src" ~fingerprint:fp in
+  let w = Wal.Writer.create fs "src" ~fingerprint:fp ~base_lsn:0 in
   ignore (Wal.Writer.append_sync w "first");
   ignore (Wal.Writer.append_sync w "second");
   Wal.Writer.close w;
@@ -375,7 +398,7 @@ let test_raw_frames_counted () =
   let raw =
     String.sub raw_file Wal.header_size (String.length raw_file - Wal.header_size)
   in
-  let w2 = Wal.Writer.create fs "dst" ~fingerprint:fp in
+  let w2 = Wal.Writer.create fs "dst" ~fingerprint:fp ~base_lsn:0 in
   let appends0 = Metrics.counter_value m_appends in
   let bytes0 = Metrics.counter_value m_bytes in
   Wal.Writer.append_raw_frames w2 raw ~count:2;
@@ -395,11 +418,11 @@ let test_stage_flush_roundtrip () =
   let _, fs = mem () in
   let payloads = [ "alpha"; ""; String.make 5000 'q' ] in
   (* Reference: the same payloads through plain appends. *)
-  let w_ref = Wal.Writer.create fs "ref" ~fingerprint:fp in
+  let w_ref = Wal.Writer.create fs "ref" ~fingerprint:fp ~base_lsn:0 in
   List.iter (fun p -> ignore (Wal.Writer.append_sync w_ref p)) payloads;
   Wal.Writer.close w_ref;
   (* Staged: invisible until the flush, then one write + one fsync. *)
-  let w = Wal.Writer.create fs "log" ~fingerprint:fp in
+  let w = Wal.Writer.create fs "log" ~fingerprint:fp ~base_lsn:0 in
   let before = Fs.Counters.copy fs.Fs.counters in
   List.iter (Wal.Writer.stage w) payloads;
   check Alcotest.int "staged frames" 3 (Wal.Writer.staged_frames w);
@@ -431,7 +454,7 @@ let test_stage_flush_roundtrip () =
 
 let test_flush_empty_and_discard () =
   let _, fs = mem () in
-  let w = Wal.Writer.create fs "log" ~fingerprint:fp in
+  let w = Wal.Writer.create fs "log" ~fingerprint:fp ~base_lsn:0 in
   let before = Fs.Counters.copy fs.Fs.counters in
   check
     Alcotest.(pair int int)
@@ -453,7 +476,7 @@ let test_flush_empty_and_discard () =
 
 let test_append_refused_while_staged () =
   let _, fs = mem () in
-  let w = Wal.Writer.create fs "log" ~fingerprint:fp in
+  let w = Wal.Writer.create fs "log" ~fingerprint:fp ~base_lsn:0 in
   Wal.Writer.stage w "staged";
   (match Wal.Writer.append_sync w "interloper" with
   | exception Invalid_argument _ -> ()
@@ -468,7 +491,7 @@ let test_append_refused_while_staged () =
 
 let test_group_flush_rolled_back () =
   let store, fs = mem () in
-  let w = Wal.Writer.create fs "log" ~fingerprint:fp in
+  let w = Wal.Writer.create fs "log" ~fingerprint:fp ~base_lsn:0 in
   ignore (Wal.Writer.append_sync w "committed");
   let len = Wal.Writer.length w in
   Mem.set_capacity store (Some (Mem.total_bytes store));
@@ -498,7 +521,7 @@ let test_torn_group_sweep () =
   let _, fs = mem () in
   let solo = "pre-group" in
   let group = [ "one"; "two-long-payload"; "three" ] in
-  let w = Wal.Writer.create fs "log" ~fingerprint:fp in
+  let w = Wal.Writer.create fs "log" ~fingerprint:fp ~base_lsn:0 in
   ignore (Wal.Writer.append_sync w solo);
   List.iter (Wal.Writer.stage w) group;
   ignore (Wal.Writer.flush_group w);
@@ -577,6 +600,7 @@ let () =
       ( "recovery",
         [
           Alcotest.test_case "header validation" `Quick test_header_validation;
+          Alcotest.test_case "header base lsn and version" `Quick test_header_base_lsn;
           Alcotest.test_case "truncated tail discarded" `Quick
             test_truncated_tail_discarded;
           Alcotest.test_case "crc corruption stops replay" `Quick
