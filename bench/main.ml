@@ -1098,15 +1098,29 @@ let e15 ~quick () =
     let db2 = MapDb.open_exn fs in
     assert ((MapDb.stats db2).Smalldb.lsn = s.Smalldb.lsn);
     MapDb.close db2;
-    [
-      label;
-      fmt_ms ckpt_ms;
-      string_of_int s.Smalldb.checkpoints_written;
-      string_of_int (Histogram.count updates);
-      fmt_ms (Histogram.max updates);
-      fmt_ms (Histogram.percentile updates 99.);
-      fmt_ms (Histogram.max lookups);
-    ]
+    ( label,
+      [|
+        ckpt_ms;
+        float_of_int s.Smalldb.checkpoints_written;
+        float_of_int (Histogram.count updates);
+        Histogram.max updates;
+        Histogram.percentile updates 99.;
+        Histogram.max lookups;
+      |] )
+  in
+  (* Whichever row runs first pays for growing the heap, so a full run
+     alternates the rows' order and reports each row's median. *)
+  let rows = [ ("manual (checkpoint)", `Manual); ("policy, background domain", `Policy) ] in
+  let rounds = if quick then 1 else 4 in
+  let runs =
+    List.concat_map
+      (fun r -> List.map run (if r mod 2 = 0 then rows else List.rev rows))
+      (List.init rounds Fun.id)
+  in
+  let median label col =
+    let h = Histogram.create () in
+    List.iter (fun (l, m) -> if l = label then Histogram.record h m.(col)) runs;
+    Histogram.percentile h 50.
   in
   Tablefmt.print
     ~header:
@@ -1114,8 +1128,14 @@ let e15 ~quick () =
         "checkpoint"; "duration"; "ckpts"; "updates during run"; "max update stall";
         "p99 update stall"; "max lookup stall";
       ]
-    (List.map run
-       [ ("manual (checkpoint)", `Manual); ("policy, background domain", `Policy) ]);
+    (List.map
+       (fun (label, _) ->
+         let ms col = fmt_ms (median label col)
+         and count col = Printf.sprintf "%.0f" (median label col) in
+         [ label; ms 0; count 1; count 2; ms 3; ms 4; ms 5 ])
+       rows);
+  if rounds > 1 then
+    note "medians over %d runs per row, the rows' order alternating" rounds;
   note
     "stalls are timed from each request's due time; a manual checkpoint pickles \
      with no engine lock held, but on the requests' own domain, whose runtime lock \
@@ -1786,8 +1806,7 @@ let e20 ~quick () =
      has the cores); a writer thread on the main domain streams group
      commits throughout.  On the Shared-lock route every query takes
      the engine lock's mutex twice and parks behind upgrade drains; on
-     the epoch route a query is one fetch-and-add on a padded
-     per-domain slot, a pointer load, and the matching decrement —
+     the epoch route a query is one atomic load of the published root —
      readers never contend with the writer or each other.  [cores] is
      recorded in the artifact because the scaling claim is only
      observable where the cores exist: on a single-core host all
@@ -1889,8 +1908,8 @@ let e20 ~quick () =
   Printf.printf "  artifact: %s\n" e20_json_file;
   paper
     "the paper's enquiries are pure virtual-memory reads under one lock; \
-     publishing each committed version through an epoch makes them \
-     lock-free, so read throughput can scale with cores while updates \
+     publishing each committed version through one atomic root makes \
+     them lock-free, so read throughput can scale with cores while updates \
      stream -- the property measured here"
 
 (* ------------------------------------------------------------------ *)

@@ -46,17 +46,17 @@ let dump_summaries (r : Sdb_modecheck.report) =
     (fun id ->
       let s = Hashtbl.find r.r_summaries id in
       Printf.printf
-        "%s\n  requires=%s acquires=%s noblock=%b epoch_section=%b\n  \
-         may_block=%s acq_modes=[%s] mus=[%s] calls=%d balanced=%b\n"
+        "%s\n  requires=%s acquires=%s noblock=%b\n  \
+         may_block=%s acq_modes=[%s] mus=[%s] calls=%d\n"
         s.Sdb_modecheck.s_id
         (mode_opt s.s_contract.c_requires)
         (mode_opt s.s_contract.c_acquires)
-        s.s_contract.c_noblock s.s_contract.c_epoch_section
+        s.s_contract.c_noblock
         (match s.x_blocks with Some w -> w | None -> "-")
         (String.concat ","
            (List.map Sdb_modecheck.mode_name s.x_acq_modes))
         (String.concat "," (List.map fst s.x_mus))
-        (List.length s.s_calls) s.s_epoch_balanced)
+        (List.length s.s_calls))
     (List.sort compare ids)
 
 let check ~xcheck ~lockdep ~summaries files =
@@ -97,7 +97,8 @@ let () =
   if args = [ "--self-test" ] then begin
     match Sdb_modecheck.self_test () with
     | Ok () ->
-        print_endline "sdb_modecheck self-test: ok";
+        Printf.printf "sdb_modecheck self-test: ok (rules: %s)\n"
+          (String.concat ", " (List.map fst Sdb_modecheck.rules));
         exit 0
     | Error msg ->
         Printf.eprintf "sdb_modecheck self-test FAILED: %s\n" msg;

@@ -193,16 +193,6 @@ let render ~socket ~prev ~cur =
   in
   out "  group:    mean size %s  checkpoints %.0f\n" group
     (total s "sdb_checkpoints_total" []);
-  (* The lock-free read path, when configured: live readers, the pile
-     of retired-but-unreclaimed versions, and reclaim lag (epochs
-     between the oldest unreclaimed version and now — a stuck reader
-     shows up here as a lag that only grows). *)
-  if total s "sdb_epoch_advance_total" [] > 0.0 then
-    out "  epoch:    readers %.0f  retired %.0f  reclaim lag %.0f  reclaims %s\n"
-      (total s "sdb_epoch_readers" [])
-      (total s "sdb_epoch_retired_versions" [])
-      (total s "sdb_epoch_reclaim_lag" [])
-      (fmt_rate (delta "sdb_epoch_reclaimed_total" []));
   let outbox = total s "sdb_replica_outbox_depth" [] in
   let backlog = total s "sdb_replica_backlog" [] in
   if outbox > 0.0 || backlog > 0.0 || total s "sdb_replica_pushes_total" [] > 0.0

@@ -284,8 +284,8 @@ let serve_cmd =
       & info [ "read-path" ] ~docv:"ROUTE"
           ~doc:
             "Query route: $(b,locked) (the paper's Shared lock) or \
-             $(b,epoch) (lock-free epoch-published snapshots — queries \
-             never block updates and scale across cores).")
+             $(b,epoch) (lock-free: queries load the atomically published \
+             root, never block updates and scale across cores).")
   in
   let metrics_interval =
     Arg.(

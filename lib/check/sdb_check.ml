@@ -82,10 +82,6 @@ let violation_log : violation list ref = ref []
    [reset]: they describe live lock instances, not per-run state. *)
 let reentry_probes : (int, unit -> bool) Hashtbl.t = Hashtbl.create 16
 
-(* Per-thread epoch nesting depth, keyed by systhread id.  Entries are
-   removed when the depth returns to zero, like [threads]. *)
-let epochs : (int, int ref) Hashtbl.t = Hashtbl.create 64
-
 (* counters; plain ints under st_mutex except checks, which is hot *)
 let n_checks = Atomic.make 0
 let n_violations = ref 0
@@ -115,7 +111,6 @@ let lock_order_edges () =
 let reset () =
   locked (fun () ->
       Hashtbl.reset threads;
-      Hashtbl.reset epochs;
       Hashtbl.reset edges;
       Hashtbl.reset succs;
       violation_log := [];
@@ -367,16 +362,6 @@ let assert_no_mutex_held_during_io ~site =
           | None -> []
           | Some s -> !s
         in
-        (match Hashtbl.find_opt epochs (tid ()) with
-        | Some d when !d > 0 ->
-          violate ~rule:"io"
-            ~message:
-              (Printf.sprintf
-                 "%s: blocking I/O inside an epoch (depth %d) — an epoch held \
-                  across I/O stalls reclamation for every retired version"
-                 site !d)
-            ~stacks:[ (site, capture_stack ()) ]
-        | _ -> ());
         match List.filter (fun h -> h.h_lock.l_kind = `Mutex) held with
         | [] -> ()
         | mutexes ->
@@ -387,55 +372,6 @@ let assert_no_mutex_held_during_io ~site =
                   before I/O (Vlock modes are allowed)"
                  site (describe_held mutexes))
             ~stacks:[ (site, capture_stack ()) ])
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Epoch bracketing                                                    *)
-
-let note_epoch_enter ~name:_ =
-  if enabled () then begin
-    Atomic.incr n_checks;
-    locked (fun () ->
-        let id = tid () in
-        match Hashtbl.find_opt epochs id with
-        | Some d -> incr d
-        | None -> Hashtbl.replace epochs id (ref 1))
-  end
-
-let note_epoch_exit ~name =
-  if enabled () then begin
-    Atomic.incr n_checks;
-    locked (fun () ->
-        let id = tid () in
-        match Hashtbl.find_opt epochs id with
-        | Some d when !d > 0 ->
-          decr d;
-          if !d = 0 then Hashtbl.remove epochs id
-        | _ ->
-          violate ~rule:"epoch"
-            ~message:
-              (Printf.sprintf
-                 "%s: epoch exit without a matching enter — reads must be \
-                  bracketed by enter/exit"
-                 name)
-            ~stacks:[ ("exit site", capture_stack ()) ])
-  end
-
-let epoch_depth () =
-  if not (enabled ()) then 0
-  else
-    locked (fun () ->
-        match Hashtbl.find_opt epochs (tid ()) with
-        | Some d -> !d
-        | None -> 0)
-
-let epoch_violation ~name ~message =
-  if enabled () then begin
-    Atomic.incr n_checks;
-    locked (fun () ->
-        violate ~rule:"epoch"
-          ~message:(Printf.sprintf "%s: %s" name message)
-          ~stacks:[ ("detection site", capture_stack ()) ])
   end
 
 (* ------------------------------------------------------------------ *)

@@ -39,8 +39,7 @@ type mode = Shared | Update | Exclusive | Mutex
 
 type violation = {
   v_rule : string;
-      (** ["lock-order"], ["mode"], ["guard"], ["io"], ["nesting"],
-          ["epoch"] *)
+      (** ["lock-order"], ["mode"], ["guard"], ["io"], ["nesting"] *)
   v_message : string;
   v_stacks : (string * string) list;
       (** Labelled call stacks: always the offending site, plus — for a
@@ -117,34 +116,7 @@ val assert_no_mutex_held_during_io : site:string -> unit
     blocking I/O (a log write, an fsync, an RPC) under a mutex is how
     one slow disk stalls every thread behind that mutex.  Vlock modes
     are {e allowed} — the paper's design deliberately writes the log
-    under [Update].  The thread must also be outside any epoch
-    ({!note_epoch_enter}): an epoch held across blocking I/O pins every
-    version retired since, stalling reclamation store-wide. *)
-
-(** {1 Epoch bracketing}
-
-    The lock-free read path ([Sdb_epoch]) reports its enter/exit pairs
-    here, giving the sanitizer a per-thread epoch depth.  The rules it
-    enforces: an exit must match an enter (["epoch"] violation
-    otherwise), no blocking I/O may run inside an epoch (folded into
-    {!assert_no_mutex_held_during_io}), and the epoch layer's own
-    detectors — use-after-reclaim above all — report through
-    {!epoch_violation}. *)
-
-val note_epoch_enter : name:string -> unit
-(** The calling thread entered an epoch of the named store. *)
-
-val note_epoch_exit : name:string -> unit
-(** The calling thread left an epoch; raises an ["epoch"] {!Violation}
-    when it is not inside one. *)
-
-val epoch_depth : unit -> int
-(** The calling thread's epoch nesting depth (0 when disabled). *)
-
-val epoch_violation : name:string -> message:string -> unit
-(** Record and raise an ["epoch"] violation detected by the epoch
-    layer's own verifier (e.g. a reader dereferencing a version that
-    reclamation already freed).  No-op when disabled. *)
+    under [Update]. *)
 
 (** {1 Instrumented mutex} *)
 

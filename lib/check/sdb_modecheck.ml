@@ -5,8 +5,7 @@
 
      - Vlock modes required / acquired / released,
      - mutex classes held (with their sanitizer kind),
-     - blocking I/O performed (Unix syscalls, Fs record-closure calls),
-     - epoch enter/exit bracketing.
+     - blocking I/O performed (Unix syscalls, Fs record-closure calls).
 
    Summaries propagate through the call graph to a fixpoint, then a rule
    pass verifies the contracts declared with attributes on engine entry
@@ -15,8 +14,6 @@
      [@@sdb.requires shared|update|exclusive]   caller must hold >= mode
      [@@sdb.acquires shared|update|exclusive]   acquires (doc / entry point)
      [@@sdb.noblock]                            may not block, transitively
-     [@@sdb.epoch_section]                      body runs inside an epoch
-                                                read section
 
    The checker also rederives the lock-order DAG from the summaries and
    cross-checks it against the runtime lockdep graph documented in
@@ -52,9 +49,6 @@ let rules : (string * string) list = [
                 or mutex reentry makes a potential deadlock");
   ("noblock", "[@@sdb.noblock] function may block (directly or via a callee)");
   ("io-under-mutex", "blocking I/O while a `Mutex-kind Mu class is held");
-  ("epoch-bracket", "epoch enter/exit not balanced on every path");
-  ("epoch-safety", "lock acquisition or blocking I/O inside an epoch read \
-                    section");
   ("lock-order", "statically derived lock-order graph contains a cycle");
   ("lockdep-xcheck", "static lock-order DAG disagrees with the runtime \
                       lockdep graph in DESIGN.md §5");
@@ -104,12 +98,9 @@ type contract = {
   c_requires : vmode option;
   c_acquires : vmode option;
   c_noblock : bool;
-  c_epoch_section : bool;
 }
 
-let no_contract =
-  { c_requires = None; c_acquires = None; c_noblock = false;
-    c_epoch_section = false }
+let no_contract = { c_requires = None; c_acquires = None; c_noblock = false }
 
 (* Contract payloads accept a bare word: [@@sdb.requires shared] parses
    the payload as the identifier/constructor/string "shared". *)
@@ -124,8 +115,8 @@ let payload_word (p : Parsetree.payload) =
   | _ -> None
 
 let known_sdb_attrs =
-  [ "sdb.requires"; "sdb.acquires"; "sdb.noblock"; "sdb.epoch_section";
-    waiver_attr; "sdb.lint.allow" ]
+  [ "sdb.requires"; "sdb.acquires"; "sdb.noblock"; waiver_attr;
+    "sdb.lint.allow" ]
 
 (* [bad] is called for each malformed sdb.* attribute with a message. *)
 let contract_of_attrs ~bad (attrs : Parsetree.attributes) =
@@ -148,7 +139,6 @@ let contract_of_attrs ~bad (attrs : Parsetree.attributes) =
       | "sdb.requires" -> { c with c_requires = mode_arg () }
       | "sdb.acquires" -> { c with c_acquires = mode_arg () }
       | "sdb.noblock" -> { c with c_noblock = true }
-      | "sdb.epoch_section" -> { c with c_epoch_section = true }
       | _ ->
           if String.length name > 4 && String.sub name 0 4 = "sdb."
              && not (List.mem name known_sdb_attrs)
@@ -211,10 +201,9 @@ type mu_kind = [ `Mutex | `Vlock ]
 type site = {
   st_mode : vmode option;             (* Vlock mode held here *)
   st_mus : (string * mu_kind) list;   (* Mu classes held, innermost first *)
-  st_epoch : int;                     (* epoch-section nesting depth *)
 }
 
-let empty_site = { st_mode = None; st_mus = []; st_epoch = 0 }
+let empty_site = { st_mode = None; st_mus = [] }
 
 type callsite = {
   cs_callee : string;        (* canonical id, e.g. "Vlock.acquire" *)
@@ -271,7 +260,6 @@ type summary = {
   s_mu_acqs : mu_acq list;
   s_blocks : block_site list;
   s_opens : open_acq list;
-  s_epoch_balanced : bool;
   (* Fixpoint-computed transitive facts.  Each carries a witness chain
      for the report ("may block: Wal.Writer.sync <- Fs.w_sync"). *)
   mutable x_blocks : string option;
@@ -316,7 +304,7 @@ let diverging_heads =
     "Fs.io_fail" ]
 
 (* Combinators whose function argument runs inline, in the caller's
-   current lock/epoch context (not on another thread, not deferred). *)
+   current lock context (not on another thread, not deferred). *)
 let inline_iterators =
   [ "List.iter"; "List.map"; "List.filter"; "List.fold_left";
     "List.filter_map"; "List.concat_map"; "List.exists"; "List.for_all";
@@ -360,7 +348,6 @@ let report ctx ?(waivers = []) rule (loc : Location.t) msg =
 type scan_state = {
   mutable held : vmode option;
   mutable mus : (string * mu_kind) list;
-  mutable epoch : int;
   mutable diverges : bool;
 }
 
@@ -384,25 +371,22 @@ type fn_ctx = {
   mutable vlock_acqs : vlock_acq list;
   mutable mu_acqs : mu_acq list;
   mutable blocks : block_site list;
-  mutable balanced : bool;
 }
 
 let active_waivers fc = List.concat fc.waiver_stack
 
 let site_of (st : scan_state) =
-  { st_mode = st.held; st_mus = st.mus; st_epoch = st.epoch }
+  { st_mode = st.held; st_mus = st.mus }
 
 let snap (st : scan_state) =
-  { held = st.held; mus = st.mus; epoch = st.epoch; diverges = st.diverges }
+  { held = st.held; mus = st.mus; diverges = st.diverges }
 
 let restore (st : scan_state) (s : scan_state) =
-  st.held <- s.held; st.mus <- s.mus; st.epoch <- s.epoch;
-  st.diverges <- s.diverges
+  st.held <- s.held; st.mus <- s.mus; st.diverges <- s.diverges
 
 (* Join the states at the end of the arms of a branch back into [st].
    Diverging arms contribute nothing.  Disagreement on the Vlock mode
-   joins to None (unknown); mutex sets intersect; epoch takes the max
-   (the bracket check uses the final joined value). *)
+   joins to None (unknown); mutex sets intersect. *)
 let join_into (st : scan_state) (arms : scan_state list) =
   match List.filter (fun a -> not a.diverges) arms with
   | [] -> st.diverges <- true
@@ -417,9 +401,7 @@ let join_into (st : scan_state) (arms : scan_state list) =
           (fun m a -> List.filter (fun c -> List.mem c a.mus) m)
           a0.mus rest
       in
-      let epoch = List.fold_left (fun e a -> max e a.epoch) a0.epoch rest in
-      st.held <- held; st.mus <- mus; st.epoch <- epoch;
-      st.diverges <- false
+      st.held <- held; st.mus <- mus; st.diverges <- false
 
 (* Resolve an identifier path to its canonical parts, expanding local
    module aliases on the head component. *)
@@ -521,7 +503,7 @@ let key_eq a b =
   | `M x, `M y -> (x : string) = y
   | _ -> false
 
-let fresh_state () = { held = None; mus = []; epoch = 0; diverges = false }
+let fresh_state () = { held = None; mus = []; diverges = false }
 
 let is_lambda (e : Typedtree.expression) =
   match e.exp_desc with Texp_function _ -> true | _ -> false
@@ -882,24 +864,6 @@ and dispatch fc st loc p args =
               fc.opens
           end
       | [ "Fun"; "protect" ], _ -> fun_protect fc st loc args
-      | ( [ "Epoch"; ("read" | "read_with_lsn" | "pinned") ],
-          _ ) ->
-          let fn_arg = List.find_opt is_lambda (List.rev nolabels) in
-          let is_fn a =
-            match fn_arg with Some f -> f == a | None -> false
-          in
-          List.iter
-            (fun (_, a) -> if not (is_fn a) then scan_arg fc st a)
-            args;
-          st.epoch <- st.epoch + 1;
-          (match fn_arg with
-          | Some f -> inline_fn_arg fc st f
-          | None -> ());
-          st.epoch <- st.epoch - 1
-      | [ "Sdb_check"; "note_epoch_enter" ], _ ->
-          st.epoch <- st.epoch + 1
-      | [ "Sdb_check"; "note_epoch_exit" ], _ ->
-          st.epoch <- max 0 (st.epoch - 1)
       | ([ "Condition"; "wait" ] | [ "Condition"; "Wait" ]), _ ->
           List.iter (fun (_, a) -> scan_arg fc st a) args;
           note_block fc st loc "Condition.wait"
@@ -984,7 +948,7 @@ and fun_protect fc st loc args =
   (match finally with
   | Some f ->
       (* the finally runs before anything after the protect, so its
-         effects (releases, epoch exits) persist in the state *)
+         effects (releases) persist in the state *)
       fc.in_finally <- fc.in_finally + 1;
       inline_fn_arg fc st f;
       fc.in_finally <- fc.in_finally - 1
@@ -1055,24 +1019,17 @@ let summarize_vb ctx ~prefix (vb : Typedtree.value_binding) =
   let fc =
     { c = ctx; fn_id; waiver_stack = [ waivers ]; locals = []; inlining = [];
       in_finally = 0; protect_keys = []; detached = 0; opens = []; calls = [];
-      vlock_acqs = []; mu_acqs = []; blocks = []; balanced = true }
+      vlock_acqs = []; mu_acqs = []; blocks = [] }
   in
-  let init_epoch = if contract.c_epoch_section then 1 else 0 in
-  let st =
-    { held = contract.c_requires; mus = []; epoch = init_epoch;
-      diverges = false }
-  in
+  let st = { held = contract.c_requires; mus = []; diverges = false } in
   (match vb.vb_expr.exp_desc with
   | Texp_function _ -> inline_fn_arg fc st vb.vb_expr
   | _ -> scan fc st vb.vb_expr);
-  let balanced = st.diverges || st.epoch = init_epoch in
   let s =
     { s_id = fn_id; s_file = ctx.src_file; s_loc = vb.vb_loc;
       s_contract = contract; s_waivers = waivers; s_calls = fc.calls;
       s_vlock_acqs = fc.vlock_acqs; s_mu_acqs = fc.mu_acqs;
-      s_blocks = fc.blocks; s_opens = fc.opens;
-      s_epoch_balanced = balanced && fc.balanced;
-      x_blocks = None; x_acq_modes = []; x_mus = [] }
+      s_blocks = fc.blocks; s_opens = fc.opens; x_blocks = None; x_acq_modes = []; x_mus = [] }
   in
   Hashtbl.replace ctx.summaries fn_id s
 
@@ -1359,44 +1316,18 @@ let run_checks summaries =
             (Printf.sprintf "%s is [@@sdb.noblock] but may block: %s" s.s_id
                w)
       | _ -> ());
-      (* epoch bracket *)
-      if not s.s_epoch_balanced then
-        emit ~waivers:s.s_waivers s.s_file "epoch-bracket" s.s_loc
-          (Printf.sprintf
-             "%s: epoch enter/exit not balanced on every path" s.s_id);
       (* direct blocking sites *)
       List.iter
         (fun bs ->
-          (match
-             List.find_opt (fun (_, k) -> k = `Mutex) bs.bs_at.st_mus
-           with
+          match
+            List.find_opt (fun (_, k) -> k = `Mutex) bs.bs_at.st_mus
+          with
           | Some (cls, _) ->
               emit ~waivers:bs.bs_waivers s.s_file "io-under-mutex" bs.bs_loc
                 (Printf.sprintf "%s: blocking call %s while holding mutex %S"
                    s.s_id bs.bs_what cls)
-          | None -> ());
-          if bs.bs_at.st_epoch > 0 then
-            emit ~waivers:bs.bs_waivers s.s_file "epoch-safety" bs.bs_loc
-              (Printf.sprintf
-                 "%s: blocking call %s inside an epoch read section" s.s_id
-                 bs.bs_what))
+          | None -> ())
         s.s_blocks;
-      (* direct lock acquisitions inside epoch sections *)
-      List.iter
-        (fun va ->
-          if va.va_at.st_epoch > 0 then
-            emit ~waivers:va.va_waivers s.s_file "epoch-safety" va.va_loc
-              (Printf.sprintf
-                 "%s: Vlock acquisition inside an epoch read section" s.s_id))
-        s.s_vlock_acqs;
-      List.iter
-        (fun ma ->
-          if ma.ma_at.st_epoch > 0 then
-            emit ~waivers:ma.ma_waivers s.s_file "epoch-safety" ma.ma_loc
-              (Printf.sprintf
-                 "%s: Mu.lock of %S inside an epoch read section" s.s_id
-                 ma.ma_class))
-        s.s_mu_acqs;
       (* call sites *)
       List.iter
         (fun cs ->
@@ -1450,23 +1381,8 @@ let run_checks summaries =
                            "%s: call to %s may block (%s) while holding \
                             mutex %S"
                            s.s_id callee.s_id w cls)
-                  | None -> ());
-                  if cs.cs_at.st_epoch > 0 then
-                    emit ~waivers:cs.cs_waivers s.s_file "epoch-safety"
-                      cs.cs_loc
-                      (Printf.sprintf
-                         "%s: call to %s may block (%s) inside an epoch \
-                          read section"
-                         s.s_id callee.s_id w)
-              | None -> ());
-              if cs.cs_at.st_epoch > 0
-                 && (callee.x_acq_modes <> [] || callee.x_mus <> [])
-              then
-                emit ~waivers:cs.cs_waivers s.s_file "epoch-safety" cs.cs_loc
-                  (Printf.sprintf
-                     "%s: call to %s may acquire locks inside an epoch read \
-                      section"
-                     s.s_id callee.s_id))
+                  | None -> ())
+              | None -> ()))
         s.s_calls;
       (* exception-safe release audit *)
       List.iter
@@ -1637,12 +1553,11 @@ let self_test () =
   let errs = ref [] in
   let check name cond = if not cond then errs := name :: !errs in
   let mk ?(contract = no_contract) ?(waivers = []) ?(calls = [])
-      ?(vas = []) ?(mas = []) ?(blocks = []) ?(opens = [])
-      ?(balanced = true) id =
+      ?(vas = []) ?(mas = []) ?(blocks = []) ?(opens = []) id =
     { s_id = id; s_file = "<self-test>"; s_loc = Location.none;
       s_contract = contract; s_waivers = waivers; s_calls = calls;
       s_vlock_acqs = vas; s_mu_acqs = mas; s_blocks = blocks;
-      s_opens = opens; s_epoch_balanced = balanced; x_blocks = None;
+      s_opens = opens; x_blocks = None;
       x_acq_modes = []; x_mus = [] }
   in
   let cs ?(at = empty_site) ?(w = []) callee =
@@ -1754,18 +1669,6 @@ let self_test () =
     (has "io-under-mutex" (run [ io_at [ ("fx.io", `Mutex) ] ]));
   check "io under vlock-kind token exempt"
     (not (has "io-under-mutex" (run [ io_at [ ("smalldb.ckpt", `Vlock) ] ])));
-  (* epoch rules *)
-  check "epoch-bracket fires"
-    (has "epoch-bracket" (run [ mk ~balanced:false "T.eb" ]));
-  check "epoch-safety fires"
-    (has "epoch-safety"
-       (run
-          [ mk
-              ~blocks:
-                [ { bs_what = "Unix.read"; bs_loc = Location.none;
-                    bs_at = { empty_site with st_epoch = 1 };
-                    bs_waivers = [] } ]
-              "T.es" ]));
   (* unprotected-acquire *)
   let oa protected =
     { oa_key = `V; oa_loc = Location.none; oa_waivers = [];
@@ -1809,7 +1712,7 @@ let self_test () =
         attr "sdb.bogus" (Parsetree.PStr []) ]
   in
   check "contract parse"
-    (c.c_requires = Some Shared && c.c_noblock && not c.c_epoch_section);
+    (c.c_requires = Some Shared && c.c_noblock);
   check "unknown attr flagged" (List.length !bads = 1);
   let badm = ref [] in
   let c2 =
@@ -1834,9 +1737,8 @@ let self_test () =
   check "rules documented"
     (List.for_all
        (fun r -> List.mem_assoc r rules)
-       [ "mode"; "deadlock"; "noblock"; "io-under-mutex"; "epoch-bracket";
-         "epoch-safety"; "lock-order"; "lockdep-xcheck";
-         "unprotected-acquire"; "attr"; "read-error" ]);
+       [ "mode"; "deadlock"; "noblock"; "io-under-mutex"; "lock-order";
+         "lockdep-xcheck"; "unprotected-acquire"; "attr"; "read-error" ]);
   match !errs with
   | [] -> Ok ()
   | e -> Error (String.concat "; " (List.rev e))

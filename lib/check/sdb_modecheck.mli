@@ -30,7 +30,6 @@ type contract = {
   c_requires : vmode option;
   c_acquires : vmode option;
   c_noblock : bool;
-  c_epoch_section : bool;
 }
 
 val no_contract : contract
@@ -41,7 +40,6 @@ type mu_kind = [ `Mutex | `Vlock ]
 type site = {
   st_mode : vmode option;
   st_mus : (string * mu_kind) list;
-  st_epoch : int;
 }
 
 val empty_site : site
@@ -98,7 +96,6 @@ type summary = {
   s_mu_acqs : mu_acq list;
   s_blocks : block_site list;
   s_opens : open_acq list;
-  s_epoch_balanced : bool;
   mutable x_blocks : string option;
   mutable x_acq_modes : vmode list;
   mutable x_mus : (string * mu_kind) list;

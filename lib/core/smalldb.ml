@@ -2,7 +2,6 @@ module Pickle = Sdb_pickle.Pickle
 module Fs = Sdb_storage.Fs
 module Wal = Sdb_wal.Wal
 module Vlock = Sdb_vlock.Vlock
-module Epoch = Sdb_epoch.Epoch
 module Store = Sdb_checkpoint.Checkpoint_store
 module Commit_core = Sdb_commit.Commit_core
 module Commit = Commit_core.Make (Commit_core.Thread_mu) (Vlock)
@@ -231,6 +230,9 @@ module Make (App : APP) = struct
     domain : (string * float * float) Domain.t;
   }
 
+  (* A published version for the lock-free read path. *)
+  type root = { state : App.state; lsn : int }
+
   type t = {
     fs : Fs.t;
     config : config;
@@ -240,9 +242,10 @@ module Make (App : APP) = struct
     (* reusable pickle scratch; guarded by the Update lock *)
     pickle_buf : Buffer.t;
     (* The lock-free read path (config.read_path = `Epoch): the state
-       root is also published through an epoch-protected snapshot
-       pointer, swung at the end of every Exclusive window. *)
-    epoch : App.state Epoch.t option;
+       root and its LSN, published as one immutable record at the end
+       of every Exclusive window.  The GC keeps a root alive for as long
+       as a reader holds it, so nothing is ever reclaimed by hand. *)
+    root : root Atomic.t option;
     mutable state : App.state;
     mutable wal : Wal.Writer.t;
     mutable generation : int;
@@ -276,14 +279,14 @@ module Make (App : APP) = struct
     if t.closed then raise Closed;
     if t.poisoned then raise Poisoned
 
-  (* Swing the published snapshot to the state just applied.  Must run
-     inside the Exclusive window (single writer, before release): the
-     pointer swing is then ordered with the commit, so a reader never
-     observes version N+1 before version N. *)
-  let publish_epoch t =
-    match t.epoch with
+  (* Publish the state just applied.  Must run inside the Exclusive
+     window (single writer, before release): publication is then
+     ordered with the commit, so a reader never observes version N+1
+     before version N. *)
+  let publish_root t =
+    match t.root with
     | None -> ()
-    | Some e -> Epoch.publish e ~lsn:t.lsn t.state
+    | Some r -> Atomic.set r ({ state = t.state; lsn = t.lsn } : root)
   [@@sdb.requires exclusive]
 
   let health t : health =
@@ -317,10 +320,10 @@ module Make (App : APP) = struct
       ckpt_mutex = Sdb_check.Mu.make ~kind:`Vlock ("smalldb.ckpt:" ^ App.name);
       commit = Commit.create ~name:App.name ~grouped:config.group_commit lock;
       pickle_buf = Buffer.create 256;
-      epoch =
+      root =
         (match config.read_path with
         | `Locked -> None
-        | `Epoch -> Some (Epoch.create ~name:App.name ~lsn state));
+        | `Epoch -> Some (Atomic.make ({ state; lsn } : root)));
       state;
       wal;
       generation;
@@ -800,8 +803,8 @@ module Make (App : APP) = struct
 
   let query t f =
     check_usable t;
-    match t.epoch with
-    | Some e -> Epoch.read e f
+    match t.root with
+    | Some r -> f (Atomic.get r : root).state
     | None ->
       Vlock.with_lock t.lock Vlock.Shared (fun () ->
           Sdb_check.assert_mode (Vlock.sanitizer t.lock) Sdb_check.Shared
@@ -811,12 +814,13 @@ module Make (App : APP) = struct
 
   let query_with_lsn t f =
     check_usable t;
-    match t.epoch with
-    | Some e ->
-      (* Payload and LSN come from the same published version — the
+    match t.root with
+    | Some r ->
+      (* State and LSN come from the same published record — the
          atomicity the locked route gets from holding Shared across
          both reads. *)
-      Epoch.read_with_lsn e f
+      let ({ state; lsn } : root) = Atomic.get r in
+      (f state, lsn)
     | None ->
       Vlock.with_lock t.lock Vlock.Shared (fun () ->
           Sdb_check.assert_mode (Vlock.sanitizer t.lock) Sdb_check.Shared
@@ -946,7 +950,7 @@ module Make (App : APP) = struct
     t.since_ckpt <- t.since_ckpt + n;
     Metrics.add m_updates n;
     Metrics.observe m_group_size (float_of_int n);
-    publish_epoch t
+    publish_root t
   [@@sdb.requires exclusive]
 
   (* Subscribers see a group's updates in LSN order, exactly as if the
@@ -1287,19 +1291,26 @@ module Make (App : APP) = struct
   module History = struct
     (* The archive is usable only when it is contiguous from the very
        first generation and meets the current log exactly: archive logs
-       0..g-1 followed by the live log of generation g. *)
+       0..g-1 followed by the live log of generation g.  With
+       [retain_previous], generation g-1's log is still live as
+       logfile<g-1> and stands in for its archive. *)
     let plan t =
       let archives = Store.archived_logs t.fs in
-      let expected = List.init (List.length archives) Fun.id in
-      if List.map fst archives <> expected then
+      let n = List.length archives in
+      let retained =
+        if n = t.generation - 1 && t.fs.Fs.exists (Store.log_file n) then
+          [ Store.log_file n ]
+        else []
+      in
+      if List.map fst archives <> List.init n Fun.id then
         Error "history: archive is not contiguous from generation 0"
-      else if List.length archives <> t.generation then
+      else if n + List.length retained <> t.generation then
         Error
           (Printf.sprintf
              "history: %d archived logs but current generation is %d (archiving \
               was off at some point)"
-             (List.length archives) t.generation)
-      else Ok (List.map snd archives @ [ Store.log_file t.generation ])
+             n t.generation)
+      else Ok (List.map snd archives @ retained @ [ Store.log_file t.generation ])
 
     (* Each log is folded only below the next one's base: the entries
        from there on were carried into the next log.  Damage or

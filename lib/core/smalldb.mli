@@ -41,8 +41,8 @@ module type APP = sig
       state must rebuild the same state.  Never mutates its argument:
       the state is persistent (path-copied, like [Ns_data.pnode] or a
       [Map]), so a root taken at one LSN stays a consistent snapshot —
-      checkpoints pickle it with updates running, and the epoch read
-      path shares it with other domains. *)
+      checkpoints pickle it with updates running, and the lock-free
+      read path shares it with other domains. *)
 end
 
 (** When the engine checkpoints on its own, checked after each commit.
@@ -91,15 +91,16 @@ type config = {
   read_path : [ `Locked | `Epoch ];
       (** [`Locked] (the default): every enquiry holds the Vlock in
           Shared mode — the paper's protocol, and the baseline.
-          [`Epoch]: enquiries run lock-free against an epoch-published
-          snapshot ([Sdb_epoch]): the writer swings an atomic version
-          pointer inside its Exclusive window, a reader enters an
-          epoch, loads the pointer, and queries that immutable version
-          with no lock traffic at all; retired versions are reclaimed
-          once every reader has moved past them.  WAL,
-          group commit, checkpointing and replication are unchanged;
-          the fsync remains the commit point, and a version is
-          published only after it commits. *)
+          [`Epoch]: enquiries run lock-free.  The writer publishes
+          the state and its LSN as one immutable record through an
+          [Atomic.t], once per applied group inside its Exclusive
+          window, so versions appear in commit order; a reader loads
+          the record and queries that version with no lock traffic at
+          all.  A displaced version lives on for exactly as long as
+          some reader still holds it: the GC reclaims it, nothing
+          else does.  WAL, group commit, checkpointing and
+          replication are unchanged; the fsync remains the commit
+          point, and a version is published only after it commits. *)
 }
 
 val default_config : config

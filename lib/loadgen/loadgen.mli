@@ -51,7 +51,7 @@ val default : config
 val read_mostly : config
 (** {!default} with a 99/1 read/write mix — the enquiry-dominated
     traffic the paper reports for its name server, and the preset that
-    drives a read path (epoch or Shared-lock) rather than the commit
+    drives a read path (lock-free or Shared-lock) rather than the commit
     pipeline. *)
 
 type result = {

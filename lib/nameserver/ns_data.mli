@@ -10,9 +10,9 @@
     An update builds the next version by copying only the path it
     touches (O(depth · log fanout)), sharing every untouched subtree
     with the previous version.  That makes versions immutable — the
-    property the epoch-published read path ([Sdb_epoch]) and concurrent
-    checkpoints rely on: a published root can be read from any domain
-    with no lock while the writer builds its successor. *)
+    property the lock-free read path ([read_path = `Epoch]) and
+    concurrent checkpoints rely on: a published root can be read from
+    any domain with no lock while the writer builds its successor. *)
 
 type tree = Tree of { tvalue : string option; tchildren : (string * tree) list }
 (** The exchange representation used in update parameters, exports,

@@ -334,179 +334,6 @@ let replica_outbox ~pushes ~capacity () =
 
 (* ------------------------------------------------------------------ *)
 
-(* Epoch-published snapshots: [Sdb_epoch.Epoch_core.Make] over virtual
-   atomics — the real reclamation protocol under the virtual scheduler,
-   exactly as the lock scenarios run the real Vlock.  Each atomic
-   operation is one scheduling point, after which the plain-ref
-   operation runs without interruption (the cooperative scheduler only
-   switches at yields): sequentially-consistent atomics, dscheck
-   style. *)
-module Vatom = struct
-  type 'a t = { mutable av : 'a }
-
-  let make v = { av = v }
-
-  let get c =
-    Schedcheck.yield "atomic.get";
-    c.av
-
-  let exchange c x =
-    Schedcheck.yield "atomic.exchange";
-    let old = c.av in
-    c.av <- x;
-    old
-
-  let compare_and_set c seen x =
-    Schedcheck.yield "atomic.cas";
-    if c.av == seen then begin
-      c.av <- x;
-      true
-    end
-    else false
-
-  let fetch_and_add c n =
-    Schedcheck.yield "atomic.faa";
-    let old = c.av in
-    c.av <- old + n;
-    old
-end
-
-module E = Sdb_epoch.Epoch_core.Make (Vatom)
-
-(* What a reader must observe in every interleaving, given that the
-   writer publishes version k as payload (k, k) at LSN k: the pair is
-   consistent (no torn read — versions are whole or not at all), the
-   payload matches the version's LSN (the read_with_lsn atomicity), and
-   the version is never reclaimed while the reader is still inside its
-   epoch (no use-after-retire).  The yield between load and the checks
-   is the reader "using" its snapshot: the window where a wrong
-   reclamation protocol would free the version under it. *)
-let epoch_reader_checks name v =
-  let a, b = v.E.payload in
-  check (a = b) (name ^ ": torn read (inconsistent payload pair)");
-  check (a = v.E.vlsn) (name ^ ": payload does not match the version's LSN");
-  check (not v.E.reclaimed)
-    (name ^ ": use-after-retire (version reclaimed while a reader held it)")
-
-let epoch_readers ~publishes () =
-  let e = E.create ~slots:1 ~lsn:0 (0, 0) in
-  let readers_done = ref 0 in
-  let reader () =
-    E.enter e ~slot:0;
-    let v = E.load e in
-    Schedcheck.yield "reading";
-    epoch_reader_checks "reader" v;
-    E.exit_ e ~slot:0;
-    incr readers_done
-  in
-  let writer () =
-    for k = 1 to publishes do
-      (* The engine calls publish inside its Exclusive window; retire
-         and reclaim ride along. *)
-      E.publish e ~lsn:k (k, k)
-    done;
-    (* End-state sweep.  The epoch operations are scheduling points, so
-       the finale may not perform them — the sweep runs inside this
-       modeled thread instead, gated until the reader has drained.  The
-       gate adds no branching: while disabled the writer is simply not
-       runnable, and once enabled it is the only fiber left. *)
-    Schedcheck.step "await reader drain" ~enabled:(fun () ->
-        !readers_done = 1);
-    check (E.active_readers e = 0) "epoch: reader slot not empty at end";
-    let v = E.load e in
-    check
-      (v.E.vlsn = publishes && not v.E.reclaimed)
-      "epoch: current version wrong or reclaimed at end";
-    (* Every reader is gone, so one more sweep must free everything
-       the publishes retired. *)
-    ignore (E.reclaim e : int);
-    check (E.retired_count e = 0) "epoch: retired versions left unreclaimed";
-    check
-      (E.reclaimed_total e = publishes)
-      "epoch: reclaimed count does not match retired count"
-  in
-  Schedcheck.scenario [ ("reader", reader); ("writer", writer) ]
-
-(* Two readers sharing one slot: the counted-registration path (the
-   second enter piggybacks on the first's — possibly older — epoch).
-   The invariants are the same; what this adds is exhausting the
-   enter/exit counting against concurrent retirement. *)
-let epoch_shared_slot () =
-  let e = E.create ~slots:1 ~lsn:0 (0, 0) in
-  let readers_done = ref 0 in
-  let reader () =
-    E.enter e ~slot:0;
-    let v = E.load e in
-    epoch_reader_checks "reader" v;
-    E.exit_ e ~slot:0;
-    incr readers_done
-  in
-  (* Enter/exit with no read in between: the pure counting race.  Its
-     version checks would duplicate [reader]'s (and [epoch_readers]);
-     dropping them keeps the three-thread space exhaustible. *)
-  let racer () =
-    E.enter e ~slot:0;
-    E.exit_ e ~slot:0;
-    incr readers_done
-  in
-  let writer () =
-    E.publish e ~lsn:1 (1, 1);
-    (* See [epoch_readers] for why the sweep lives here. *)
-    Schedcheck.step "await reader drain" ~enabled:(fun () ->
-        !readers_done = 2);
-    check (E.active_readers e = 0) "epoch: shared slot not empty at end";
-    ignore (E.reclaim e : int);
-    check (E.retired_count e = 0) "epoch: retired versions left unreclaimed"
-  in
-  Schedcheck.scenario
-    [ ("reader", reader); ("racer", racer); ("writer", writer) ]
-
-(* Detector of the detector: a writer that reclaims without honouring
-   the reader slots.  The explorer must find a schedule where a reader
-   still inside its epoch observes its version reclaimed. *)
-let epoch_broken_reclaim () =
-  let e = E.create ~slots:1 ~lsn:0 (0, 0) in
-  let reader () =
-    E.enter e ~slot:0;
-    let v = E.load e in
-    Schedcheck.yield "reading";
-    epoch_reader_checks "reader" v;
-    E.exit_ e ~slot:0
-  in
-  let writer () =
-    E.publish e ~lsn:1 (1, 1);
-    (* The bug: freeing retired versions while a slot is registered. *)
-    ignore (E.unsafe_reclaim_all e : int)
-  in
-  Schedcheck.scenario [ ("reader", reader); ("writer", writer) ]
-
-(* Detector of the detector, torn-read edition: a writer that mutates
-   the published payload in place instead of path-copying and
-   publishing a fresh version.  The explorer must find a schedule where
-   a reader observes the half-written pair. *)
-let epoch_broken_mutation () =
-  let p = [| 0; 0 |] in
-  let e = E.create ~slots:1 ~lsn:0 p in
-  let reader () =
-    E.enter e ~slot:0;
-    let v = E.load e in
-    let a = v.E.payload.(0) in
-    Schedcheck.yield "between reads";
-    let b = v.E.payload.(1) in
-    check (a = b) "reader: torn read (payload mutated under a live epoch)";
-    E.exit_ e ~slot:0
-  in
-  let writer () =
-    (* The bug: the "next version" shares structure it then mutates. *)
-    Schedcheck.yield "mutate.0";
-    p.(0) <- 1;
-    Schedcheck.yield "mutate.1";
-    p.(1) <- 1
-  in
-  Schedcheck.scenario [ ("reader", reader); ("writer", writer) ]
-
-(* ------------------------------------------------------------------ *)
-
 let failure_detector ~probes () =
   (* The real shipped detector ([lib/replica/detector.ml]) under the
      virtual scheduler: a prober thread runs a scripted sequence of

@@ -78,38 +78,6 @@ val replica_outbox : pushes:int -> capacity:int -> unit -> Schedcheck.scenario
     shutdown in every interleaving (a missed wakeup shows up as a
     deadlock). *)
 
-val epoch_readers : publishes:int -> unit -> Schedcheck.scenario
-(** The lock-free read path's reclamation protocol
-    ([Sdb_epoch.Epoch_core.Make] — the shipped code, over virtual
-    atomics): one reader entering its epoch, loading the published
-    version and using it across a scheduling point, racing a writer
-    that publishes [publishes] fresh versions (retiring and reclaiming
-    as the engine's Exclusive window does).  Checks, in every
-    interleaving: no torn read (a version is observed whole or not at
-    all), payload consistent with the version's LSN, no use-after-retire
-    (a version is never reclaimed while a reader that loaded it is
-    still inside its epoch), and — once the reader drains — one final
-    sweep reclaims every retired version. *)
-
-val epoch_shared_slot : unit -> Schedcheck.scenario
-(** Two readers sharing one reader slot (the counted-registration path:
-    the second enter piggybacks on the first's — possibly older —
-    epoch), racing one publish.  Exhausts the enter/exit counting
-    against concurrent retirement: one reader loads and checks its
-    version, the other races pure enter/exit bracketing. *)
-
-val epoch_broken_reclaim : unit -> Schedcheck.scenario
-(** Detector of the detector: the writer frees retired versions without
-    honouring the reader slots ([unsafe_reclaim_all]).  The explorer
-    must find a schedule where a reader still inside its epoch observes
-    its version reclaimed. *)
-
-val epoch_broken_mutation : unit -> Schedcheck.scenario
-(** Detector of the detector, torn-read edition: the writer mutates the
-    published payload in place instead of publishing a fresh immutable
-    version.  The explorer must find a schedule where a reader observes
-    the half-written state. *)
-
 val failure_detector : probes:bool list -> unit -> Schedcheck.scenario
 (** The replica failure detector ([Sdb_replica.Detector] — the shipped
     code, not a model): a prober running the scripted heartbeat

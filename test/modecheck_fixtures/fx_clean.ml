@@ -3,7 +3,6 @@
    against rules that fire on correct code. *)
 
 module Vlock = Sdb_vlock.Vlock
-module Epoch = Sdb_epoch.Epoch
 
 let lock = Vlock.create ~name:"fx.clean" ()
 let state = ref 0
@@ -19,7 +18,3 @@ let write () =
 let read_state () =
   Vlock.with_lock lock Vlock.Shared (fun () -> !state)
   [@@sdb.acquires shared]
-
-(* A balanced epoch read: enter/exit implied by Epoch.read's bracket. *)
-let cell = Epoch.create ~name:"fx.clean.epoch" ~lsn:0 0
-let snapshot () = Epoch.read cell (fun v -> v)

@@ -563,6 +563,27 @@ let test_history_fold_and_state_at () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "lsn beyond tip accepted"
 
+(* With retain_previous too, generation g-1's log stays live as
+   logfile<g-1> instead of joining the archive; history must still read
+   it as that generation's log. *)
+let test_history_with_retained_previous () =
+  let config = { archive_config with retain_previous = true } in
+  let _, _, db = mem_db ~config () in
+  for i = 0 to 5 do
+    KVDb.update db (sequenced_update i);
+    if i = 1 || i = 3 then KVDb.checkpoint db
+  done;
+  Alcotest.check Alcotest.bool "history available" true (KVDb.History.available db);
+  (match KVDb.History.fold db ~init:[] ~f:(fun acc lsn _ -> lsn :: acc) with
+  | Error e -> Alcotest.fail e
+  | Ok lsns ->
+    check Alcotest.(list int) "each lsn once" [ 0; 1; 2; 3; 4; 5 ] (List.rev lsns));
+  match KVDb.History.state_at db ~lsn:6 with
+  | Error e -> Alcotest.fail e
+  | Ok st ->
+    check Alcotest.(list (pair string string)) "tip equals live" (kv_contents db)
+      (Smap.bindings st)
+
 let test_history_unavailable_without_archiving () =
   let _, _, db = mem_db () in
   KVDb.update db (sequenced_update 0);
@@ -1567,6 +1588,8 @@ let () =
         [
           Alcotest.test_case "archive accumulates" `Quick test_archive_accumulates;
           Alcotest.test_case "fold and state_at" `Quick test_history_fold_and_state_at;
+          Alcotest.test_case "history with retained previous log" `Quick
+            test_history_with_retained_previous;
           Alcotest.test_case "unavailable without archiving" `Quick
             test_history_unavailable_without_archiving;
           Alcotest.test_case "survives crash mid-checkpoint" `Quick

@@ -47,10 +47,8 @@ let fixture_cases =
     ("Fx_mode", [ "mode" ]);
     ("Fx_chain", [ "mode" ]);
     ("Fx_iomutex", [ "io-under-mutex"; "unprotected-acquire" ]);
-    ("Fx_epoch", [ "epoch-bracket" ]);
     ("Fx_cycle", [ "lock-order" ]);
     ("Fx_noblock", [ "noblock" ]);
-    ("Fx_epoch_safety", [ "epoch-safety" ]);
     ("Fx_clean", []);
   ]
 

@@ -203,34 +203,6 @@ let test_mutex_across_io () =
   Sdb_check.assert_no_mutex_held_during_io ~site:"test.fsync";
   Vlock.release l Vlock.Update
 
-(* Epoch bracketing: the lock-free read path's discipline. *)
-
-let test_epoch_unbracketed_exit () =
-  fresh ();
-  expect_violation "epoch" (fun () -> Sdb_check.note_epoch_exit ~name:"t.e")
-
-let test_epoch_across_io () =
-  fresh ();
-  Sdb_check.note_epoch_enter ~name:"t.e";
-  check Alcotest.int "depth tracked" 1 (Sdb_check.epoch_depth ());
-  (* An epoch pins a version for every reader slot behind it: blocking
-     I/O inside one stalls reclamation exactly like holding a mutex. *)
-  expect_violation "io" (fun () ->
-      Sdb_check.assert_no_mutex_held_during_io ~site:"test.fsync");
-  Sdb_check.note_epoch_exit ~name:"t.e";
-  check Alcotest.int "depth restored" 0 (Sdb_check.epoch_depth ());
-  Sdb_check.assert_no_mutex_held_during_io ~site:"test.fsync"
-
-let test_epoch_balanced_nesting () =
-  fresh ();
-  Sdb_check.note_epoch_enter ~name:"t.e";
-  Sdb_check.note_epoch_enter ~name:"t.e";
-  check Alcotest.int "nested depth" 2 (Sdb_check.epoch_depth ());
-  Sdb_check.note_epoch_exit ~name:"t.e";
-  Sdb_check.note_epoch_exit ~name:"t.e";
-  check Alcotest.int "no violations" 0
-    (Sdb_check.stats ()).Sdb_check.violations
-
 let test_violation_log_and_stats () =
   fresh ();
   let l = Sdb_check.make_lock "t.log" in
@@ -345,11 +317,6 @@ let () =
             test_upgrade_without_hold;
           Alcotest.test_case "guarded field" `Quick test_guarded_field;
           Alcotest.test_case "mutex across io" `Quick test_mutex_across_io;
-          Alcotest.test_case "epoch exit without enter" `Quick
-            test_epoch_unbracketed_exit;
-          Alcotest.test_case "epoch held across io" `Quick test_epoch_across_io;
-          Alcotest.test_case "epoch balanced nesting" `Quick
-            test_epoch_balanced_nesting;
           Alcotest.test_case "violation log and stats" `Quick
             test_violation_log_and_stats;
           Alcotest.test_case "disabled is inert" `Quick test_disabled_is_inert;

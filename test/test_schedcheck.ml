@@ -108,21 +108,6 @@ let test_failure_detector () =
     (assert_passed "failure_detector(fail,fail)"
        (Sched.explore (Scen.failure_detector ~probes:[ false; false ])))
 
-(* --- epoch-published snapshots (lock-free read path) --------------- *)
-
-let test_epoch_readers () =
-  ignore
-    (assert_passed "epoch_readers(1)"
-       (Sched.explore (Scen.epoch_readers ~publishes:1)));
-  ignore
-    (assert_passed "epoch_readers(2)"
-       (Sched.explore (Scen.epoch_readers ~publishes:2)))
-
-let test_epoch_shared_slot () =
-  ignore
-    (assert_passed "epoch_shared_slot"
-       (Sched.explore ~max_schedules:2_000_000 Scen.epoch_shared_slot))
-
 let mentions ~sub text =
   let n = String.length sub and m = String.length text in
   let rec at i = i + n <= m && (String.sub text i n = sub || at (i + 1)) in
@@ -140,18 +125,10 @@ let assert_caught name make ~mentioning =
     | o, _ -> Alcotest.failf "%s: replay did not violate:\n%s" name (Sched.pp_outcome o))
   | o -> Alcotest.failf "%s must be caught:\n%s" name (Sched.pp_outcome o)
 
-let test_epoch_broken_reclaim () =
-  assert_caught "epoch_broken_reclaim" Scen.epoch_broken_reclaim
-    ~mentioning:[ "use-after-retire" ]
-
 let test_checked_join_caught () =
   assert_caught "checked inserts joining groups"
     (Scen.group_commit ~checked_joins:true ~inserts:2 ~updaters:2)
     ~mentioning:[ "checked inserts committed" ]
-
-let test_epoch_broken_mutation () =
-  assert_caught "epoch_broken_mutation" Scen.epoch_broken_mutation
-    ~mentioning:[ "torn read" ]
 
 (* --- detector of the detector ------------------------------------- *)
 
@@ -237,17 +214,6 @@ let () =
           Alcotest.test_case "replica outbox hand-off" `Quick test_replica_outbox;
           Alcotest.test_case "failure detector: revive only by heartbeat" `Quick
             test_failure_detector;
-        ] );
-      ( "epoch",
-        [
-          Alcotest.test_case "reader vs publish/retire/reclaim" `Quick
-            test_epoch_readers;
-          Alcotest.test_case "shared slot: counted registration" `Quick
-            test_epoch_shared_slot;
-          Alcotest.test_case "unsafe reclaim is caught (use-after-retire)" `Quick
-            test_epoch_broken_reclaim;
-          Alcotest.test_case "in-place mutation is caught (torn read)" `Quick
-            test_epoch_broken_mutation;
         ] );
       ( "harness",
         [
