@@ -1913,6 +1913,94 @@ let e20 ~quick () =
      stream -- the property measured here"
 
 (* ------------------------------------------------------------------ *)
+(* E21: metric histograms — cost per observation, bounded storage      *)
+
+let e21_json_file = "BENCH_E21.json"
+
+let e21 ~quick () =
+  section "e21" "metric histograms: ns per observe on 1 and 2 domains, words per series";
+  (* The registry's histogram (a fetch-and-add on a fixed log-linear
+     bucket plus compare-and-set on sum, min and max) against what it
+     replaced: an exact, growable sample array behind a mutex.  Every
+     domain records [per_domain] samples into the one shared series and
+     the cost is wall time over per_domain, so the two-domain figure is
+     what one observation costs while another domain records too.  Best
+     of three runs.  [cores] is recorded because two domains only
+     contend in parallel where two cores exist. *)
+  let cores = Domain.recommended_domain_count () in
+  let per_domain = if quick then 200_000 else 1_000_000 in
+  (* A fresh series per run, and a thunk giving its size afterwards. *)
+  let fresh = function
+    | `Buckets ->
+      Metrics.reset ();
+      let h = Metrics.histogram "bench_e21_observe_seconds" in
+      (Metrics.observe h, fun () -> Obj.reachable_words (Obj.repr h))
+    | `Exact ->
+      let h = Histogram.create () and mu = Mutex.create () in
+      ( (fun v ->
+          Mutex.lock mu;
+          Histogram.record h v;
+          Mutex.unlock mu),
+        fun () -> Obj.reachable_words (Obj.repr h) )
+  in
+  let run route ~domains =
+    let best = ref infinity and size = ref 0 in
+    for _ = 1 to 3 do
+      let observe, words = fresh route in
+      let work () =
+        for i = 1 to per_domain do
+          observe (float_of_int (i land 1023) *. 1e-6)
+        done
+      in
+      let (), ms =
+        time_ms (fun () ->
+            List.iter Domain.join (List.init domains (fun _ -> Domain.spawn work)))
+      in
+      best := Float.min !best (ms *. 1e6 /. float_of_int per_domain);
+      size := words ()
+    done;
+    (!best, !size)
+  in
+  let routes = [ (`Buckets, "log-linear buckets"); (`Exact, "mutex + sample array") ] in
+  let json = ref [] in
+  let rows =
+    List.concat_map
+      (fun (route, label) ->
+        List.map
+          (fun domains ->
+            let ns, words = run route ~domains in
+            json :=
+              Printf.sprintf
+                "{\"experiment\": \"e21\", \"histogram\": \"%s\", \
+                 \"domains\": %d, \"cores\": %d, \"samples_per_domain\": %d, \
+                 \"ns_per_observe\": %.1f, \"words_per_series\": %d}"
+                label domains cores per_domain ns words
+              :: !json;
+            [
+              label;
+              string_of_int domains;
+              Printf.sprintf "%.1f ns" ns;
+              string_of_int words;
+              fmt_bytes (words * (Sys.word_size / 8));
+            ])
+          [ 1; 2 ])
+      routes
+  in
+  Tablefmt.print
+    ~header:[ "histogram"; "domains"; "per observe"; "words/series"; "bytes" ]
+    rows;
+  List.iter json_add (List.rev !json);
+  write_json_rows e21_json_file (List.rev !json);
+  note "host has %d core%s; words/series after %d samples per domain" cores
+    (if cores = 1 then "" else "s")
+    per_domain;
+  Printf.printf "  artifact: %s\n" e21_json_file;
+  paper
+    "the paper keeps the whole database in virtual memory; the metrics \
+     beside it should not outgrow it -- a bucket series is a constant \
+     few kilobytes however long the server runs"
+
+(* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks: one Test.make per experiment's core op   *)
 
 let bechamel_suite ~quick () =
@@ -2030,6 +2118,7 @@ let experiments =
     ("e18", e18);
     ("e19", e19);
     ("e20", e20);
+    ("e21", e21);
     ("micro", bechamel_suite);
   ]
 

@@ -10,9 +10,14 @@
     already exists with a different metric kind raises
     [Invalid_argument]: a family has exactly one kind.
 
-    The registry is cheap enough to leave on in the hot path: a counter
-    increment is one atomic fetch-and-add, a histogram observation is
-    one mutex-protected array store.  {!set_enabled}[ false] turns every
+    The registry is cheap enough to leave on in the hot path, and no
+    recording call takes a mutex: a counter increment is one atomic
+    fetch-and-add, a gauge set one atomic store.  A histogram keeps a
+    fixed set of log-linear buckets (8 per power of two over
+    [\[2^-32, 2^32)], one more below and one above: 514 in all), so its
+    memory does not grow with the number of observations; recording one
+    is a fetch-and-add on the sample's bucket plus compare-and-set
+    updates of the exact sum, min and max.  {!set_enabled}[ false] turns every
     mutation into a single atomic load and branch, so instrumented code
     needs no conditional of its own.  Use {!is_enabled} only to skip
     {e extra} work (such as calling [Unix.gettimeofday] to produce a
@@ -59,6 +64,13 @@ val time : histogram -> (unit -> 'a) -> 'a
 val counter_value : counter -> int
 val gauge_value : gauge -> float
 val histogram_snapshot : histogram -> Sdb_util.Histogram.snapshot
+(** Count, sum, mean, min and max are exact.  The quantiles are
+    estimates: the midpoint of the bucket holding the sample nearest
+    the quantile's rank, clamped to [\[min, max\]], within 6.25% of
+    that sample.  Samples below [2^-32] (zero among them) read as the
+    min, samples of [2^32] and above as the max.  O(buckets), no sort;
+    a snapshot taken while other threads record may count a sample in
+    the sum before it shows in the count. *)
 
 val summaries : unit -> (string * labels * Sdb_util.Histogram.snapshot) list
 (** Every histogram series in the registry as
@@ -69,7 +81,9 @@ val summaries : unit -> (string * labels * Sdb_util.Histogram.snapshot) list
 val merged_summary : string -> Sdb_util.Histogram.snapshot
 (** One snapshot over the union of all sample sets of the named
     summary family (e.g. every [meth] series of
-    ["sdb_rpc_latency_seconds"] combined).  The empty snapshot when the
+    ["sdb_rpc_latency_seconds"] combined): the series' buckets added,
+    so its quantiles carry the same error bound as
+    {!histogram_snapshot}'s.  The empty snapshot when the
     family does not exist or has only counter/gauge series. *)
 
 (** {1 Exposition} *)
@@ -86,7 +100,9 @@ val render : unit -> string
 (** The whole registry in Prometheus text format, deterministically
     ordered (families alphabetical, series by label value).  Histograms
     render as summaries: [quantile="0.5"|"0.9"|"0.99"|"0.999"] series
-    plus [_sum], [_count], [_min] and [_max]. *)
+    plus [_sum], [_count], [_min] and [_max].  The quantile values are
+    the bucket estimates of {!histogram_snapshot} (within 6.25%); the
+    other four are exact. *)
 
 val reset : unit -> unit
 (** Zero every registered metric in place: counters and gauges to 0,

@@ -109,10 +109,6 @@ let snapshot t =
       s_p999 = percentile t 99.9;
     }
 
-let clear t =
-  t.len <- 0;
-  t.sorted <- None
-
 (* Capture the source's array and length up front so merging a
    histogram into itself (or a concurrent [record] into [dst]) cannot
    read through a reallocation mid-loop. *)
@@ -121,9 +117,3 @@ let merge_into dst src =
   for i = 0 to n - 1 do
     record dst src_samples.(i)
   done
-
-let merge a b =
-  let t = create () in
-  merge_into t a;
-  merge_into t b;
-  t

@@ -43,12 +43,7 @@ val snapshot : t -> snapshot
 val empty_snapshot : snapshot
 (** What {!snapshot} returns for an empty histogram (all zeros). *)
 
-val clear : t -> unit
-(** Forget all samples (capacity is retained). *)
-
 val total : t -> float
-val merge : t -> t -> t
-(** A fresh histogram holding both sample sets. *)
 
 val merge_into : t -> t -> unit
 (** [merge_into dst src] appends every sample of [src] to [dst]

@@ -121,6 +121,138 @@ let test_reset_keeps_handles () =
   check Alcotest.bool "still rendered" true
     (Helpers.contains ~needle:"test_obs_reset_total 1" (Metrics.render ()))
 
+(* A histogram series keeps buckets, not samples: its quantiles are
+   estimates within 6.25% of the exact ones, everything else is exact. *)
+
+let snapshot_of_samples name samples =
+  let h = Metrics.histogram name in
+  let exact = Sdb_util.Histogram.create () in
+  List.iter
+    (fun v ->
+      Metrics.observe h v;
+      Sdb_util.Histogram.record exact v)
+    samples;
+  (Metrics.histogram_snapshot h, Sdb_util.Histogram.snapshot exact)
+
+(* Lognormal around 1 ms: 10^5 values spanning microseconds to about a
+   second, Box-Muller over a seeded stream. *)
+let lognormal_samples ~seed n =
+  let rng = Sdb_util.Rng.create ~seed in
+  List.init n (fun _ ->
+      let u1 = 1.0 -. Sdb_util.Rng.float rng 1.0 and u2 = Sdb_util.Rng.float rng 1.0 in
+      let z = Float.sqrt (-2.0 *. Float.log u1) *. Float.cos (2.0 *. Float.pi *. u2) in
+      Float.exp (Float.log 1e-3 +. (1.5 *. z)))
+
+let test_histogram_accuracy () =
+  let got, want =
+    snapshot_of_samples "test_obs_accuracy_seconds" (lognormal_samples ~seed:2020 100_000)
+  in
+  let module H = Sdb_util.Histogram in
+  check Alcotest.int "count exact" want.H.s_count got.H.s_count;
+  check (Alcotest.float 0.0) "sum exact" want.H.s_total got.H.s_total;
+  check (Alcotest.float 0.0) "min exact" want.H.s_min got.H.s_min;
+  check (Alcotest.float 0.0) "max exact" want.H.s_max got.H.s_max;
+  check (Alcotest.float 0.0) "mean exact" want.H.s_mean got.H.s_mean;
+  List.iter
+    (fun (name, est, exact) ->
+      let err = Float.abs (est -. exact) /. exact in
+      if err > 0.0625 then
+        Alcotest.failf "%s: estimate %g vs exact %g (%.2f%% off)" name est exact
+          (err *. 100.0))
+    [
+      ("p50", got.H.s_p50, want.H.s_p50);
+      ("p90", got.H.s_p90, want.H.s_p90);
+      ("p99", got.H.s_p99, want.H.s_p99);
+      ("p999", got.H.s_p999, want.H.s_p999);
+    ]
+
+let test_histogram_edges () =
+  let module H = Sdb_util.Histogram in
+  (* Zero and a value below 2^-32 share the bottom bucket, which reads
+     as the exact min at every quantile. *)
+  let low, _ = snapshot_of_samples "test_obs_edge_low_seconds" [ 0.0; 1e-12; 1e-12 ] in
+  check (Alcotest.float 0.0) "low min exact" 0.0 low.H.s_min;
+  check (Alcotest.float 0.0) "low max exact" 1e-12 low.H.s_max;
+  check (Alcotest.float 0.0) "below range reads as min" 0.0 low.H.s_p50;
+  (* Values of 2^32 and up share the top bucket, read as the exact max. *)
+  let high, _ = snapshot_of_samples "test_obs_edge_high_seconds" [ 1e10; 1e10; 1e12 ] in
+  check (Alcotest.float 0.0) "high min exact" 1e10 high.H.s_min;
+  check (Alcotest.float 0.0) "high max exact" 1e12 high.H.s_max;
+  check (Alcotest.float 0.0) "above range reads as max" 1e12 high.H.s_p50;
+  (* One sample in range: the clamp makes every quantile exact. *)
+  let one, _ = snapshot_of_samples "test_obs_edge_one_seconds" [ 0.25 ] in
+  check (Alcotest.float 0.0) "single sample p50" 0.25 one.H.s_p50;
+  check (Alcotest.float 0.0) "single sample p999" 0.25 one.H.s_p999
+
+let test_histogram_reset () =
+  let h = Metrics.histogram "test_obs_hreset_seconds" in
+  List.iter (Metrics.observe h) [ 1.0; 2.0; 3.0 ];
+  Metrics.reset ();
+  let s = Metrics.histogram_snapshot h in
+  check Alcotest.int "emptied" 0 s.Sdb_util.Histogram.s_count;
+  check (Alcotest.float 0.0) "sum zeroed" 0.0 s.Sdb_util.Histogram.s_total;
+  Metrics.observe h 5.0;
+  let s = Metrics.histogram_snapshot h in
+  check Alcotest.int "handle still live" 1 s.Sdb_util.Histogram.s_count;
+  check (Alcotest.float 0.0) "min restarts" 5.0 s.Sdb_util.Histogram.s_min;
+  check (Alcotest.float 0.0) "max restarts" 5.0 s.Sdb_util.Histogram.s_max
+
+let test_histogram_bounded () =
+  let h = Metrics.histogram "test_obs_bounded_seconds" in
+  for i = 1 to 10 do
+    Metrics.observe h (float_of_int i *. 1e-4)
+  done;
+  let words_10 = Obj.reachable_words (Obj.repr h) in
+  for i = 11 to 1_000_000 do
+    Metrics.observe h (float_of_int (i mod 5000) *. 1e-4)
+  done;
+  check Alcotest.int "observations" 1_000_000
+    (Metrics.histogram_snapshot h).Sdb_util.Histogram.s_count;
+  check Alcotest.int "same size after 10^6 observations" words_10
+    (Obj.reachable_words (Obj.repr h))
+
+(* Two domains and two threads record into one series while a third
+   thread keeps reading the family; integer-valued samples make the
+   float sum exact whatever the interleaving. *)
+let test_histogram_concurrent () =
+  let name = "test_obs_concurrent_seconds" in
+  let h = Metrics.histogram name in
+  let per_writer = 50_000 in
+  let record () =
+    for i = 1 to per_writer do
+      Metrics.observe h (float_of_int (i mod 1000))
+    done
+  in
+  let failure = ref None in
+  let guard f () = try f () with e -> failure := Some e in
+  let stop = Atomic.make false in
+  let reader =
+    Thread.create
+      (guard (fun () ->
+           while not (Atomic.get stop) do
+             ignore (Metrics.merged_summary name : Sdb_util.Histogram.snapshot);
+             Thread.yield ()
+           done))
+      ()
+  in
+  let domains = List.init 2 (fun _ -> Domain.spawn record) in
+  let threads = List.init 2 (fun _ -> Thread.create (guard record) ()) in
+  List.iter Domain.join domains;
+  List.iter Thread.join threads;
+  Atomic.set stop true;
+  Thread.join reader;
+  Option.iter raise !failure;
+  let s = Metrics.merged_summary name in
+  let writers = 4 in
+  (* Per writer: 50 full rounds of 0..999, each summing to 499,500. *)
+  let per_writer_sum = float_of_int (per_writer / 1000 * 499_500) in
+  check Alcotest.int "count exact" (writers * per_writer) s.Sdb_util.Histogram.s_count;
+  check (Alcotest.float 0.0) "sum exact"
+    (float_of_int writers *. per_writer_sum)
+    s.Sdb_util.Histogram.s_total;
+  check (Alcotest.float 0.0) "min" 0.0 s.Sdb_util.Histogram.s_min;
+  check (Alcotest.float 0.0) "max" 999.0 s.Sdb_util.Histogram.s_max
+
 (* ------------------------------------------------------------------ *)
 (* Tracing                                                             *)
 
@@ -242,6 +374,29 @@ let test_with_request () =
     (req "explicit");
   check (Alcotest.option Alcotest.string) "after scope" None (req "after")
 
+(* Spans emitted by two domains, each inside its own request scope,
+   carry their own domain's id: the request context is keyed by a
+   thread id that is unique across domains. *)
+let test_with_request_domains () =
+  let ring = Trace.Ring.create ~capacity:4096 in
+  with_sink (Trace.Ring.sink ring) (fun () ->
+      let worker d =
+        Domain.spawn (fun () ->
+            let id = Printf.sprintf "req-d%d" d in
+            Trace.with_request id (fun () ->
+                for i = 1 to 500 do
+                  Trace.span id ~start_s:(float_of_int i) ~dur_s:0.0
+                done))
+      in
+      List.iter Domain.join [ worker 1; worker 2 ]);
+  let spans = Trace.Ring.contents ring in
+  check Alcotest.int "every span kept" 1000 (List.length spans);
+  List.iter
+    (fun s ->
+      check (Alcotest.option Alcotest.string) "span carries its domain's req"
+        (Some s.Trace.name) (List.assoc_opt "req" s.Trace.attrs))
+    spans
+
 (* ------------------------------------------------------------------ *)
 (* Summaries                                                           *)
 
@@ -307,6 +462,11 @@ let () =
           Alcotest.test_case "reset keeps handles" `Quick test_reset_keeps_handles;
           Alcotest.test_case "summaries and merge" `Quick test_summaries_and_merge;
           Alcotest.test_case "render p999" `Quick test_render_p999;
+          Alcotest.test_case "histogram accuracy" `Quick test_histogram_accuracy;
+          Alcotest.test_case "histogram edge buckets" `Quick test_histogram_edges;
+          Alcotest.test_case "histogram reset" `Quick test_histogram_reset;
+          Alcotest.test_case "histogram bounded" `Quick test_histogram_bounded;
+          Alcotest.test_case "histogram concurrent" `Quick test_histogram_concurrent;
         ] );
       ( "trace",
         [
@@ -317,6 +477,8 @@ let () =
           Alcotest.test_case "ring recent" `Quick test_ring_recent;
           Alcotest.test_case "slow ring" `Quick test_slow_ring;
           Alcotest.test_case "request context" `Quick test_with_request;
+          Alcotest.test_case "request context across domains" `Quick
+            test_with_request_domains;
           Alcotest.test_case "jsonl escaping" `Quick test_jsonl_sink;
         ] );
     ]

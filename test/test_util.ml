@@ -262,12 +262,9 @@ let test_histogram_growth_and_merge () =
   check (Alcotest.float 1e-6) "p99" 990.01 (Histogram.percentile h 99.0);
   let h2 = Histogram.create () in
   Histogram.record h2 5000.0;
-  let merged = Histogram.merge h h2 in
-  check Alcotest.int "merged count" 1001 (Histogram.count merged);
-  check (Alcotest.float 1e-6) "merged max" 5000.0 (Histogram.max merged);
-  check Alcotest.int "merge sources unchanged" 1000 (Histogram.count h);
   Histogram.merge_into h h2;
   check Alcotest.int "merge_into appends" 1001 (Histogram.count h);
+  check Alcotest.int "merge source unchanged" 1 (Histogram.count h2);
   check (Alcotest.float 1e-6) "merge_into carries samples" 5000.0
     (Histogram.max h);
   Histogram.merge_into h2 h2;
@@ -333,11 +330,7 @@ let test_histogram_snapshot () =
   check (Alcotest.float 1e-9) "p90" (Histogram.percentile h 90.0) s.Histogram.s_p90;
   check (Alcotest.float 1e-9) "p99" (Histogram.percentile h 99.0) s.Histogram.s_p99;
   check (Alcotest.float 1e-9) "p999" (Histogram.percentile h 99.9)
-    s.Histogram.s_p999;
-  Histogram.clear h;
-  check Alcotest.int "cleared" 0 (Histogram.count h);
-  Histogram.record h 7.0;
-  check (Alcotest.float 1e-9) "usable after clear" 7.0 (Histogram.mean h)
+    s.Histogram.s_p999
 
 let () =
   Helpers.run "util"
@@ -382,6 +375,6 @@ let () =
           Alcotest.test_case "interpolation" `Quick test_histogram_interpolation;
           Alcotest.test_case "empty errors" `Quick test_histogram_empty_errors;
           Alcotest.test_case "percentile_opt" `Quick test_histogram_percentile_opt;
-          Alcotest.test_case "snapshot and clear" `Quick test_histogram_snapshot;
+          Alcotest.test_case "snapshot" `Quick test_histogram_snapshot;
         ] );
     ]
