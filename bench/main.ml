@@ -29,7 +29,7 @@ open Workloads
 
 let costs = Cost.microvax_1987
 
-(* Bench owns stdout; the library only renders (sdb_lint print-in-lib). *)
+(* Bench owns stdout; the library only renders (sdb_modecheck print-in-lib). *)
 module Tablefmt = struct
   include Sdb_util.Tablefmt
 

@@ -146,7 +146,6 @@ let open_ fs ~file ?(page_size = default_page_size) ?(buckets = default_buckets)
     end
   end
 
-let page_size t = t.psize
 let npages t = t.pages
 
 let record_fits t ~key ~value = page_header + record_size key value <= t.psize

@@ -23,16 +23,6 @@ type violation = {
 
 exception Violation of violation
 
-let pp_violation v =
-  let b = Buffer.create 256 in
-  Buffer.add_string b (Printf.sprintf "[%s] %s" v.v_rule v.v_message);
-  List.iter
-    (fun (label, stack) ->
-      Buffer.add_string b (Printf.sprintf "\n-- %s --\n%s" label
-           (if String.trim stack = "" then "(no stack information)" else stack)))
-    v.v_stacks;
-  Buffer.contents b
-
 (* ------------------------------------------------------------------ *)
 (* Global state                                                        *)
 
@@ -46,8 +36,6 @@ let set_enabled v = Atomic.set enabled_flag v
 let enabled () = Atomic.get enabled_flag
 
 type lock = { l_id : int; l_class : string; l_kind : [ `Vlock | `Mutex ] }
-
-let lock_name l = l.l_class
 
 let next_lock_id = Atomic.make 0
 
@@ -321,16 +309,6 @@ let change_mode l ~expect ~to_ ~what =
 let note_upgrade l = change_mode l ~expect:Update ~to_:Exclusive ~what:"upgrade"
 let note_downgrade l = change_mode l ~expect:Exclusive ~to_:Update ~what:"downgrade"
 
-let held_mode l =
-  if not (enabled ()) then None
-  else
-    locked (fun () ->
-        match Hashtbl.find_opt threads (tid ()) with
-        | None -> None
-        | Some stack ->
-          List.find_opt (fun h -> h.h_lock.l_id = l.l_id) !stack
-          |> Option.map (fun h -> h.h_mode))
-
 let assert_mode l want ~site =
   if enabled () then begin
     Atomic.incr n_checks;
@@ -386,6 +364,8 @@ module Mu = struct
   let lock t =
     note_acquire t.checker Mutex;
     Stdlib.Mutex.lock t.m
+  [@@sdb.check.allow
+    "mutex-pairing: Mu.lock is the acquire primitive; Mu.unlock releases"]
 
   let unlock t =
     note_release t.checker Mutex;
@@ -395,7 +375,6 @@ module Mu = struct
     lock t;
     Fun.protect ~finally:(fun () -> unlock t) f
 
-  let raw t = t.m
   let wait c t = Condition.wait c t.m
   let checker t = t.checker
 end

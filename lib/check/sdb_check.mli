@@ -49,15 +49,15 @@ type violation = {
 
 exception Violation of violation
 
-val pp_violation : violation -> string
-(** Multi-line rendering: message followed by each labelled stack. *)
-
 (** {1 Enabling} *)
 
 val set_enabled : bool -> unit
 val enabled : unit -> bool
 
 val reset : unit -> unit
+[@@sdb.check.allow
+  "dead-export: test hook: suites clear the sanitizer state between \
+   cases"]
 (** Clear all per-thread state, the lock-order graph, the retained
     violations and the counters (the enabled flag is kept).  For
     tests. *)
@@ -74,8 +74,6 @@ val make_lock : ?kind:[ `Vlock | `Mutex ] -> string -> lock
 (** A new instance of class [name].  [`Mutex] instances are what
     {!assert_no_mutex_held_during_io} looks for; [`Vlock] instances
     carry [Shared]/[Update]/[Exclusive] modes. *)
-
-val lock_name : lock -> string
 
 val note_acquire : lock -> mode -> unit
 (** Record that the calling thread is acquiring [lock].  Call {e
@@ -102,9 +100,6 @@ val note_upgrade : lock -> unit
 
 val note_downgrade : lock -> unit
 
-val held_mode : lock -> mode option
-(** The mode in which the calling thread holds this instance, if any. *)
-
 (** {1 Assertions} *)
 
 val assert_mode : lock -> mode -> site:string -> unit
@@ -122,19 +117,16 @@ val assert_no_mutex_held_during_io : site:string -> unit
 
 module Mu : sig
   (** A [Mutex.t] that reports to the registry.  Drop-in for the
-      lock/unlock pattern; [raw] exposes the underlying mutex for
-      [Condition.wait] (the registry keeps treating the lock as held
+      lock/unlock pattern; {!wait} waits on a condition with the
+      underlying mutex (the registry keeps treating the lock as held
       across the wait, which is the convention lock-order analysis
       wants: the waiter resumes holding it). *)
 
   type t
 
-  val create : lock -> t
-  (** One instance handle per [Mu.t]: create a fresh {!lock} per
-      mutex, sharing the class name across instances of one family. *)
-
   val make : ?kind:[ `Vlock | `Mutex ] -> string -> t
-  (** [make name] = [create (make_lock ~kind:`Mutex name)]. *)
+  (** A fresh instance of class [name] ({!make_lock}); share the class
+      name across instances of one family. *)
 
   val lock : t -> unit
   val unlock : t -> unit
@@ -142,12 +134,9 @@ module Mu : sig
   val with_lock : t -> (unit -> 'a) -> 'a
   (** Lock, run, unlock (also on exception). *)
 
-  val raw : t -> Mutex.t
-
   val wait : Condition.t -> t -> unit
-  (** [Condition.wait c (raw t)]. *)
+  (** [Condition.wait] on [c] with [t]'s underlying mutex. *)
 
-  val checker : t -> lock
 end
 
 (** {1 Guarded fields} *)
@@ -177,8 +166,14 @@ type stats = {
 val stats : unit -> stats
 
 val violations : unit -> violation list
+[@@sdb.check.allow
+  "dead-export: test hook: the sanitizer suite reads the retained \
+   violations"]
 (** Every violation raised since start (or {!reset}), oldest first. *)
 
 val lock_order_edges : unit -> (string * string) list
+[@@sdb.check.allow
+  "dead-export: test hook: the sanitizer suite compares the observed \
+   lock-order graph"]
 (** The observed class-level lock-order graph, as (held, acquired)
     pairs — the DAG documented in DESIGN.md §5 is this list. *)

@@ -1,7 +1,9 @@
-(* Sdb_modecheck — interprocedural lock-mode & effect checker.
+(* Sdb_modecheck — the repository's static checker.
 
-   Reads the compiler's typedtree output (.cmt files, produced by dune as
-   a side effect of every build) and computes a per-function summary:
+   Reads the compiler's typedtree output (.cmt/.cmti files, produced by
+   `dune build @check`) and runs three kinds of rules over it.
+
+   Interprocedural rules.  A per-function summary records
 
      - Vlock modes required / acquired / released,
      - mutex classes held (with their sanitizer kind),
@@ -12,13 +14,24 @@
    points:
 
      [@@sdb.requires shared|update|exclusive]   caller must hold >= mode
-     [@@sdb.acquires shared|update|exclusive]   acquires (doc / entry point)
+     [@@sdb.acquires shared|update|exclusive]   acquires (documentation)
      [@@sdb.noblock]                            may not block, transitively
 
-   The checker also rederives the lock-order DAG from the summaries and
-   cross-checks it against the runtime lockdep graph documented in
-   DESIGN.md §5.  Waivers share sdb_lint's syntax, under the attribute
-   [@sdb.check.allow "rule: reason"].  Exit codes (via bin/sdb_modecheck):
+   and rederives the lock-order DAG, cross-checked against the runtime
+   lockdep graph documented in DESIGN.md §5.
+
+   Per-unit discipline rules, matched on resolved paths (so
+   [let open Unix in openfile] and module aliases are caught):
+   unix-io, print-in-lib, swallow, global-mutable, and mutex-pairing
+   (a Mu/Mutex lock still open when its function returns).  Scoping
+   comes from the unit's source path: a "lib" component makes the
+   lib-only rules apply, "lib/storage" is exempt from unix-io.
+
+   Whole-tree rule: dead-export flags a value in a lib .mli that no
+   other unit references; references from test units do not count.
+
+   The one waiver is [@sdb.check.allow "rule: reason"] on the offending
+   expression, binding or val.  Exit codes (via bin/sdb_modecheck):
    0 clean, 1 findings, 2 usage/internal error. *)
 
 type vmode = Shared | Update | Exclusive
@@ -54,6 +67,17 @@ let rules : (string * string) list = [
                       lockdep graph in DESIGN.md §5");
   ("unprotected-acquire", "Vlock/Mu acquired, then possibly-raising work, \
                            with no Fun.protect releasing it");
+  ("mutex-pairing", "Mu/Mutex lock still held when the function that took \
+                     it returns");
+  ("unix-io", "direct Unix file I/O outside lib/storage (must route \
+               through Fs)");
+  ("print-in-lib", "stdout/stderr printing inside lib/ (use Sdb_obs)");
+  ("global-mutable", "module-level mutable state in a lib/ unit that uses \
+                      no synchronization primitive");
+  ("swallow", "catch-all `with _` handler or unascribed ignore in lib/ \
+               (errors vanish silently)");
+  ("dead-export", "value in a lib/ .mli that no unit outside its module \
+                   references (test/ does not count)");
   ("attr", "malformed or unknown sdb.* attribute");
   ("read-error", "a .cmt file could not be read or analyzed");
 ]
@@ -61,6 +85,22 @@ let rules : (string * string) list = [
 let render f =
   Printf.sprintf "%s:%d:%d: [%s] %s" f.f_file f.f_line f.f_col f.f_rule
     f.f_message
+
+(* ------------------------------------------------------------------ *)
+(* Source-path scoping: a "lib" component anywhere in the path makes   *)
+(* the lib-only rules apply, so fixtures can sit on either side.       *)
+
+let components path = String.split_on_char '/' path
+let in_lib path = List.mem "lib" (components path)
+let in_test path = List.mem "test" (components path)
+
+let in_storage path =
+  let rec go = function
+    | "lib" :: "storage" :: _ -> true
+    | _ :: rest -> go rest
+    | [] -> false
+  in
+  go (components path)
 
 (* ------------------------------------------------------------------ *)
 (* Attribute parsing: waivers and contracts.                          *)
@@ -76,31 +116,32 @@ let string_payload (p : Parsetree.payload) =
           _ } ] -> Some s
   | _ -> None
 
-(* A waiver payload is "rule: reason" (waives one rule) or any bare
-   string (waives everything) — same grammar as sdb_lint. *)
+(* A waiver payload is "rule: reason": it names one known rule and says
+   why.  Anything else waives nothing and is an [attr] finding. *)
+let waived_rule (p : Parsetree.payload) =
+  match string_payload p with
+  | None -> None
+  | Some s -> (
+      match String.index_opt s ':' with
+      | None -> None
+      | Some i ->
+          let rule = String.trim (String.sub s 0 i) in
+          let reason = String.trim (String.sub s (i + 1) (String.length s - i - 1)) in
+          if List.mem_assoc rule rules && reason <> "" then Some rule else None)
+
 let waivers_of_attrs (attrs : Parsetree.attributes) =
   List.filter_map
     (fun (a : Parsetree.attribute) ->
-      if a.attr_name.txt <> waiver_attr then None
-      else
-        match string_payload a.attr_payload with
-        | None -> Some "*"
-        | Some s -> (
-            match String.index_opt s ':' with
-            | Some i -> Some (String.trim (String.sub s 0 i))
-            | None -> Some (String.trim s)))
+      if a.attr_name.txt = waiver_attr then waived_rule a.attr_payload
+      else None)
     attrs
 
-let waives waivers rule =
-  List.exists (fun w -> w = "*" || w = rule || w = "") waivers
+let waives waivers rule = List.mem rule waivers
 
 type contract = {
   c_requires : vmode option;
-  c_acquires : vmode option;
   c_noblock : bool;
 }
-
-let no_contract = { c_requires = None; c_acquires = None; c_noblock = false }
 
 (* Contract payloads accept a bare word: [@@sdb.requires shared] parses
    the payload as the identifier/constructor/string "shared". *)
@@ -114,37 +155,37 @@ let payload_word (p : Parsetree.payload) =
       | _ -> None)
   | _ -> None
 
-let known_sdb_attrs =
-  [ "sdb.requires"; "sdb.acquires"; "sdb.noblock"; waiver_attr;
-    "sdb.lint.allow" ]
-
-(* [bad] is called for each malformed sdb.* attribute with a message. *)
-let contract_of_attrs ~bad (attrs : Parsetree.attributes) =
+let contract_of_attrs (attrs : Parsetree.attributes) =
   List.fold_left
     (fun c (a : Parsetree.attribute) ->
-      let name = a.attr_name.txt in
-      let mode_arg () =
-        match payload_word a.attr_payload with
-        | Some w -> (
-            match mode_of_string w with
-            | Some m -> Some m
-            | None ->
-                bad (Printf.sprintf "[@%s]: unknown mode %S" name w);
-                None)
-        | None ->
-            bad (Printf.sprintf "[@%s]: expected a mode argument" name);
-            None
-      in
-      match name with
-      | "sdb.requires" -> { c with c_requires = mode_arg () }
-      | "sdb.acquires" -> { c with c_acquires = mode_arg () }
+      match a.attr_name.txt with
+      | "sdb.requires" ->
+          { c with
+            c_requires = Option.bind (payload_word a.attr_payload) mode_of_string }
       | "sdb.noblock" -> { c with c_noblock = true }
-      | _ ->
-          if String.length name > 4 && String.sub name 0 4 = "sdb."
-             && not (List.mem name known_sdb_attrs)
-          then bad (Printf.sprintf "unknown attribute [@%s]" name);
-          c)
-    no_contract attrs
+      | _ -> c)
+    { c_requires = None; c_noblock = false }
+    attrs
+
+(* What is wrong with an sdb.* attribute, if anything. *)
+let attr_problem (a : Parsetree.attribute) =
+  let name = a.attr_name.txt in
+  match name with
+  | "sdb.requires" | "sdb.acquires" -> (
+      match payload_word a.attr_payload with
+      | Some w when mode_of_string w <> None -> None
+      | Some w -> Some (Printf.sprintf "[@%s]: unknown mode %S" name w)
+      | None -> Some (Printf.sprintf "[@%s]: expected a mode argument" name))
+  | "sdb.noblock" -> None
+  | _ when name = waiver_attr ->
+      if waived_rule a.attr_payload <> None then None
+      else
+        Some
+          (Printf.sprintf
+             "[@%s]: expected \"rule: reason\" naming a known rule" name)
+  | _ when String.length name > 4 && String.sub name 0 4 = "sdb." ->
+      Some (Printf.sprintf "unknown attribute [@%s]" name)
+  | _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Canonical names.  Dune mangles wrapped-library modules to           *)
@@ -168,8 +209,13 @@ let strip_mangle s =
 
 let is_mangled s = strip_mangle s <> s
 
+(* A library wrapper (an Sdb_ prefix), or one of dune's alias modules
+   (Lib__ for a library, Dune__exe for executables). *)
 let is_wrapper s =
-  String.length s > 4 && String.sub s 0 4 = "Sdb_" && not (is_mangled s)
+  let n = String.length s in
+  (n > 4 && String.sub s 0 4 = "Sdb_" && not (is_mangled s))
+  || (n > 2 && String.sub s (n - 2) 2 = "__")
+  || s = "Dune__exe"
 
 let normalize parts =
   let parts = match parts with "Stdlib" :: rest -> rest | p -> p in
@@ -202,8 +248,6 @@ type site = {
   st_mode : vmode option;             (* Vlock mode held here *)
   st_mus : (string * mu_kind) list;   (* Mu classes held, innermost first *)
 }
-
-let empty_site = { st_mode = None; st_mus = [] }
 
 type callsite = {
   cs_callee : string;        (* canonical id, e.g. "Vlock.acquire" *)
@@ -519,12 +563,7 @@ let rec peel_lambda (e : Typedtree.expression) =
   | _ -> None
 
 let rec scan fc st (e : Typedtree.expression) =
-  let ctx = fc.c in
   let waivers = waivers_of_attrs e.exp_attributes in
-  let bad msg = report ctx "attr" e.exp_loc msg in
-  (* contract attributes make no sense on expressions, but run the
-     parser anyway so unknown sdb.* attributes are flagged here too *)
-  ignore (contract_of_attrs ~bad e.exp_attributes : contract);
   fc.waiver_stack <- waivers :: fc.waiver_stack;
   (match e.exp_desc with
   | Texp_let (_, vbs, body) ->
@@ -671,13 +710,14 @@ and born_protected fc key =
   fc.in_finally > 0
   || List.exists (List.exists (key_eq key)) fc.protect_keys
 
+(* Opened even inside a detached lambda, so mutex-pairing sees locks
+   taken there; only attached code adds callees and blocking sites. *)
 and open_record fc key loc =
-  if fc.detached = 0 then
-    fc.opens <-
-      { oa_key = key; oa_loc = loc; oa_waivers = active_waivers fc;
-        oa_open = true; oa_protected = born_protected fc key;
-        oa_callees = []; oa_blocked = None }
-      :: fc.opens
+  fc.opens <-
+    { oa_key = key; oa_loc = loc; oa_waivers = active_waivers fc;
+      oa_open = true; oa_protected = born_protected fc key;
+      oa_callees = []; oa_blocked = None }
+    :: fc.opens
 
 and close_record fc key =
   match
@@ -814,12 +854,16 @@ and dispatch fc st loc p args =
           (match mode with Some m -> st.held <- Some m | None -> ());
           inline_fn_arg fc st f;
           st.held <- prev
-      | ([ "Mu"; "lock" ] | [ "Sdb_check"; "Mu"; "lock" ]), [ m ] ->
-          mu_lock fc st loc m
-      | ([ "Mu"; "unlock" ] | [ "Sdb_check"; "Mu"; "unlock" ]), [ m ] ->
-          mu_unlock fc st m
-      | ([ "Mu"; "with_lock" ] | [ "Sdb_check"; "Mu"; "with_lock" ]), [ m; f ]
-        ->
+      | [ "Mu"; "lock" ], [ m ] -> mu_lock fc st loc m
+      | [ "Mu"; "unlock" ], [ m ] -> mu_unlock fc st m
+      (* Raw stdlib mutexes are the sanitizer's uninstrumented leaves
+         (DESIGN.md §5.1): only the open-acquisition audit
+         (mutex-pairing, unprotected-acquire) follows them. *)
+      | [ "Mutex"; "lock" ], [ m ] ->
+          open_record fc (`M (fst (mu_class_of_arg fc.c m))) loc
+      | [ "Mutex"; "unlock" ], [ m ] ->
+          close_record fc (`M (fst (mu_class_of_arg fc.c m)))
+      | [ "Mu"; "with_lock" ], [ m; f ] ->
           mu_lock fc st loc m;
           (match
              List.find_opt
@@ -831,7 +875,7 @@ and dispatch fc st loc p args =
           | None -> ());
           inline_fn_arg fc st f;
           mu_unlock fc st m
-      | ([ "Mu"; "wait" ] | [ "Sdb_check"; "Mu"; "wait" ]), _ ->
+      | [ "Mu"; "wait" ], _ ->
           (* Condition wait: atomically releases the waited mutex while
              blocked and reacquires before returning, so it blocks, but
              not *under* that mutex — and it cannot strand it. *)
@@ -970,7 +1014,7 @@ and probe_releases fc (e : Typedtree.expression) =
         | Texp_ident (p, _, _) ->
             (match resolve fc.c p with
             | [ "Vlock"; "release" ] -> acc := `V :: !acc
-            | [ "Mu"; "unlock" ] | [ "Sdb_check"; "Mu"; "unlock" ] -> (
+            | [ ("Mu" | "Mutex"); "unlock" ] -> (
                 match args with
                 | (_, a) :: _ ->
                     acc := `M (fst (mu_class_of_arg fc.c a)) :: !acc
@@ -1013,8 +1057,7 @@ let summarize_vb ctx ~prefix (vb : Typedtree.value_binding) =
     | [] -> Printf.sprintf "_init_%d" (fst (loc_of vb.vb_loc))
   in
   let fn_id = prefix ^ "." ^ name in
-  let bad msg = report ctx "attr" vb.vb_loc msg in
-  let contract = contract_of_attrs ~bad vb.vb_attributes in
+  let contract = contract_of_attrs vb.vb_attributes in
   let waivers = waivers_of_attrs vb.vb_attributes in
   let fc =
     { c = ctx; fn_id; waiver_stack = [ waivers ]; locals = []; inlining = [];
@@ -1025,6 +1068,17 @@ let summarize_vb ctx ~prefix (vb : Typedtree.value_binding) =
   (match vb.vb_expr.exp_desc with
   | Texp_function _ -> inline_fn_arg fc st vb.vb_expr
   | _ -> scan fc st vb.vb_expr);
+  List.iter
+    (fun oa ->
+      match oa.oa_key with
+      | `M cls when oa.oa_open ->
+          report ctx ~waivers:oa.oa_waivers "mutex-pairing" oa.oa_loc
+            (Printf.sprintf
+               "%s: lock of %S is still held when the function returns; \
+                release it on every path (Fun.protect or Mu.with_lock)"
+               fn_id cls)
+      | _ -> ())
+    fc.opens;
   let s =
     { s_id = fn_id; s_file = ctx.src_file; s_loc = vb.vb_loc;
       s_contract = contract; s_waivers = waivers; s_calls = fc.calls;
@@ -1068,8 +1122,7 @@ let mu_make_class ctx (e : Typedtree.expression) =
       match head.exp_desc with
       | Texp_ident (p, _, _) -> (
           match resolve ctx p with
-          | [ "Mu"; ("make" | "create") ]
-          | [ "Sdb_check"; "Mu"; ("make" | "create") ] ->
+          | [ "Mu"; ("make" | "create") ] ->
               let cls =
                 List.find_map
                   (fun (l, a) ->
@@ -1121,8 +1174,7 @@ let prepass ctx (str : Typedtree.structure) =
      curried one: [Make (A) (B)] resolves to [Make]. *)
   let rec reg_alias name (me : Typedtree.module_expr) =
     match (unwrap_me me).mod_desc with
-    | Tmod_ident (p, _) ->
-        ctx.aliases <- (name, normalize (path_parts p)) :: ctx.aliases
+    | Tmod_ident (p, _) -> ctx.aliases <- (name, resolve ctx p) :: ctx.aliases
     | Tmod_apply (f, _, _) -> reg_alias name f
     | _ -> ()
   in
@@ -1155,41 +1207,295 @@ let prepass ctx (str : Typedtree.structure) =
           Tast_iterator.default_iterator.module_binding self mb)
     }
   in
+  let it =
+    { it with
+      expr =
+        (fun self e ->
+          (match e.exp_desc with
+          | Texp_letmodule (_, { txt = Some n; _ }, _, me, _) -> reg_alias n me
+          | _ -> ());
+          it.expr self e) }
+  in
   it.structure it str
 
 (* ------------------------------------------------------------------ *)
-(* Reading .cmt files.                                                 *)
+(* Per-unit discipline rules: one walk over the whole typedtree.       *)
+
+let forbidden_unix =
+  [ "openfile"; "write"; "single_write"; "fsync"; "rename"; "unlink";
+    "truncate"; "ftruncate" ]
+
+let forbidden_prints =
+  [ [ "Printf"; "printf" ]; [ "Printf"; "eprintf" ]; [ "Format"; "printf" ];
+    [ "Format"; "eprintf" ]; [ "print_endline" ]; [ "print_string" ];
+    [ "print_newline" ]; [ "prerr_endline" ]; [ "prerr_string" ];
+    [ "prerr_newline" ] ]
+
+let sync_heads = [ "Vlock"; "Mutex"; "Mu"; "Atomic"; "Condition" ]
+
+let mutable_makers =
+  [ [ "ref" ]; [ "Hashtbl"; "create" ]; [ "Queue"; "create" ];
+    [ "Buffer"; "create" ] ]
+
+let ascribed (e : Typedtree.expression) =
+  List.exists
+    (function Typedtree.Texp_constraint _, _, _ -> true | _ -> false)
+    e.exp_extra
+
+(* The sdb.* attributes of a unit are validated here, once each: on
+   expressions and bindings by [discipline], on vals by [load]. *)
+let check_attrs ctx (attrs : Parsetree.attributes) =
+  List.iter
+    (fun (a : Parsetree.attribute) ->
+      match attr_problem a with
+      | Some msg -> report ctx "attr" a.attr_loc msg
+      | None -> ())
+    attrs
+
+let discipline ctx (str : Typedtree.structure) =
+  let open Typedtree in
+  let lib = in_lib ctx.src_file and storage = in_storage ctx.src_file in
+  let stack = ref [] in
+  let flag ?(waivers = []) rule loc msg =
+    report ctx ~waivers:(waivers @ List.concat !stack) rule loc msg
+  in
+  let under attrs f =
+    check_attrs ctx attrs;
+    stack := waivers_of_attrs attrs :: !stack;
+    f ();
+    stack := List.tl !stack
+  in
+  let uses_sync = ref false and globals = ref [] in
+  let ident loc p =
+    match resolve ctx p with
+    | [ "Unix"; fn ] when List.mem fn forbidden_unix && not storage ->
+        flag "unix-io" loc
+          (Printf.sprintf
+             "direct Unix.%s bypasses Fs: fault injection and crash sweeps \
+              cannot see it; route through lib/storage" fn)
+    | parts when lib && List.mem parts forbidden_prints ->
+        flag "print-in-lib" loc
+          (Printf.sprintf
+             "%s writes to the process's std streams from library code; use \
+              Sdb_obs (metrics/trace sinks) instead"
+             (id_of_parts parts))
+    | parts ->
+        if List.exists (fun m -> List.mem m sync_heads) parts then
+          uses_sync := true
+  in
+  let base = Tast_iterator.default_iterator in
+  let expr self (e : expression) =
+    under e.exp_attributes (fun () ->
+        (match e.exp_desc with
+        | Texp_ident (p, _, _) -> ident e.exp_loc p
+        | Texp_try (_, cases) when lib ->
+            List.iter
+              (fun (c : value case) ->
+                match c.c_lhs.pat_desc with
+                | Tpat_any ->
+                    flag "swallow" c.c_lhs.pat_loc
+                      "catch-all `with _ ->` swallows every exception \
+                       including asserts and Out_of_memory; name the \
+                       exceptions this handler is allowed to eat"
+                | _ -> ())
+              cases
+        | Texp_apply
+            ( { exp_desc = Texp_ident (p, _, _); exp_loc; _ },
+              (Asttypes.Nolabel, Some arg) :: _ )
+          when lib && resolve ctx p = [ "ignore" ] && not (ascribed arg) ->
+            flag "swallow" exp_loc
+              "ignore without a type ascription can silently discard a \
+               result or error; write `ignore (e : t)` or bind the value"
+        | _ -> ());
+        base.expr self e)
+  in
+  let value_binding self (vb : value_binding) =
+    under vb.vb_attributes (fun () -> base.value_binding self vb)
+  in
+  let structure_item self (si : structure_item) =
+    (match si.str_desc with
+    | Tstr_value (_, vbs) ->
+        List.iter
+          (fun (vb : value_binding) ->
+            match collect_app vb.vb_expr with
+            | { exp_desc = Texp_ident (p, _, _); _ }, _ :: _ ->
+                let maker = resolve ctx p in
+                if List.mem maker mutable_makers then
+                  globals :=
+                    (id_of_parts maker, vb.vb_loc,
+                     waivers_of_attrs vb.vb_attributes @ List.concat !stack)
+                    :: !globals
+            | _ -> ())
+          vbs
+    | _ -> ());
+    base.structure_item self si
+  in
+  let it = { base with expr; value_binding; structure_item } in
+  it.structure it str;
+  if lib && not !uses_sync then
+    List.iter
+      (fun (what, loc, waivers) ->
+        flag ~waivers "global-mutable" loc
+          (Printf.sprintf
+             "module-level mutable state (%s) in a unit that never uses a \
+              synchronization primitive: two threads make this a data race; \
+              guard it or make it Atomic" what))
+      !globals
+
+(* ------------------------------------------------------------------ *)
+(* dead-export: what each lib .mli exports, and what each unit uses.   *)
+
+type export = {
+  e_id : string;             (* "Unit.value" or "Unit.Sub.value" *)
+  e_file : string;
+  e_loc : Location.t;
+  e_waivers : string list;
+}
+
+(* The values of a signature, descending into plain submodule
+   signatures (not functors or module types: their values are reached
+   through applications the reference scan cannot name).  Ids are
+   normalized like references, so "Sdb_check.Mu.lock" is "Mu.lock". *)
+let rec exports_of_sig ~file ~prefix ~waivers (sg : Typedtree.signature) =
+  List.concat_map
+    (fun (it : Typedtree.signature_item) ->
+      match it.sig_desc with
+      | Tsig_value vd ->
+          [ { e_id = id_of_parts (normalize (prefix @ [ Ident.name vd.val_id ]));
+              e_file = file; e_loc = vd.val_loc;
+              e_waivers = waivers_of_attrs vd.val_attributes @ waivers } ]
+      | Tsig_module
+          { md_id = Some id; md_type = { mty_desc = Tmty_signature sg; _ };
+            md_attributes; _ } ->
+          exports_of_sig ~file ~prefix:(prefix @ [ Ident.name id ])
+            ~waivers:(waivers_of_attrs md_attributes @ waivers) sg
+      | _ -> [])
+    sg.sig_items
+
+let rec head_ident = function
+  | Path.Pident id -> id
+  | Path.Pdot (p, _) | Path.Papply (p, _) | Path.Pextra_ty (p, _) ->
+      head_ident p
+
+(* A path rooted in a compilation unit (or a module alias of one),
+   canonicalized like callee ids; local names are not references. *)
+let global_id ctx p =
+  let head = head_ident p in
+  if Ident.persistent head || List.mem_assoc (Ident.name head) ctx.aliases
+  then Some (id_of_parts (resolve ctx p))
+  else None
+
+(* Record the unit's references into [uses].  A module passed whole to a
+   functor, coerced to a signature, packed or included counts as a use
+   of every value in it: the key is "Module.*". *)
+let collect_uses ctx uses (str : Typedtree.structure) =
+  let open Typedtree in
+  let add = function Some id -> Hashtbl.replace uses id () | None -> () in
+  let whole me =
+    match (unwrap_me me).mod_desc with
+    | Tmod_ident (p, _) ->
+        add (Option.map (fun id -> id ^ ".*") (global_id ctx p))
+    | _ -> ()
+  in
+  let d = Tast_iterator.default_iterator in
+  let it =
+    { d with
+      expr =
+        (fun self e ->
+          (match e.exp_desc with
+          | Texp_ident (p, _, _) -> add (global_id ctx p)
+          | Texp_pack me -> whole me
+          | _ -> ());
+          d.expr self e);
+      module_expr =
+        (fun self me ->
+          (match me.mod_desc with
+          | Tmod_apply (_, arg, _) -> whole arg
+          | Tmod_constraint (inner, _, Tmodtype_explicit _, _) -> whole inner
+          | _ -> ());
+          d.module_expr self me);
+      structure_item =
+        (fun self si ->
+          (match si.str_desc with
+          | Tstr_include incl -> whole incl.incl_mod
+          | _ -> ());
+          d.structure_item self si) }
+  in
+  it.structure it str
+
+(* An export is used if its id, or any enclosing module as a whole, is. *)
+let used uses e =
+  Hashtbl.mem uses e.e_id
+  ||
+  let rec prefixes acc = function
+    | [] | [ _ ] -> false
+    | m :: rest ->
+        let acc = if acc = "" then m else acc ^ "." ^ m in
+        Hashtbl.mem uses (acc ^ ".*") || prefixes acc rest
+  in
+  prefixes "" (String.split_on_char '.' e.e_id)
+
+(* ------------------------------------------------------------------ *)
+(* Reading .cmt/.cmti files.                                           *)
 
 let unit_of_filename file =
   let base = Filename.remove_extension (Filename.basename file) in
   String.capitalize_ascii (strip_mangle base)
 
-let analyze_cmt ~findings ~summaries file =
+type tree = {
+  t_findings : finding list ref;
+  t_summaries : (string, summary) Hashtbl.t;
+  t_uses : (string, unit) Hashtbl.t;        (* from units outside test/ *)
+  t_test_uses : (string, unit) Hashtbl.t;   (* from test units *)
+  t_aliases : (string, (string * string list) list) Hashtbl.t;
+      (* unit -> its module aliases, for references made through
+         another unit ([open Common] then [Path.root]) *)
+  mutable t_exports : export list;
+}
+
+(* A checked unit runs every rule; a reference-only unit contributes
+   only the uses that dead-export counts. *)
+let load t ~checked file =
   match Cmt_format.read_cmt file with
   | exception e ->
-      findings :=
+      t.t_findings :=
         { f_file = file; f_line = 0; f_col = 0; f_rule = "read-error";
           f_message = Printexc.to_string e }
-        :: !findings
+        :: !(t.t_findings)
   | cmt -> (
+      let src = Option.value cmt.Cmt_format.cmt_sourcefile ~default:file in
+      let ctx =
+        { unit_name = unit_of_filename file; src_file = src;
+          findings = t.t_findings; aliases = []; mu_classes = [];
+          summaries = t.t_summaries }
+      in
       match cmt.Cmt_format.cmt_annots with
       | Cmt_format.Implementation str ->
-          let src =
-            match cmt.Cmt_format.cmt_sourcefile with
-            | Some s -> s
-            | None -> file
-          in
-          let ctx =
-            { unit_name = unit_of_filename file; src_file = src; findings;
-              aliases = []; mu_classes = []; summaries }
-          in
           prepass ctx str;
-          walk_structure ctx ~prefix:ctx.unit_name str
+          Hashtbl.add t.t_aliases ctx.unit_name ctx.aliases;
+          collect_uses ctx (if in_test src then t.t_test_uses else t.t_uses) str;
+          if checked then begin
+            discipline ctx str;
+            walk_structure ctx ~prefix:ctx.unit_name str
+          end
+      | Cmt_format.Interface sg when checked ->
+          let d = Tast_iterator.default_iterator in
+          let it =
+            { d with
+              value_description =
+                (fun self vd ->
+                  check_attrs ctx vd.val_attributes;
+                  d.value_description self vd) }
+          in
+          it.signature it sg;
+          if in_lib src then
+            t.t_exports <-
+              exports_of_sig ~file:src ~prefix:[ ctx.unit_name ] ~waivers:[] sg
+              @ t.t_exports
       | _ -> ())
 
-(* Recursively collect .cmt files.  Unlike sdb_lint's source walker,
-   this one must descend into dot-directories: dune keeps cmt artifacts
-   under .objs/byte. *)
+(* Recursively collect .cmt and .cmti files.  Descends into
+   dot-directories: dune keeps the artifacts under .objs/byte. *)
 let walk_cmts roots =
   let acc = ref [] in
   let rec go path =
@@ -1198,7 +1504,10 @@ let walk_cmts roots =
         Array.iter
           (fun entry -> go (Filename.concat path entry))
           (Sys.readdir path)
-    | false -> if Filename.check_suffix path ".cmt" then acc := path :: !acc
+    | false ->
+        if Filename.check_suffix path ".cmt"
+           || Filename.check_suffix path ".cmti"
+        then acc := path :: !acc
     | exception Sys_error _ -> ()
   in
   List.iter go roots;
@@ -1513,16 +1822,58 @@ type report = {
   r_edges : (string * string) list;
   r_units : int;
   r_functions : int;
-  r_summaries : (string, summary) Hashtbl.t;
 }
 
-let analyze ?(xcheck = true) files =
-  let findings = ref [] in
-  let summaries : (string, summary) Hashtbl.t = Hashtbl.create 256 in
-  List.iter (fun f -> analyze_cmt ~findings ~summaries f) files;
-  fixpoint summaries;
-  let checks = run_checks summaries in
-  let edges = derive_edges summaries in
+(* Rewrite a reference made through another unit's module alias
+   ("Common.Path.root") to its target ("Name_path.root"). *)
+let expand_aliases t uses =
+  let rec expand depth parts =
+    match parts with
+    | u :: m :: rest when depth < 8 -> (
+        match
+          List.find_map (List.assoc_opt m) (Hashtbl.find_all t.t_aliases u)
+        with
+        | Some target -> expand (depth + 1) (normalize (target @ rest))
+        | None -> parts)
+    | _ -> parts
+  in
+  let out = Hashtbl.create (Hashtbl.length uses) in
+  Hashtbl.iter
+    (fun k () ->
+      Hashtbl.replace out (id_of_parts (expand 0 (String.split_on_char '.' k))) ())
+    uses;
+  out
+
+let dead_exports t =
+  let uses = expand_aliases t t.t_uses
+  and test_uses = expand_aliases t t.t_test_uses in
+  List.filter_map
+    (fun e ->
+      if used uses e || waives e.e_waivers "dead-export" then None
+      else
+        let line, col = loc_of e.e_loc in
+        Some
+          { f_file = e.e_file; f_line = line; f_col = col;
+            f_rule = "dead-export";
+            f_message =
+              Printf.sprintf
+                "%s is exported but %s outside its module: delete it, or \
+                 waive it at its val with a reason" e.e_id
+                (if used test_uses e then "only test/ references it"
+                 else "nothing references it") })
+    t.t_exports
+
+let analyze ?(xcheck = true) ?(refs = []) files =
+  let t =
+    { t_findings = ref []; t_summaries = Hashtbl.create 256;
+      t_uses = Hashtbl.create 4096; t_test_uses = Hashtbl.create 1024;
+      t_aliases = Hashtbl.create 256; t_exports = [] }
+  in
+  List.iter (load t ~checked:true) files;
+  List.iter (load t ~checked:false) refs;
+  fixpoint t.t_summaries;
+  let checks = run_checks t.t_summaries in
+  let edges = derive_edges t.t_summaries in
   let cycle =
     match find_cycle edges with
     | Some path ->
@@ -1532,213 +1883,31 @@ let analyze ?(xcheck = true) files =
     | None -> []
   in
   let xc = if xcheck then xcheck_findings edges else [] in
-  let all = List.rev !findings @ checks @ cycle @ xc in
-  let sorted =
-    List.sort
-      (fun a b ->
-        match compare a.f_file b.f_file with
-        | 0 -> compare (a.f_line, a.f_col, a.f_rule) (b.f_line, b.f_col, b.f_rule)
-        | c -> c)
-      all
+  (* Sorted by file, line, column, rule; a local closure inlined at
+     several call sites reports once. *)
+  let findings =
+    List.sort_uniq compare
+      (!(t.t_findings) @ checks @ cycle @ xc @ dead_exports t)
   in
-  { r_findings = sorted; r_edges = edges; r_units = List.length files;
-    r_functions = Hashtbl.length summaries; r_summaries = summaries }
+  { r_findings = findings; r_edges = edges;
+    r_units = List.length files + List.length refs;
+    r_functions = Hashtbl.length t.t_summaries }
 
-(* ------------------------------------------------------------------ *)
-(* Self-test: synthetic summaries driven through the rule pass, plus   *)
-(* unit tests for attribute parsing, name normalization and the        *)
-(* lock-order machinery.  Needs no .cmt input.                         *)
-
-let self_test () =
-  let errs = ref [] in
-  let check name cond = if not cond then errs := name :: !errs in
-  let mk ?(contract = no_contract) ?(waivers = []) ?(calls = [])
-      ?(vas = []) ?(mas = []) ?(blocks = []) ?(opens = []) id =
-    { s_id = id; s_file = "<self-test>"; s_loc = Location.none;
-      s_contract = contract; s_waivers = waivers; s_calls = calls;
-      s_vlock_acqs = vas; s_mu_acqs = mas; s_blocks = blocks;
-      s_opens = opens; x_blocks = None;
-      x_acq_modes = []; x_mus = [] }
+(* The gate's view of a build tree: lib/ and bin/ are checked; the
+   other trees are read for the references dead-export counts. *)
+let analyze_tree build_dir =
+  let under dirs = walk_cmts (List.map (Filename.concat build_dir) dirs) in
+  let checked =
+    List.map
+      (fun dir ->
+        match under [ dir ] with
+        | [] ->
+            invalid_arg
+              (Printf.sprintf
+                 "no .cmt files under %s (run `dune build @check`)"
+                 (Filename.concat build_dir dir))
+        | files -> files)
+      [ "lib"; "bin" ]
   in
-  let cs ?(at = empty_site) ?(w = []) callee =
-    { cs_callee = callee; cs_loc = Location.none; cs_at = at; cs_waivers = w }
-  in
-  let run sums =
-    let h = Hashtbl.create 16 in
-    List.iter (fun s -> Hashtbl.replace h s.s_id s) sums;
-    fixpoint h;
-    run_checks h
-  in
-  let has rule fs = List.exists (fun f -> f.f_rule = rule) fs in
-  (* mode: call into a requires-update function with nothing held *)
-  let callee_u =
-    mk ~contract:{ no_contract with c_requires = Some Update } "T.apply"
-  in
-  check "mode fires"
-    (has "mode" (run [ callee_u; mk ~calls:[ cs "T.apply" ] "T.entry" ]));
-  check "mode ok when held"
-    (not
-       (has "mode"
-          (run
-             [ callee_u;
-               mk
-                 ~calls:
-                   [ cs ~at:{ empty_site with st_mode = Some Update }
-                       "T.apply" ]
-                 "T.entry" ])));
-  check "mode waived"
-    (not
-       (has "mode"
-          (run [ callee_u; mk ~calls:[ cs ~w:[ "mode" ] "T.apply" ] "T.e" ])));
-  (* mode downgrade along a chain: shared caller into exclusive callee *)
-  let callee_x =
-    mk ~contract:{ no_contract with c_requires = Some Exclusive } "T.deep"
-  in
-  check "mode chain downgrade"
-    (has "mode"
-       (run
-          [ callee_x;
-            mk
-              ~contract:{ no_contract with c_requires = Some Shared }
-              ~calls:
-                [ cs ~at:{ empty_site with st_mode = Some Shared } "T.deep" ]
-              "T.reader" ]));
-  (* noblock: transitive through one hop *)
-  let leaf =
-    mk
-      ~blocks:
-        [ { bs_what = "Unix.fsync"; bs_loc = Location.none;
-            bs_at = empty_site; bs_waivers = [] } ]
-      "T.leaf"
-  in
-  let mid = mk ~calls:[ cs "T.leaf" ] "T.mid" in
-  let top =
-    mk
-      ~contract:{ no_contract with c_noblock = true }
-      ~calls:[ cs "T.mid" ] "T.top"
-  in
-  check "noblock transitive" (has "noblock" (run [ leaf; mid; top ]));
-  check "noblock waived"
-    (not
-       (has "noblock"
-          (run
-             [ leaf; mid;
-               mk
-                 ~contract:{ no_contract with c_noblock = true }
-                 ~waivers:[ "noblock" ] ~calls:[ cs "T.mid" ] "T.top" ])));
-  (* deadlock: holding Update, callee may acquire Update *)
-  let acq_u =
-    mk
-      ~vas:
-        [ { va_mode = Some Update; va_loc = Location.none;
-            va_at = empty_site; va_protected = true; va_waivers = [] } ]
-      "T.acq"
-  in
-  check "deadlock interprocedural"
-    (has "deadlock"
-       (run
-          [ acq_u;
-            mk
-              ~calls:
-                [ cs ~at:{ empty_site with st_mode = Some Update } "T.acq" ]
-              "T.holder" ]));
-  check "shared reentry legal"
-    (not
-       (has "deadlock"
-          (run
-             [ mk
-                 ~vas:
-                   [ { va_mode = Some Shared; va_loc = Location.none;
-                       va_at = empty_site; va_protected = true;
-                       va_waivers = [] } ]
-                 "T.racq";
-               mk
-                 ~calls:
-                   [ cs ~at:{ empty_site with st_mode = Some Shared }
-                       "T.racq" ]
-                 "T.rholder" ])));
-  (* io-under-mutex: direct, and exempt for `Vlock-kind classes *)
-  let io_at mus =
-    mk
-      ~blocks:
-        [ { bs_what = "closure .w_sync"; bs_loc = Location.none;
-            bs_at = { empty_site with st_mus = mus }; bs_waivers = [] } ]
-      "T.io"
-  in
-  check "io-under-mutex fires"
-    (has "io-under-mutex" (run [ io_at [ ("fx.io", `Mutex) ] ]));
-  check "io under vlock-kind token exempt"
-    (not (has "io-under-mutex" (run [ io_at [ ("smalldb.ckpt", `Vlock) ] ])));
-  (* unprotected-acquire *)
-  let oa protected =
-    { oa_key = `V; oa_loc = Location.none; oa_waivers = [];
-      oa_open = true; oa_protected = protected; oa_callees = [];
-      oa_blocked = Some "Unix.fsync" }
-  in
-  check "unprotected-acquire fires"
-    (has "unprotected-acquire" (run [ mk ~opens:[ oa false ] "T.ua" ]));
-  check "protected acquire clean"
-    (not (has "unprotected-acquire" (run [ mk ~opens:[ oa true ] "T.ua" ])));
-  (* lock-order cycle detection *)
-  check "cycle found"
-    (find_cycle [ ("a", "b"); ("b", "c"); ("c", "a") ] <> None);
-  check "expected lockdep acyclic" (find_cycle expected_lockdep = None);
-  (* lockdep cross-check, both directions *)
-  check "xcheck missing edges" (List.length (xcheck_findings []) = 2);
-  check "xcheck clean" (xcheck_findings expected_lockdep = []);
-  check "xcheck extra edge"
-    (List.length
-       (xcheck_findings (("smalldb.gc", "smalldb.ckpt") :: expected_lockdep))
-    = 1);
-  (* attribute parsing *)
-  let noloc txt = { Location.txt; loc = Location.none } in
-  let attr name payload = Ast_helper.Attr.mk (noloc name) payload in
-  let word w =
-    Parsetree.PStr
-      [ Ast_helper.Str.eval
-          (Ast_helper.Exp.ident (noloc (Longident.Lident w))) ]
-  in
-  let str s =
-    Parsetree.PStr
-      [ Ast_helper.Str.eval
-          (Ast_helper.Exp.constant (Ast_helper.Const.string s)) ]
-  in
-  let bads = ref [] in
-  let c =
-    contract_of_attrs
-      ~bad:(fun m -> bads := m :: !bads)
-      [ attr "sdb.requires" (word "shared");
-        attr "sdb.noblock" (Parsetree.PStr []);
-        attr "sdb.bogus" (Parsetree.PStr []) ]
-  in
-  check "contract parse"
-    (c.c_requires = Some Shared && c.c_noblock);
-  check "unknown attr flagged" (List.length !bads = 1);
-  let badm = ref [] in
-  let c2 =
-    contract_of_attrs
-      ~bad:(fun m -> badm := m :: !badm)
-      [ attr "sdb.acquires" (word "sideways") ]
-  in
-  check "bad mode flagged" (c2.c_acquires = None && List.length !badm = 1);
-  check "waiver parse"
-    (waivers_of_attrs [ attr waiver_attr (str "io-under-mutex: reason") ]
-    = [ "io-under-mutex" ]);
-  check "waiver matches" (waives [ "io-under-mutex" ] "io-under-mutex");
-  check "bare waiver waives all" (waives [ "*" ] "mode");
-  (* name normalization *)
-  check "strip mangle" (strip_mangle "sdb_wal__Wal" = "Wal");
-  check "normalize wrapper"
-    (normalize [ "Sdb_vlock"; "Vlock"; "acquire" ] = [ "Vlock"; "acquire" ]);
-  check "normalize stdlib"
-    (normalize [ "Stdlib"; "ignore" ] = [ "ignore" ]);
-  check "class root" (class_root "smalldb.ckpt:orders" = "smalldb.ckpt");
-  check "class root fallback" (class_root "mu:Smalldb.m" = "mu:Smalldb.m");
-  check "rules documented"
-    (List.for_all
-       (fun r -> List.mem_assoc r rules)
-       [ "mode"; "deadlock"; "noblock"; "io-under-mutex"; "lock-order";
-         "lockdep-xcheck"; "unprotected-acquire"; "attr"; "read-error" ]);
-  match !errs with
-  | [] -> Ok ()
-  | e -> Error (String.concat "; " (List.rev e))
+  analyze (List.concat checked)
+    ~refs:(under [ "bench"; "examples"; "perfbench"; "test" ])

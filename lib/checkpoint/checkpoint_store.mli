@@ -69,9 +69,6 @@ val commit :
     a complete audit trail for the database, and could be retained if
     desired". *)
 
-val archive_log_file : int -> string
-(** ["archive-logfile<N>"]. *)
-
 val archived_logs : Sdb_storage.Fs.t -> (int * string) list
 (** The retained audit trail, sorted by generation. *)
 

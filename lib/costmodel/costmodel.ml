@@ -94,12 +94,6 @@ let model c a =
       +. disk_model_ms +. rpc_model_ms;
   }
 
-let pp_breakdown ppf b =
-  Format.fprintf ppf
-    "explore %.1f + modify %.1f + pickle %.1f + unpickle %.1f + disk %.1f + rpc %.1f = %.1f ms"
-    b.explore_model_ms b.modify_model_ms b.pickle_model_ms b.unpickle_model_ms
-    b.disk_model_ms b.rpc_model_ms b.total_model_ms
-
 type snapshot = {
   s_pickled : int;
   s_unpickled : int;

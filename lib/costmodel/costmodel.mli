@@ -59,8 +59,6 @@ type breakdown = {
 
 val model : costs -> activity -> breakdown
 
-val pp_breakdown : Format.formatter -> breakdown -> unit
-
 (** {1 Capturing activity}
 
     [snapshot] reads the global pickle counters, the given file

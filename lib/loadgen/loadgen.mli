@@ -96,8 +96,17 @@ val knee : ?tolerance:float -> (float * result) list -> float option
 (** {1 Schedule and mix internals, exposed for tests} *)
 
 val interarrival : schedule -> Sdb_util.Rng.t -> rate:float -> float
+[@@sdb.check.allow
+  "dead-export: test hook: the loadgen suite checks the arrival \
+   schedule apart from the run loop that uses it"]
 val arrivals :
   schedule -> Sdb_util.Rng.t -> rate:float -> duration_s:float -> float array
+[@@sdb.check.allow
+  "dead-export: test hook: the loadgen suite checks the arrival \
+   schedule apart from the run loop that uses it"]
 (** Ascending intended offsets in [\[0, duration_s)]. *)
 
 val gen_op : config -> Sdb_util.Rng.t -> op
+[@@sdb.check.allow
+  "dead-export: test hook: the loadgen suite checks the op mix apart \
+   from the run loop that uses it"]

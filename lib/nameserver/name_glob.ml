@@ -1,8 +1,5 @@
 type t = { components : string list; descend : bool }
 
-let to_string { components; descend } =
-  Name_path.to_string (components @ if descend then [ "**" ] else [])
-
 (* Classic backtracking glob over one component: [star] remembers the
    last '*' position and [ss] how much of [s] it has absorbed, so a
    mismatch later backtracks by letting the star eat one more char. *)
@@ -43,8 +40,6 @@ let compile text =
       | c :: rest -> split (c :: acc) rest
     in
     split [] components
-
-let pattern_depth t = if t.descend then None else Some (List.length t.components)
 
 let rec match_components components path descend =
   match (components, path) with

@@ -16,16 +16,8 @@ val compile : string -> (t, string) result
 (** Parse a pattern from its textual form.  ["**"] is only permitted as
     the final component. *)
 
-val pattern_depth : t -> int option
-(** Number of components, or [None] when the pattern ends in ["**"]. *)
-
 val matches : t -> Name_path.t -> bool
-
-val component_matches : string -> string -> bool
-(** [component_matches pattern s]: one component, ['*']/['?'] wildcards. *)
 
 val prefix_viable : t -> Name_path.t -> bool
 (** May any extension of this path still match?  Drives search-space
     pruning during tree walks. *)
-
-val to_string : t -> string

@@ -1,7 +1,6 @@
 type t = string list
 
 let root = []
-let is_root p = p = []
 
 let component_ok c = String.length c > 0 && not (String.contains c '/')
 
@@ -26,20 +25,3 @@ let rec parent = function
   | [ _ ] -> Some []
   | c :: rest -> (
     match parent rest with Some p -> Some (c :: p) | None -> None)
-
-let rec basename = function
-  | [] -> None
-  | [ c ] -> Some c
-  | _ :: rest -> basename rest
-
-let append p c = p @ [ c ]
-
-let rec is_prefix ~prefix p =
-  match (prefix, p) with
-  | [], _ -> true
-  | _, [] -> false
-  | a :: prefix, b :: p -> String.equal a b && is_prefix ~prefix p
-
-let compare = List.compare String.compare
-let equal a b = compare a b = 0
-let pp ppf p = Format.pp_print_string ppf (to_string p)

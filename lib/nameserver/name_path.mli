@@ -7,12 +7,6 @@
 type t = string list
 
 val root : t
-val is_root : t -> bool
-
-val component_ok : string -> bool
-(** Non-empty and free of ['/']. *)
-
-val validate : t -> (t, string) result
 
 val of_string : string -> (t, string) result
 (** Accepts ["/a/b"], ["a/b"], ["/"]; rejects empty components. *)
@@ -20,10 +14,3 @@ val of_string : string -> (t, string) result
 val to_string : t -> string
 val parent : t -> t option
 (** [None] for the root. *)
-
-val basename : t -> string option
-val append : t -> string -> t
-val is_prefix : prefix:t -> t -> bool
-val compare : t -> t -> int
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -159,11 +159,9 @@ let state_digest root =
 
 let digest t = Db.query t state_digest
 let scrub ?repair t = Db.scrub ?repair ~digest:state_digest t
-let last_scrub = Db.last_scrub
 
 let start_scrubber ?interval ?repair t =
   Db.start_scrubber ?interval ?repair ~digest:state_digest t
 
-let stop_scrubber = Db.stop_scrubber
 let fold_log t ~init ~f = Db.fold_log t ~init ~f
 let close = Db.close

@@ -80,9 +80,15 @@ val create : t -> Name_path.t -> unit
 
 val set_value_checked :
   t -> Name_path.t -> string option -> (unit, string) result
+[@@sdb.check.allow
+  "dead-export: library surface: the name server's conditional \
+   update; test_nameserver's checked-updates case calls it"]
 (** Requires the name's parent to exist already. *)
 
 val delete_subtree_checked : t -> Name_path.t -> (unit, string) result
+[@@sdb.check.allow
+  "dead-export: library surface: the name server's conditional \
+   update; test_nameserver's checked-updates case calls it"]
 (** Requires the name to exist. *)
 
 val compare_and_set :
@@ -115,11 +121,8 @@ val scrub : ?repair:bool -> t -> Smalldb.scrub_report
 (** {!Smalldb.Make.scrub} with the canonical tree digest wired in, so
     the shadow replay is cross-checked against memory. *)
 
-val last_scrub : t -> Smalldb.scrub_report option
-
 val start_scrubber : ?interval:float -> ?repair:bool -> t -> unit
 (** Background scrub thread (see {!Smalldb.Make.start_scrubber}). *)
 
-val stop_scrubber : t -> unit
 val fold_log : t -> init:'acc -> f:('acc -> int -> update -> 'acc) -> 'acc
 val close : t -> unit

@@ -47,6 +47,9 @@ val pgraft : pnode -> Name_path.t -> tree -> pnode
     intermediates. *)
 
 val pof_tree : tree -> pnode
+[@@sdb.check.allow
+  "dead-export: a reference: suites look values up in trees fetched \
+   over RPC"]
 val psnapshot : ?depth:int -> pnode -> tree
 (** [depth] bounds descent; [depth:0] is just the node's value. *)
 
@@ -65,4 +68,7 @@ val pcount_nodes : pnode -> int
 val pweight_bytes : pnode -> int
 
 val equal_tree : tree -> tree -> bool
+[@@sdb.check.allow
+  "dead-export: a reference the name-server suites compare trees \
+   with"]
 val pp_tree : Format.formatter -> tree -> unit

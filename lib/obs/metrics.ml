@@ -212,17 +212,6 @@ let observe h v =
     ignore (Atomic.fetch_and_add (Array.unsafe_get h.h_buckets (bucket_of v)) 1 : int)
   end
 
-let time h f =
-  if Atomic.get enabled then begin
-    let t0 = Unix.gettimeofday () in
-    (* Clamped: the wall clock can step backward (NTP) mid-measurement,
-       and a negative duration would corrupt the histogram. *)
-    Fun.protect
-      ~finally:(fun () -> observe h (Float.max 0.0 (Unix.gettimeofday () -. t0)))
-      f
-  end
-  else f ()
-
 (* ------------------------------------------------------------------ *)
 (* Reading                                                             *)
 

@@ -32,6 +32,9 @@ type gauge
 type histogram
 
 val set_enabled : bool -> unit
+[@@sdb.check.allow
+  "dead-export: test hook: suites check that a disabled registry \
+   records nothing"]
 (** Globally enable (default) or disable recording.  Disabled, every
     [incr]/[add]/[set_gauge]/[observe] is a no-op; reads and {!render}
     still work and show the last recorded values. *)
@@ -54,15 +57,13 @@ val add : counter -> int -> unit
 val set_gauge : gauge -> float -> unit
 val observe : histogram -> float -> unit
 
-val time : histogram -> (unit -> 'a) -> 'a
-(** Run the thunk and observe its wall-clock duration in seconds (also
-    on exception).  When the registry is disabled the thunk runs
-    untimed. *)
-
 (** {1 Reading} *)
 
 val counter_value : counter -> int
 val gauge_value : gauge -> float
+[@@sdb.check.allow
+  "dead-export: a reference the obs and replica suites compare \
+   gauges against"]
 val histogram_snapshot : histogram -> Sdb_util.Histogram.snapshot
 (** Count, sum, mean, min and max are exact.  The quantiles are
     estimates: the midpoint of the bucket holding the sample nearest

@@ -57,7 +57,6 @@ let create ?(now = Unix.gettimeofday) ?(window_s = 60.0) ?(buckets = 6) ~name
   }
 
 let objective_ms t = t.objective_s *. 1000.0
-let budget t = t.budget
 let window_s t = t.bucket_s *. float_of_int (Array.length t.buckets)
 
 (* Advance the ring to the bucket holding [now], zeroing every bucket
@@ -115,8 +114,6 @@ let report t =
         r_pass = bad_fraction <= t.budget;
         r_window_s = window_s t;
       })
-
-let pass t = (report t).r_pass
 
 (* One collector per SLO pushes the current window's numbers into
    gauges just before each render, so the Prometheus endpoint shows

@@ -56,14 +56,13 @@ val record_failure : t -> unit
 (** Observe a failed request: always burns budget. *)
 
 val report : t -> report
-val pass : t -> bool
-(** [(report t).r_pass] *)
 
 val objective_ms : t -> float
-val budget : t -> float
-val window_s : t -> float
 
 val expose : t -> unit
+[@@sdb.check.allow
+  "dead-export: library surface: publishes the SLO gauges for an \
+   embedding server; test_slo calls it"]
 (** Register a {!Metrics.register_collector} pull hook (named
     ["slo:<name>"], so re-creating an SLO of the same name replaces
     it) that refreshes the [sdb_slo_*] gauges — burn rate, bad

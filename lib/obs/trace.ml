@@ -32,8 +32,6 @@ module Context = struct
     | None -> Sdb_check.Mu.with_lock mu (fun () -> Hashtbl.remove tbl (self ()))
 end
 
-let current_request () = if active () then Context.get () else None
-
 let with_request id f =
   if not (active ()) then f ()
   else begin
@@ -84,22 +82,7 @@ let with_span ?(attrs = []) name f =
 (* ------------------------------------------------------------------ *)
 (* Sinks                                                               *)
 
-let null_sink (_ : span) = ()
-
 let tee sinks s = List.iter (fun sink -> sink s) sinks
-
-let stderr_sink () =
-  let m = Sdb_check.Mu.make "obs.trace.sink" in
-  fun s ->
-    let attrs =
-      String.concat "" (List.map (fun (k, v) -> Printf.sprintf " %s=%s" k v) s.attrs)
-    in
-    Sdb_check.Mu.lock m;
-    (Printf.eprintf "[trace] %s %.3fms%s\n%!" s.name (s.dur_s *. 1000.0) attrs
-    [@sdb.lint.allow
-      "print-in-lib: stderr_sink IS the designated stderr emitter the rule \
-       points everything else at"]);
-    Sdb_check.Mu.unlock m
 
 let json_escape v =
   let buf = Buffer.create (String.length v + 2) in
@@ -197,9 +180,6 @@ module Slow = struct
     let r = Ring.create ~capacity in
     Atomic.set installed (Some (r, threshold_s));
     fun s -> if s.dur_s >= threshold_s then Ring.sink r s
-
-  let threshold_s () =
-    match Atomic.get installed with None -> None | Some (_, t) -> Some t
 
   let recent ?min_dur_s ~max_n () =
     match Atomic.get installed with

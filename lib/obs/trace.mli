@@ -29,9 +29,6 @@ val active : unit -> bool
 (** [true] iff a sink is installed.  Check this before doing work whose
     only purpose is producing a span (building attrs, timestamps). *)
 
-val emit : span -> unit
-(** Hand a completed span to the sink, if any. *)
-
 val span : ?attrs:(string * string) list -> string -> start_s:float -> dur_s:float -> unit
 (** [emit] for call sites that already hold the two timestamps. *)
 
@@ -57,26 +54,19 @@ val with_request : string -> (unit -> 'a) -> 'a
     given id (restoring the previous context after, so nesting works).
     A no-op wrapper when tracing is inactive. *)
 
-val current_request : unit -> string option
-(** The calling thread's request id, if tracing is active and a
-    {!with_request} is in flight. *)
-
 (** {1 Sinks} *)
 
-val null_sink : sink
-(** Swallows everything.  [set_sink (Some null_sink)] keeps tracing
-    "on" (spans are built and delivered) at minimal cost — used to
-    measure instrumentation overhead. *)
-
 val tee : sink list -> sink
+[@@sdb.check.allow
+  "dead-export: library surface: a sink combinator for embedding \
+   programs; test_obs calls it"]
 (** Deliver every span to each sink in order (e.g. the slow-span ring
     plus a jsonl file). *)
 
-val stderr_sink : unit -> sink
-(** Human-readable one-line-per-span pretty printer:
-    ["\[trace\] update.verify 0.012ms app=test-kv"]. *)
-
 val jsonl_sink : out_channel -> sink
+[@@sdb.check.allow
+  "dead-export: library surface: the JSONL span sink for embedding \
+   programs; test_obs calls it"]
 (** One JSON object per line:
     [{"name":"update.log","start_s":…,"dur_s":…,"attrs":{…}}].
     Flushes after every span so a crash loses at most the in-flight
@@ -89,16 +79,31 @@ module Ring : sig
   type t
 
   val create : capacity:int -> t
+  [@@sdb.check.allow
+    "dead-export: test hook: the suites capture spans in a ring to \
+     assert on them"]
   val sink : t -> sink
+  [@@sdb.check.allow
+    "dead-export: test hook: the suites capture spans in a ring to \
+     assert on them"]
   val contents : t -> span list
+  [@@sdb.check.allow
+    "dead-export: test hook: the suites capture spans in a ring to \
+     assert on them"]
   (** Oldest-to-newest; at most [capacity] spans (older ones are
       truncated away). *)
 
   val recent : ?min_dur_s:float -> max_n:int -> t -> span list
+  [@@sdb.check.allow
+    "dead-export: test hook: the suites capture spans in a ring to \
+     assert on them"]
   (** The most recent (up to) [max_n] spans with duration at least
       [min_dur_s] (default 0), newest first. *)
 
   val clear : t -> unit
+  [@@sdb.check.allow
+    "dead-export: test hook: the suites capture spans in a ring to \
+     assert on them"]
 end
 
 module Slow : sig
@@ -111,10 +116,6 @@ module Slow : sig
       ring (replacing any previous one), and return a sink that keeps
       only spans of duration ≥ [threshold_s].  The sink still has to
       be put in place with {!set_sink}, alone or under {!tee}. *)
-
-  val threshold_s : unit -> float option
-  (** The installed ring's threshold, or [None] when no ring is
-      installed. *)
 
   val recent : ?min_dur_s:float -> max_n:int -> unit -> span list
   (** The most recent (up to) [max_n] retained spans with duration at

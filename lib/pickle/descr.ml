@@ -1,18 +1,12 @@
 type t =
   | Unit
   | Bool
-  | Char
   | Int
-  | Int32
-  | Int64
   | Float
   | String
-  | Bytes
   | Pair of t * t
   | Triple of t * t * t
-  | Quad of t * t * t * t
   | List of t
-  | Array of t
   | Option of t
   | Result of t * t
   | Record of string * (string * t) list
@@ -31,21 +25,13 @@ let quote s = Printf.sprintf "%S" s
 let rec to_string = function
   | Unit -> "unit"
   | Bool -> "bool"
-  | Char -> "char"
   | Int -> "int"
-  | Int32 -> "int32"
-  | Int64 -> "int64"
   | Float -> "float"
   | String -> "string"
-  | Bytes -> "bytes"
   | Pair (a, b) -> Printf.sprintf "pair(%s,%s)" (to_string a) (to_string b)
   | Triple (a, b, c) ->
     Printf.sprintf "triple(%s,%s,%s)" (to_string a) (to_string b) (to_string c)
-  | Quad (a, b, c, d) ->
-    Printf.sprintf "quad(%s,%s,%s,%s)" (to_string a) (to_string b) (to_string c)
-      (to_string d)
   | List a -> Printf.sprintf "list(%s)" (to_string a)
-  | Array a -> Printf.sprintf "array(%s)" (to_string a)
   | Option a -> Printf.sprintf "option(%s)" (to_string a)
   | Result (a, b) -> Printf.sprintf "result(%s,%s)" (to_string a) (to_string b)
   | Record (name, fields) ->
@@ -69,4 +55,3 @@ let rec to_string = function
 
 let fingerprint d = Digest.string (to_string d)
 let fingerprint_hex d = Digest.to_hex (fingerprint d)
-let equal a b = String.equal (to_string a) (to_string b)

@@ -26,18 +26,12 @@ end
    it, so type confusion in a corrupted stream is caught immediately. *)
 let tag_unit = '\x01'
 let tag_bool = '\x02'
-let tag_char = '\x03'
 let tag_int = '\x04'
-let tag_int32 = '\x05'
-let tag_int64 = '\x06'
 let tag_float = '\x07'
 let tag_string = '\x08'
-let tag_bytes = '\x09'
 let tag_pair = '\x0A'
 let tag_triple = '\x0B'
-let tag_quad = '\x0C'
 let tag_list = '\x0D'
-let tag_array = '\x0E'
 let tag_option = '\x0F'
 let tag_result = '\x10'
 let tag_record = '\x11'
@@ -50,18 +44,12 @@ let tag_hashtbl = '\x16'
 let tag_name = function
   | '\x01' -> "unit"
   | '\x02' -> "bool"
-  | '\x03' -> "char"
   | '\x04' -> "int"
-  | '\x05' -> "int32"
-  | '\x06' -> "int64"
   | '\x07' -> "float"
   | '\x08' -> "string"
-  | '\x09' -> "bytes"
   | '\x0A' -> "pair"
   | '\x0B' -> "triple"
-  | '\x0C' -> "quad"
   | '\x0D' -> "list"
-  | '\x0E' -> "array"
   | '\x0F' -> "option"
   | '\x10' -> "result"
   | '\x11' -> "record"
@@ -194,19 +182,6 @@ let bool =
         | c -> err "pickle: invalid bool byte 0x%02X at offset %d" (Char.code c) (rd.pos - 1));
   }
 
-let char =
-  {
-    d = Descr.Char;
-    w =
-      (fun wr c ->
-        Buffer.add_char wr.buf tag_char;
-        Buffer.add_char wr.buf c);
-    r =
-      (fun rd ->
-        expect_tag rd tag_char;
-        read_byte rd);
-  }
-
 let int =
   {
     d = Descr.Int;
@@ -218,38 +193,6 @@ let int =
       (fun rd ->
         expect_tag rd tag_int;
         read_svarint rd);
-  }
-
-let int32 =
-  {
-    d = Descr.Int32;
-    w =
-      (fun wr n ->
-        Buffer.add_char wr.buf tag_int32;
-        Buffer.add_int32_le wr.buf n);
-    r =
-      (fun rd ->
-        expect_tag rd tag_int32;
-        need rd 4;
-        let v = String.get_int32_le rd.src rd.pos in
-        rd.pos <- rd.pos + 4;
-        v);
-  }
-
-let int64 =
-  {
-    d = Descr.Int64;
-    w =
-      (fun wr n ->
-        Buffer.add_char wr.buf tag_int64;
-        Buffer.add_int64_le wr.buf n);
-    r =
-      (fun rd ->
-        expect_tag rd tag_int64;
-        need rd 8;
-        let v = String.get_int64_le rd.src rd.pos in
-        rd.pos <- rd.pos + 8;
-        v);
   }
 
 let float =
@@ -289,20 +232,6 @@ let string =
         read_counted_string rd);
   }
 
-let bytes =
-  {
-    d = Descr.Bytes;
-    w =
-      (fun wr b ->
-        Buffer.add_char wr.buf tag_bytes;
-        write_uvarint wr (Bytes.length b);
-        Buffer.add_bytes wr.buf b);
-    r =
-      (fun rd ->
-        expect_tag rd tag_bytes;
-        Bytes.unsafe_of_string (read_counted_string rd));
-  }
-
 (* ------------------------------------------------------------------ *)
 (* Compounds                                                           *)
 
@@ -340,26 +269,6 @@ let triple a b c =
         (x, y, z));
   }
 
-let quad a b c d0 =
-  {
-    d = Descr.Quad (a.d, b.d, c.d, d0.d);
-    w =
-      (fun wr (x, y, z, u) ->
-        Buffer.add_char wr.buf tag_quad;
-        a.w wr x;
-        b.w wr y;
-        c.w wr z;
-        d0.w wr u);
-    r =
-      (fun rd ->
-        expect_tag rd tag_quad;
-        let x = a.r rd in
-        let y = b.r rd in
-        let z = c.r rd in
-        let u = d0.r rd in
-        (x, y, z, u));
-  }
-
 let list elt =
   {
     d = Descr.List elt.d;
@@ -373,29 +282,6 @@ let list elt =
         expect_tag rd tag_list;
         let len = read_length rd "list" in
         List.init len (fun _ -> elt.r rd));
-  }
-
-let array elt =
-  {
-    d = Descr.Array elt.d;
-    w =
-      (fun wr xs ->
-        Buffer.add_char wr.buf tag_array;
-        write_uvarint wr (Array.length xs);
-        Array.iter (elt.w wr) xs);
-    r =
-      (fun rd ->
-        expect_tag rd tag_array;
-        let len = read_length rd "array" in
-        if len = 0 then [||]
-        else begin
-          let first = elt.r rd in
-          let arr = Array.make len first in
-          for i = 1 to len - 1 do
-            arr.(i) <- elt.r rd
-          done;
-          arr
-        end);
   }
 
 let option elt =
@@ -568,19 +454,6 @@ let read_record_prefix rd name nfields =
   if n <> nfields then
     err "pickle: record %s: expected %d fields, found %d" name nfields n
 
-let record1 name f1 make =
-  {
-    d = record_header name [ (f1.f_name, f1.f_codec_d) ];
-    w =
-      (fun wr r ->
-        write_record_prefix wr 1;
-        f1.f_write wr r);
-    r =
-      (fun rd ->
-        read_record_prefix rd name 1;
-        make (f1.f_read rd));
-  }
-
 let record2 name f1 f2 make =
   {
     d = record_header name [ (f1.f_name, f1.f_codec_d); (f2.f_name, f2.f_codec_d) ];
@@ -672,39 +545,6 @@ let record5 name f1 f2 f3 f4 f5 make =
         let d = f4.f_read rd in
         let e = f5.f_read rd in
         make a b c d e);
-  }
-
-let record6 name f1 f2 f3 f4 f5 f6 make =
-  {
-    d =
-      record_header name
-        [
-          (f1.f_name, f1.f_codec_d);
-          (f2.f_name, f2.f_codec_d);
-          (f3.f_name, f3.f_codec_d);
-          (f4.f_name, f4.f_codec_d);
-          (f5.f_name, f5.f_codec_d);
-          (f6.f_name, f6.f_codec_d);
-        ];
-    w =
-      (fun wr r ->
-        write_record_prefix wr 6;
-        f1.f_write wr r;
-        f2.f_write wr r;
-        f3.f_write wr r;
-        f4.f_write wr r;
-        f5.f_write wr r;
-        f6.f_write wr r);
-    r =
-      (fun rd ->
-        read_record_prefix rd name 6;
-        let a = f1.f_read rd in
-        let b = f2.f_read rd in
-        let c = f3.f_read rd in
-        let d = f4.f_read rd in
-        let e = f5.f_read rd in
-        let f = f6.f_read rd in
-        make a b c d e f);
   }
 
 (* ------------------------------------------------------------------ *)

@@ -41,7 +41,6 @@ let create ~now config =
 
 let state t = t.st
 let last_ok_age t ~now = Float.max 0.0 (now -. t.last_ok_s)
-let probe_in_flight t = t.inflight
 let probe_started t = t.inflight <- true
 
 let move t cause to_ =

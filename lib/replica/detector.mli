@@ -48,8 +48,6 @@ val create : now:float -> config -> t
 (** Starts [Alive] with a success assumed at [now]. *)
 
 val state : t -> state
-val last_ok_age : t -> now:float -> float
-val probe_in_flight : t -> bool
 
 val probe_started : t -> unit
 (** Mark a heartbeat RPC in flight (introspection; transitions never

@@ -257,9 +257,6 @@ let create ~id ns =
   t.subscription <- Some (Ns.Db.subscribe (Ns.db ns) (fun lsn u -> on_commit t lsn u));
   t
 
-let id t = t.replica_id
-let local t = t.ns
-
 let add_peer ?acked_lsn ?(outbox_capacity = default_outbox_capacity) t ~id client =
   if outbox_capacity < 1 then invalid_arg "Replica.add_peer: outbox_capacity < 1";
   let acked = Option.value acked_lsn ~default:(local_lsn t) in
@@ -328,7 +325,6 @@ let reconnect t ~id client =
 
 let update t u = Ns.Db.update (Ns.db t.ns) u
 let set_value t path v = update t (Ns.Set_value (path, v))
-let delete_subtree t path = update t (Ns.Delete_subtree path)
 
 (* ------------------------------------------------------------------ *)
 (* Anti-entropy                                                        *)

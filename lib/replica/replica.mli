@@ -53,11 +53,8 @@ type peer_report = {
 val create : id:string -> Sdb_nameserver.Nameserver.t -> t
 (** Wrap a local name server as a replica.  Propagation subscribes to
     the engine's committed-update stream, so updates made through any
-    path — {!update}, the [Nameserver] API, or an RPC handler — are
+    path — the [Nameserver] API or an RPC handler — are
     pushed to peers. *)
-
-val id : t -> string
-val local : t -> Sdb_nameserver.Nameserver.t
 
 val add_peer :
   ?acked_lsn:int -> ?outbox_capacity:int ->
@@ -77,13 +74,7 @@ val reconnect : t -> id:string -> Sdb_rpc.Ns_protocol.Client.t -> unit
     acknowledged position, and mark it reachable again.  The stale
     outbox is discarded; run {!anti_entropy} to catch the peer up. *)
 
-val update : t -> Sdb_nameserver.Nameserver.update -> unit
-(** Commit locally (one log write); the subscription then enqueues the
-    update for every reachable, up-to-date peer.  Never blocks on the
-    network; the update is never lost locally. *)
-
 val set_value : t -> Sdb_nameserver.Name_path.t -> string option -> unit
-val delete_subtree : t -> Sdb_nameserver.Name_path.t -> unit
 
 (** {1 Health monitoring and self-healing} *)
 
@@ -113,10 +104,6 @@ val start_health : ?config:health_config -> t -> unit
     peer's client with the eager sender, and the deadline bounds how
     long a hung push can delay the probe. *)
 
-val stop_health : t -> unit
-(** Stop and join the monitor thread (idempotent).  {!shutdown} calls
-    this first. *)
-
 val anti_entropy : t -> unit
 (** Catch every peer up: replay the log suffix it is missing, or ship
     a full snapshot when the log no longer covers it.  Clears the
@@ -137,6 +124,9 @@ val shutdown : t -> unit
     The replica must not be used afterwards. *)
 
 val converged_with : t -> Sdb_rpc.Ns_protocol.Client.t -> bool
+[@@sdb.check.allow
+  "dead-export: library surface: the anti-entropy convergence check; \
+   test_replica calls it"]
 (** Digest comparison with a peer — the long-term consistency check. *)
 
 val digest : Sdb_nameserver.Nameserver.t -> string
@@ -146,27 +136,17 @@ val clone_from :
 (** Hard-error recovery: rebuild a replica's database from a peer's
     snapshot into a fresh store, then checkpoint it. *)
 
-val fetch_state_resumable :
-  ?chunk_bytes:int -> ?max_restarts:int ->
-  Sdb_rpc.Ns_protocol.Client.t ->
-  (Sdb_nameserver.Ns_data.tree * int * string, string) result
-(** Pull a peer's full state in [chunk_bytes] pieces (default 64 KiB)
-    via the resumable [fetch_meta]/[fetch_chunk] verbs: a connection
-    reset mid-transfer costs at most one chunk (the idempotent chunk
-    call is retried over a reconnect, resuming at the first missing
-    byte) instead of the whole state.  If the peer's state moves past
-    the pinned LSN the transfer restarts, at most [max_restarts]
-    (default 8) times.  Returns [(tree, lsn, digest)] with the
-    reassembled bytes verified against the peer's digest. *)
-
 val repair_from_peer :
   ?config:Smalldb.config -> ?chunk_bytes:int ->
   Sdb_rpc.Ns_protocol.Client.t -> Sdb_storage.Fs.t ->
   (Sdb_nameserver.Nameserver.t, string) result
+[@@sdb.check.allow
+  "dead-export: library surface: restore-from-replica repair; \
+   test_replica calls it"]
 (** §4's restore-from-replica, automated, on the {e damaged} store
     itself — usable when [open_] refuses the store outright (e.g.
     interior log damage with committed entries beyond it).  Pulls the
-    peer's full state with {!fetch_state_resumable} (so a mid-transfer
+    peer's full state in resumable chunks (so a mid-transfer
     connection reset resumes instead of restarting), verifies the
     transfer against the peer's canonical digest, wipes the store's
     files, rebuilds, checkpoints, and verifies the rebuilt digest.

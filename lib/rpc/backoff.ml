@@ -22,7 +22,6 @@ module Budget = struct
     m : Sdb_check.Mu.t;
     mutable tokens : float;
     mutable last_refill : float;  (* monotonic *)
-    n_denied : int Atomic.t;
   }
 
   let create ?burst ~rate_per_s () =
@@ -40,7 +39,6 @@ module Budget = struct
       m = Sdb_check.Mu.make "backoff.budget";
       tokens = burst;
       last_refill = Mono.now_s ();
-      n_denied = Atomic.make 0;
     }
 
   let unlimited =
@@ -50,7 +48,6 @@ module Budget = struct
       m = Sdb_check.Mu.make "backoff.budget.unlimited";
       tokens = 1.0;
       last_refill = 0.0;
-      n_denied = Atomic.make 0;
     }
 
   let try_spend t =
@@ -65,12 +62,8 @@ module Budget = struct
             t.tokens <- t.tokens -. 1.0;
             true
           end
-          else begin
-            ignore (Atomic.fetch_and_add t.n_denied 1 : int);
-            false
-          end)
+          else false)
 
-  let denied t = Atomic.get t.n_denied
 end
 
 type t = { policy : policy; rng : Rng.t; mutable base : float }
@@ -95,4 +88,3 @@ let next_s t =
   if t.policy.jitter && base > 0.0 then Rng.float t.rng base else base
 
 let reset t = t.base <- Float.min t.policy.initial_s t.policy.max_s
-let base_s t = t.base

@@ -42,9 +42,6 @@ module Budget : sig
   val try_spend : t -> bool
   (** Take one token; [false] (retry denied) when the bucket is empty. *)
 
-  val denied : t -> int
-  (** Retries denied so far — exported to metrics by callers. *)
-
   val unlimited : t
   (** A budget that always grants (for callers that opt out). *)
 end
@@ -63,6 +60,3 @@ val next_s : t -> float
 val reset : t -> unit
 (** Back to [initial_s] — call after a success so the next failure
     starts from a short delay again. *)
-
-val base_s : t -> float
-(** The current (unjittered) base, for introspection and tests. *)

@@ -17,7 +17,6 @@ type t = {
   mutable reorder_rate : float;
   mutable delay_s : float;
   mutable delay_jitter_s : float;
-  mutable bytes_per_s : int option;
   partitions : (string, unit) Hashtbl.t;
   mutable n_send : int;
   mutable n_recv : int;
@@ -40,7 +39,6 @@ let create ?seed () =
     reorder_rate = 0.0;
     delay_s = 0.0;
     delay_jitter_s = 0.0;
-    bytes_per_s = None;
     partitions = Hashtbl.create 4;
     n_send = 0;
     n_recv = 0;
@@ -89,15 +87,8 @@ let set_delay t ?(jitter_s = 0.0) d =
       t.delay_s <- d;
       t.delay_jitter_s <- jitter_s)
 
-let set_bandwidth t b =
-  (match b with
-  | Some b when b < 1 -> invalid_arg "Fault_net.set_bandwidth: < 1 byte/s"
-  | _ -> ());
-  locked t (fun () -> t.bytes_per_s <- b)
-
 let partition t peer = locked t (fun () -> Hashtbl.replace t.partitions peer ())
 let heal t peer = locked t (fun () -> Hashtbl.remove t.partitions peer)
-let heal_all t = locked t (fun () -> Hashtbl.reset t.partitions)
 let partitioned t peer = locked t (fun () -> Hashtbl.mem t.partitions peer)
 
 let ops t ~op =
@@ -115,7 +106,6 @@ let clear t =
       t.reorder_rate <- 0.0;
       t.delay_s <- 0.0;
       t.delay_jitter_s <- 0.0;
-      t.bytes_per_s <- None;
       Hashtbl.reset t.partitions)
 
 (* ------------------------------------------------------------------ *)
@@ -143,7 +133,7 @@ let pass =
     v_sleep_s = 0.0;
   }
 
-let decide t ~op ~peer ~len =
+let decide t ~op ~peer =
   locked t (fun () ->
       let n =
         match op with
@@ -170,16 +160,12 @@ let decide t ~op ~peer ~len =
       else if op = `Recv then pass
       else
         let sleep =
-          (if t.delay_s > 0.0 || t.delay_jitter_s > 0.0 then
-             t.delay_s
-             +.
-             if t.delay_jitter_s > 0.0 then Rng.float t.rng t.delay_jitter_s
-             else 0.0
-           else 0.0)
-          +.
-          match t.bytes_per_s with
-          | Some b -> float_of_int len /. float_of_int b
-          | None -> 0.0
+          if t.delay_s > 0.0 || t.delay_jitter_s > 0.0 then
+            t.delay_s
+            +.
+            if t.delay_jitter_s > 0.0 then Rng.float t.rng t.delay_jitter_s
+            else 0.0
+          else 0.0
         in
         {
           pass with
@@ -207,7 +193,7 @@ let wrap t ?peer (inner : Rpc.Transport.t) =
   let guard () = if !dead then raise (Rpc.Rpc_error reset_message) in
   let send msg =
     guard ();
-    let v = decide t ~op:`Send ~peer ~len:(String.length msg) in
+    let v = decide t ~op:`Send ~peer in
     if v.v_sleep_s > 0.0 then Thread.delay v.v_sleep_s;
     if v.v_reset then begin
       inject t;
@@ -241,7 +227,7 @@ let wrap t ?peer (inner : Rpc.Transport.t) =
   in
   let rec recv () =
     guard ();
-    let v = decide t ~op:`Recv ~peer ~len:0 in
+    let v = decide t ~op:`Recv ~peer in
     if v.v_reset then begin
       inject t;
       die ()

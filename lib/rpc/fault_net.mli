@@ -13,8 +13,7 @@
 
     - {b drop}: the message silently vanishes (the caller discovers it
       only through its recv deadline);
-    - {b delay} (fixed + jittered) and a {b bandwidth cap} (bytes/s,
-      sleeping proportionally to message size);
+    - {b delay} (fixed + jittered);
     - {b duplicate delivery}: the message is sent twice — exercising
       the response-desync → poison → reconnect path in {!Rpc.Client};
     - {b reorder}: the message is held back and sent after the next
@@ -37,6 +36,9 @@ type t
 type op = [ `Send | `Recv ]
 
 val reset_message : string
+[@@sdb.check.allow
+  "dead-export: fault injection: the network-fault suites drive the \
+   transport decorator through it"]
 (** The exact {!Rpc.Rpc_error} message of an injected connection
     reset, so tests and harnesses can tell injected faults from real
     ones. *)
@@ -53,32 +55,46 @@ val wrap : t -> ?peer:string -> Rpc.Transport.t -> Rpc.Transport.t
 (** {1 Scheduled and random faults} *)
 
 val fail_nth : t -> op:op -> n:int -> ?count:int -> unit -> unit
+[@@sdb.check.allow
+  "dead-export: fault injection: the network-fault suites drive the \
+   transport decorator through it"]
 (** Counting from now across every wrapped transport, the [n]-th
     operation of kind [op] (1-based) and the [count - 1] (default 0)
     following ones raise a connection reset. *)
 
 val set_fault_rate : t -> op:op -> float -> unit
+[@@sdb.check.allow
+  "dead-export: fault injection: the network-fault suites drive the \
+   transport decorator through it"]
 (** Each operation of kind [op] independently resets with this
     probability.  [0.] (the default) disables. *)
 
 val set_drop_rate : t -> float -> unit
+[@@sdb.check.allow
+  "dead-export: fault injection: the network-fault suites drive the \
+   transport decorator through it"]
 (** Each sent message is silently discarded with this probability. *)
 
 val set_dup_rate : t -> float -> unit
+[@@sdb.check.allow
+  "dead-export: fault injection: the network-fault suites drive the \
+   transport decorator through it"]
 (** Each sent message is delivered twice with this probability. *)
 
 val set_reorder_rate : t -> float -> unit
+[@@sdb.check.allow
+  "dead-export: fault injection: the network-fault suites drive the \
+   transport decorator through it"]
 (** Each sent message is held back, with this probability, until the
     next send on the same transport (which overtakes it).  A held
     message is discarded if the transport closes first. *)
 
 val set_delay : t -> ?jitter_s:float -> float -> unit
+[@@sdb.check.allow
+  "dead-export: fault injection: the network-fault suites drive the \
+   transport decorator through it"]
 (** Sleep this long (plus uniform jitter in [\[0, jitter_s)]) before
     every send.  [0.] disables. *)
-
-val set_bandwidth : t -> int option -> unit
-(** Cap throughput: each send sleeps [length / bytes_per_s].  [None]
-    (the default) disables. *)
 
 (** {1 Partitions} *)
 
@@ -87,17 +103,28 @@ val partition : t -> string -> unit
     is discarded in both directions until {!heal}.  Idempotent. *)
 
 val heal : t -> string -> unit
-val heal_all : t -> unit
 val partitioned : t -> string -> bool
+[@@sdb.check.allow
+  "dead-export: fault injection: the network-fault suites drive the \
+   transport decorator through it"]
 
 (** {1 Introspection} *)
 
 val ops : t -> op:op -> int
+[@@sdb.check.allow
+  "dead-export: fault injection: the network-fault suites drive the \
+   transport decorator through it"]
 (** Operations of this kind intercepted so far. *)
 
 val injected : t -> int
+[@@sdb.check.allow
+  "dead-export: fault injection: the network-fault suites drive the \
+   transport decorator through it"]
 (** Total faults injected (drops, dups, reorders, resets, blackholed
     messages) — sleeps are not counted. *)
 
 val clear : t -> unit
+[@@sdb.check.allow
+  "dead-export: fault injection: the network-fault suites drive the \
+   transport decorator through it"]
 (** Drop every scheduled fault, rate, delay, cap, and partition. *)

@@ -172,8 +172,6 @@ module Client = struct
     Rpc.Client.create ?deadline_s ?retry ?retry_budget ?reconnect transport
 
   let close = Rpc.Client.close
-  let calls = Rpc.Client.calls
-  let broken = Rpc.Client.broken
   let call = Rpc.Client.call
 
   (* Enquiries are read-only and the update procedures below are
@@ -181,7 +179,6 @@ module Client = struct
      relies on), so all of them are safe to re-send after a transport
      failure.  Only [cas] is genuinely non-idempotent. *)
   let lookup t p = call ~idempotent:true t ~meth:"lookup" codec_path codec_value p
-  let exists t p = call ~idempotent:true t ~meth:"exists" codec_path P.bool p
 
   let list_children t p =
     call ~idempotent:true t ~meth:"list_children" codec_path
@@ -194,11 +191,6 @@ module Client = struct
       (P.option codec_tree) (p, depth)
 
   let count_nodes t = call ~idempotent:true t ~meth:"count_nodes" P.unit P.int ()
-
-  let enumerate t p =
-    call ~idempotent:true t ~meth:"enumerate" codec_path
-      (P.list (P.pair codec_path codec_value))
-      p
 
   let find t pattern =
     call ~idempotent:true t ~meth:"find" P.string
@@ -244,11 +236,6 @@ module Client = struct
     call ~idempotent:true t ~meth:"traces"
       (P.pair P.int P.float)
       (P.list codec_span) (max_n, min_dur_s)
-
-  let fetch_state t =
-    call ~idempotent:true t ~meth:"fetch_state" P.unit
-      (P.triple codec_tree P.int P.string)
-      ()
 
   (* [scrub] is read-only unless the server self-repairs, and a repeat
      repair is a no-op on an already-clean store — safe to re-send. *)

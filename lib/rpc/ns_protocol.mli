@@ -6,11 +6,9 @@
     plus the two replica-support calls ([snapshot], [updates_since])
     that §4's restore-from-replica and propagation are built on. *)
 
-val handlers : Sdb_nameserver.Nameserver.t -> Rpc.Server.handler list
-(** All procedures, bound to one local name server instance. *)
-
 val serve : Sdb_nameserver.Nameserver.t -> Rpc.Transport.t -> unit
-(** [Rpc.Server.serve] with {!handlers}. *)
+(** [Rpc.Server.serve] with every procedure, bound to this name
+    server. *)
 
 module Client : sig
   type t
@@ -27,25 +25,16 @@ module Client : sig
       after a transport failure when [reconnect] is available. *)
 
   val close : t -> unit
-  val calls : t -> int
-
-  val broken : t -> bool
-  (** See {!Rpc.Client.broken}. *)
 
   (** Enquiries (each one round trip). *)
 
   val lookup : t -> Sdb_nameserver.Name_path.t -> string option
-  val exists : t -> Sdb_nameserver.Name_path.t -> bool
   val list_children : t -> Sdb_nameserver.Name_path.t -> string list option
 
   val export :
     ?depth:int -> t -> Sdb_nameserver.Name_path.t -> Sdb_nameserver.Ns_data.tree option
 
   val count_nodes : t -> int
-
-  val enumerate :
-    t -> Sdb_nameserver.Name_path.t ->
-    (Sdb_nameserver.Name_path.t * string option) list
 
   val find :
     t -> string ->
@@ -88,12 +77,6 @@ module Client : sig
       at least [min_dur_s], newest first — the contents of its
       process-global {!Sdb_obs.Trace.Slow} ring.  Empty when the
       server runs without a ring. *)
-
-  val fetch_state : t -> Sdb_nameserver.Ns_data.tree * int * string
-  (** Full-state transfer for replica repair (§4's
-      restore-from-replica): the snapshot tree, the LSN it reflects,
-      and the canonical digest of exactly that tree, taken in one
-      atomic call so the receiver can verify the transfer. *)
 
   val scrub : t -> repair:bool -> Smalldb.scrub_report
   (** Run an online integrity scrub on the server (see

@@ -221,7 +221,7 @@ module Socket = struct
   let listen ~path serve_conn =
     if Sys.file_exists path then
       (Unix.unlink path
-      [@sdb.lint.allow
+      [@sdb.check.allow
         "unix-io: removes a stale unix-domain socket, not a data file; Fs \
          decorates data-path I/O only"]);
     let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -453,7 +453,6 @@ module Client = struct
        RPC transport layer (DESIGN.md §5). *)
     mutex : Sdb_check.Mu.t;
     mutable next_id : int;
-    mutable n_calls : int;
     mutable is_broken : bool;
     mutable closed : bool;
   }
@@ -472,7 +471,6 @@ module Client = struct
       reconnect;
       mutex = Sdb_check.Mu.make "rpc.client";
       next_id = 0;
-      n_calls = 0;
       is_broken = false;
       closed = false;
     }
@@ -516,7 +514,6 @@ module Client = struct
         break_ t;
         raise e
     in
-    t.n_calls <- t.n_calls + 1;
     Transport.count_trip ();
     match P.decode_result codec_response resp_msg with
     | Error m ->
@@ -565,7 +562,6 @@ module Client = struct
         in
         go 1)
 
-  let calls t = t.n_calls
   let broken t = t.is_broken
 
   let close t =

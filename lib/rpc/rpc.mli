@@ -32,6 +32,9 @@ module Transport : sig
   (** Global count of completed calls (any client), for cost modelling. *)
 
   val deadline_exceeded : string
+  [@@sdb.check.allow
+    "dead-export: a reference the deadline tests compare the error \
+     message against"]
   (** The exact {!Rpc_error} message raised by a timed-out [recv]. *)
 end
 
@@ -79,16 +82,9 @@ type retry_policy = {
 (** Exponential backoff between re-attempts of idempotent calls,
     interpreted by {!Backoff}. *)
 
-val no_retry : retry_policy
-(** A single attempt (the default). *)
-
 val default_retry : retry_policy
 (** 3 attempts, 20 ms initial backoff, doubling, capped at 1 s, with
     full jitter. *)
-
-val backoff_of_retry : retry_policy -> Backoff.policy
-(** The delay schedule of a retry policy, for callers (the replica's
-    health monitor) that pace their own retries with the same rules. *)
 
 module Client : sig
   type t
@@ -124,9 +120,10 @@ module Client : sig
       failures; server-side errors are returned at once and
       non-idempotent calls are never re-sent. *)
 
-  val calls : t -> int
-
   val broken : t -> bool
+  [@@sdb.check.allow
+    "dead-export: a reference the RPC failure tests check poisoning \
+     with"]
   (** True after a transport failure or response-id desync; every later
       call either reconnects (when [reconnect] was given) or raises. *)
 

@@ -22,6 +22,8 @@ module V : Sdb_vlock.Vlock_core.S
 (** The engine's lock protocol under the virtual scheduler. *)
 
 val recursive_read : legacy:bool -> unit -> Schedcheck.scenario
+[@@sdb.check.allow
+  "dead-export: schedcheck scenario: test_schedcheck explores it"]
 (** One reader taking a nested Shared hold, racing one
     update-then-upgrade writer.  With [legacy:true] (the pre-fix gate:
     every Shared acquisition parks behind a pending upgrade) the
@@ -29,17 +31,23 @@ val recursive_read : legacy:bool -> unit -> Schedcheck.scenario
     bounded space passes exhaustively. *)
 
 val fresh_reader_gate : unit -> Schedcheck.scenario
+[@@sdb.check.allow
+  "dead-export: schedcheck scenario: test_schedcheck explores it"]
 (** A registered reader re-entering {e and} a first-time reader, racing
     an upgrader: re-entry must pass the pending-upgrade gate, a
     first-time acquisition must not be admitted while the upgrade
     drains. *)
 
 val upgrade_vs_readers : readers:int -> unit -> Schedcheck.scenario
+[@@sdb.check.allow
+  "dead-export: schedcheck scenario: test_schedcheck explores it"]
 (** Readers observing a two-step mutation that the writer performs
     under Exclusive (after the §3 update-then-upgrade dance): no torn
     observation in any interleaving, no deadlock, registry in sync. *)
 
 val upgrade_vs_readers_broken : unit -> Schedcheck.scenario
+[@@sdb.check.allow
+  "dead-export: schedcheck scenario: test_schedcheck explores it"]
 (** Detector of the detector: the writer mutates under Update without
     upgrading.  The explorer must find a schedule where a reader
     observes the torn intermediate state. *)
@@ -52,6 +60,8 @@ val group_commit :
   updaters:int ->
   unit ->
   Schedcheck.scenario
+[@@sdb.check.allow
+  "dead-export: schedcheck scenario: test_schedcheck explores it"]
 (** The commit pipeline (DESIGN.md §4d): [updaters] threads commit
     through the shipped coordinator over the virtual lock, the first
     [inserts] of them (default 0) as checked "insert if absent" updates
@@ -71,6 +81,8 @@ val group_commit :
     assert its coverage. *)
 
 val replica_outbox : pushes:int -> capacity:int -> unit -> Schedcheck.scenario
+[@@sdb.check.allow
+  "dead-export: schedcheck scenario: test_schedcheck explores it"]
 (** The bounded per-peer outbox hand-off ([lib/replica]): a committer
     enqueues (dropping on overflow) and wakes the sender; the sender
     drains, sending outside the mutex, and must observe the stop flag.
@@ -79,6 +91,8 @@ val replica_outbox : pushes:int -> capacity:int -> unit -> Schedcheck.scenario
     deadlock). *)
 
 val failure_detector : probes:bool list -> unit -> Schedcheck.scenario
+[@@sdb.check.allow
+  "dead-export: schedcheck scenario: test_schedcheck explores it"]
 (** The replica failure detector ([Sdb_replica.Detector] — the shipped
     code, not a model): a prober running the scripted heartbeat
     outcomes (with a scheduling point while each probe is in flight)

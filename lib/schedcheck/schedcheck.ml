@@ -25,7 +25,7 @@ let step ?(enabled = always) ?(run = nothing) label =
    Single-threaded by construction: explorations never run modeled
    code concurrently, so one cell is enough. *)
 let cur_tid = ref (-1)
-[@@sdb.lint.allow
+[@@sdb.check.allow
   "global-mutable: the explorer is single-threaded by construction — \
    modeled fibers run one at a time on the exploring thread, never \
    concurrently"]

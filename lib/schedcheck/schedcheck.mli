@@ -57,13 +57,6 @@ val yield : string -> unit
 (** A pure scheduling point: lets every interleaving around this
     program point be explored.  The label shows up in traces. *)
 
-val step : ?enabled:(unit -> bool) -> ?run:(unit -> unit) -> string -> unit
-(** The primitive under {!yield} and the virtual mutex: a scheduling
-    point that blocks while [enabled] is false and runs [run]
-    atomically when scheduled.  Lets a scenario build its own guarded
-    hand-offs (e.g. a phase that must wait for every other thread to
-    drain) without spin loops that would blow up the schedule space. *)
-
 (** Virtual mutex: [lock] is a scheduling point that blocks while the
     owner is another thread; [unlock] is immediate (an unlock commutes
     with every other thread's next step, so yielding there would only
@@ -127,6 +120,9 @@ val explore :
   (* default unbounded *)
   (unit -> scenario) ->
   outcome
+[@@sdb.check.allow
+  "dead-export: schedcheck driver: test_schedcheck runs every \
+   scenario through it"]
 (** [explore make] runs [make ()] once per schedule (state must be
     created inside [make] so each execution starts fresh) and searches
     the interleaving space depth-first.  Deterministic: same scenario,
@@ -140,9 +136,15 @@ val explore :
 
 val replay :
   ?max_preemptions:int -> (unit -> scenario) -> schedule:int list -> outcome * trace_entry list
+[@@sdb.check.allow
+  "dead-export: schedcheck driver: test_schedcheck replays failing \
+   schedules through it"]
 (** Re-run one schedule (typically [report.r_schedule] from a failure,
     with the bound it was explored under) and return its outcome plus
     the full trace. *)
 
 val pp_outcome : outcome -> string
+[@@sdb.check.allow
+  "dead-export: schedcheck driver: test_schedcheck prints verdicts \
+   with it"]
 (** Multi-line rendering: verdict, schedule, and trace. *)

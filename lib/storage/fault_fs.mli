@@ -33,12 +33,18 @@ val wrap : ?seed:int -> Fs.t -> t * Fs.t
 
 val fail_nth :
   t -> op:op -> n:int -> ?count:int -> ?errno:Unix.error -> unit -> unit
+[@@sdb.check.allow
+  "dead-export: fault injection: the disk-fault and crash suites \
+   drive the decorator through it"]
 (** Schedule: counting from now, the [n]-th operation of kind [op] and
     the [count - 1] (default 0) following ones fail.  [errno] defaults
     to [EIO] (permanent); pass [EINTR] for a transient cause (see
     {!Fs.errno_transient}). *)
 
 val set_fault_rate : t -> op:op -> float -> unit
+[@@sdb.check.allow
+  "dead-export: fault injection: the disk-fault and crash suites \
+   drive the decorator through it"]
 (** Each operation of kind [op] independently fails with this
     probability (errno [EIO]), drawn from the seeded generator.
     [0.] (the default) disables. *)
@@ -51,16 +57,28 @@ val set_latency : t -> ?op:op -> float -> unit
     calling without [~op] sets all three kinds at once. *)
 
 val set_capacity : t -> int option -> unit
+[@@sdb.check.allow
+  "dead-export: fault injection: the disk-fault and crash suites \
+   drive the decorator through it"]
 (** Byte budget across all files of the {e inner} store, measured by
     summing its file sizes.  Growth past the budget raises
     {!Fs.No_space} without touching the inner fs.  [None] disables. *)
 
 val clear : t -> unit
+[@@sdb.check.allow
+  "dead-export: fault injection: the disk-fault and crash suites \
+   drive the decorator through it"]
 (** Drop all scheduled faults, rates, latency, and capacity. *)
 
 val ops : t -> op:op -> int
+[@@sdb.check.allow
+  "dead-export: fault injection: the disk-fault and crash suites \
+   drive the decorator through it"]
 (** Operations of this kind seen so far (the fault-point space swept by
     the chaos test, mirroring {!Mem_fs.mutating_ops}). *)
 
 val injected : t -> int
+[@@sdb.check.allow
+  "dead-export: fault injection: the disk-fault and crash suites \
+   drive the decorator through it"]
 (** Total faults injected so far (scheduled + random + no-space). *)

@@ -92,11 +92,6 @@ module Counters = struct
       removes = after.removes - before.removes;
     }
 
-  let pp ppf c =
-    Format.fprintf ppf
-      "writes=%d bytes_w=%d syncs=%d reads=%d bytes_r=%d creates=%d renames=%d removes=%d"
-      c.data_writes c.bytes_written c.syncs c.data_reads c.bytes_read c.creates
-      c.renames c.removes
 end
 
 type reader = {

@@ -30,7 +30,7 @@ exception
     message : string;
   }
 (** Any other failure: missing file, handle used after close or crash,
-    a device error.  Construct with {!io_error} / {!io_fail}. *)
+    a device error.  Raise with {!io_fail}. *)
 
 exception No_space of { file : string; needed : int; available : int }
 (** The write would exceed the store's byte-capacity budget (disk
@@ -38,14 +38,13 @@ exception No_space of { file : string; needed : int; available : int }
     failing write left the file exactly as it was, so the engine can
     reject the one update cleanly instead of poisoning itself. *)
 
-val io_error :
-  ?op:string -> ?file:string -> ?errno:Unix.error -> string -> exn
-(** Build an {!Io_error} ([op] defaults to [""]). *)
-
 val io_fail : ?op:string -> ?file:string -> ?errno:Unix.error -> string -> 'a
 (** [raise (io_error …)]. *)
 
 val errno_transient : Unix.error -> bool
+[@@sdb.check.allow
+  "dead-export: a reference the fault tests classify injected errno \
+   values with"]
 (** True for errnos that name a retryable condition ([EINTR], [EAGAIN],
     [EWOULDBLOCK]) rather than a sick device. *)
 
@@ -73,7 +72,6 @@ module Counters : sig
   val reset : t -> unit
   val copy : t -> t
   val diff : after:t -> before:t -> t
-  val pp : Format.formatter -> t -> unit
 end
 
 type reader = {

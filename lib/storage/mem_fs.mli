@@ -59,6 +59,9 @@ val crash : store -> mode:crash_mode -> unit
 (** Apply crash semantics immediately. *)
 
 val mutating_ops : store -> int
+[@@sdb.check.allow
+  "dead-export: crash-sweep hook: the crash suites enumerate crash \
+   points by it"]
 (** Mutating operations performed so far (the crash-point space). *)
 
 val damage : store -> file:string -> offset:int -> len:int -> unit
@@ -69,6 +72,9 @@ val total_bytes : store -> int
 (** Sum of file sizes — disk-space accounting for E12. *)
 
 val set_capacity : store -> int option -> unit
+[@@sdb.check.allow
+  "dead-export: fault injection: disk-full tests cap the in-memory \
+   store"]
 (** [set_capacity s (Some bytes)] caps the store at [bytes] total: a
     write whose growth would push {!total_bytes} over the budget raises
     {!Fs.No_space} {e before mutating anything} (all-or-nothing, so the
@@ -77,3 +83,6 @@ val set_capacity : store -> int option -> unit
     always allowed — only growth is charged. *)
 
 val file_names : store -> string list
+[@@sdb.check.allow
+  "dead-export: a reference the accounting test compares the store's \
+   files against"]

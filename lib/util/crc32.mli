@@ -10,16 +10,6 @@
 type t = int32
 (** A running CRC state (also the final digest). *)
 
-val empty : t
-(** CRC of the empty string. *)
-
-val update : t -> bytes -> pos:int -> len:int -> t
-(** [update c b ~pos ~len] extends digest [c] with [len] bytes of [b]
-    starting at [pos].  Raises [Invalid_argument] on out-of-range. *)
-
-val update_string : t -> string -> t
-(** [update_string c s] extends [c] with all of [s]. *)
-
 val digest_bytes : bytes -> pos:int -> len:int -> t
 (** One-shot digest of a byte range. *)
 
@@ -27,4 +17,7 @@ val digest_string : string -> t
 (** One-shot digest of a whole string. *)
 
 val to_int32 : t -> int32
+[@@sdb.check.allow
+  "dead-export: a reference the known-vector test compares digests \
+   against"]
 val equal : t -> t -> bool

@@ -16,4 +16,3 @@ let now_ns () =
   publish ()
 
 let now_s () = Int64.to_float (now_ns ()) /. 1e9
-let elapsed_s ~since = Float.max 0.0 (now_s () -. since)

@@ -11,12 +11,6 @@
     meaningful as differences.  Never mix them with wall-clock
     timestamps. *)
 
-val now_ns : unit -> int64
-(** Raw CLOCK_MONOTONIC reading in nanoseconds. *)
-
 val now_s : unit -> float
 (** Monotonic seconds.  Guaranteed non-decreasing within the process
     even if the underlying clock source misbehaves. *)
-
-val elapsed_s : since:float -> float
-(** [now_s () -. since], clamped to be non-negative. *)

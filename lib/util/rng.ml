@@ -19,8 +19,6 @@ let next_int64 t =
   t.state <- Int64.add t.state golden_gamma;
   mix t.state
 
-let split t = { state = next_int64 t; zipf_memo = None }
-
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   (* Rejection sampling over the low 62 bits avoids modulo bias. *)
@@ -36,22 +34,8 @@ let float t bound =
   let v = Int64.to_int (next_int64 t) land max_int in
   bound *. (float_of_int v /. float_of_int max_int)
 
-let bool t = Int64.logand (next_int64 t) 1L = 1L
-
 let string t ~len =
   String.init len (fun _ -> Char.chr (33 + int t 94))
-
-let pick t arr =
-  if Array.length arr = 0 then invalid_arg "Rng.pick: empty array";
-  arr.(int t (Array.length arr))
-
-let shuffle t arr =
-  for i = Array.length arr - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done
 
 (* Zipf via the classic Gray et al. rejection-free approximation: compute
    the generalized harmonic number once per (n, theta) and invert the CDF

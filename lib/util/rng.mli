@@ -9,28 +9,14 @@ type t
 val create : seed:int -> t
 (** A fresh stream.  Equal seeds yield equal streams. *)
 
-val split : t -> t
-(** An independent stream derived from (and advancing) [t]. *)
-
-val next_int64 : t -> int64
-(** Next raw 64-bit output. *)
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)].  Requires [bound > 0]. *)
 
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
 
-val bool : t -> bool
-
 val string : t -> len:int -> string
 (** Random string of printable ASCII of length [len]. *)
-
-val pick : t -> 'a array -> 'a
-(** Uniform choice from a non-empty array. *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher–Yates shuffle. *)
 
 val zipf : t -> n:int -> theta:float -> int
 (** Zipf-distributed rank in [\[0, n)] with skew [theta] (0 = uniform);

@@ -49,8 +49,3 @@ let read_unsigned s ~pos =
 let read_signed s ~pos =
   let v, next = read_raw s ~pos in
   (unzigzag v, next)
-
-let encoded_size_unsigned n =
-  if n < 0 then invalid_arg "Varint.encoded_size_unsigned: negative";
-  let rec go n acc = if n land lnot 0x7F = 0 then acc else go (n lsr 7) (acc + 1) in
-  go n 1

@@ -23,6 +23,3 @@ val read_unsigned : string -> pos:int -> int * int
 
 val read_signed : string -> pos:int -> int * int
 (** Signed (zig-zag) counterpart of {!read_unsigned}. *)
-
-val encoded_size_unsigned : int -> int
-(** Bytes the unsigned encoding will use. *)

@@ -107,9 +107,7 @@ let test_breakdown_sums () =
     m.Cost.explore_model_ms +. m.Cost.modify_model_ms +. m.Cost.pickle_model_ms
     +. m.Cost.unpickle_model_ms +. m.Cost.disk_model_ms +. m.Cost.rpc_model_ms
   in
-  check (Alcotest.float 1e-6) "total = sum of parts" parts m.Cost.total_model_ms;
-  Alcotest.check Alcotest.bool "pp renders" true
-    (String.length (Format.asprintf "%a" Cost.pp_breakdown m) > 0)
+  check (Alcotest.float 1e-6) "total = sum of parts" parts m.Cost.total_model_ms
 
 let test_since_isolates_window () =
   let _, fs, db = mem_db () in

@@ -255,8 +255,7 @@ let () =
               for _ = 1 to 20 do
                 let d = Backoff.next_s b in
                 check Alcotest.bool "within [0, max)" true (d >= 0.0 && d < 0.4)
-              done;
-              check Alcotest.bool "base capped" true (Backoff.base_s b <= 0.4));
+              done);
           Alcotest.test_case "no jitter is the deterministic ladder" `Quick
             (fun () ->
               let b =
@@ -274,8 +273,6 @@ let () =
               check Alcotest.bool "second" true (Backoff.Budget.try_spend budget);
               check Alcotest.bool "burst exhausted" false
                 (Backoff.Budget.try_spend budget);
-              check Alcotest.bool "denial counted" true
-                (Backoff.Budget.denied budget >= 1);
               Thread.delay 0.1;
               check Alcotest.bool "refilled" true (Backoff.Budget.try_spend budget));
           Alcotest.test_case "unlimited never denies" `Quick (fun () ->

@@ -1,107 +1,182 @@
-(* sdb_modecheck's suite: every rule must fire on its seeded fixture —
-   compiled to a real .cmt, so the checker is exercised on genuine
-   typedtrees, not synthetic summaries — the built-in self-test must
-   pass, the disciplined fixture must stay silent, and the shipped
-   tree must check clean with the DESIGN.md §5 lockdep cross-check on. *)
+(* sdb_modecheck's suite.  Every rule must fire on its seeded fixture —
+   compiled to a real .cmt, so the checker runs on genuine typedtrees —
+   exactly as seeded and nothing more, and stay silent on its waived or
+   disciplined twin; rules scoped by source path are checked on both
+   sides of their scope.  The shipped tree must check clean with the
+   DESIGN.md §5 lockdep cross-check on.  The fixture and tree .cmt files
+   are deps of this test (test/dune), so a missing one is a failure. *)
 
 let check = Alcotest.check
 
-(* Tests run from the build context; walk up to the (copied)
-   dune-project so the fixture and library .cmt trees resolve whether
-   dune launched us from _build/default/test or elsewhere. *)
-let rec find_root dir =
-  if Sys.file_exists (Filename.concat dir "dune-project") then Some dir
-  else
-    let parent = Filename.dirname dir in
-    if String.equal parent dir then None else find_root parent
-
-(* The root may be the build context itself (dune runtest copies
-   dune-project into _build/default) or the source root (dune exec from
-   the repo top); in the latter case the artifacts sit under
-   _build/default. *)
-let build_roots () =
-  match find_root (Sys.getcwd ()) with
-  | None -> []
-  | Some root ->
-    [ root; List.fold_left Filename.concat root [ "_build"; "default" ] ]
-
-let fixture_cmt name =
-  let rel =
-    List.fold_left Filename.concat "test"
-      [ "modecheck_fixtures"; ".modecheck_fixtures.objs"; "byte";
-        "modecheck_fixtures__" ^ name ^ ".cmt" ]
+(* Tests run from the build context (dune runtest copies dune-project
+   into _build/default) or from the source root (dune exec); either
+   way, find the directory the .cmt trees sit under. *)
+let build_dir () =
+  let rec find_root dir =
+    if Sys.file_exists (Filename.concat dir "dune-project") then Some dir
+    else
+      let parent = Filename.dirname dir in
+      if String.equal parent dir then None else find_root parent
   in
-  List.find_opt Sys.file_exists
-    (List.map (fun r -> Filename.concat r rel) (build_roots ()))
+  match find_root (Sys.getcwd ()) with
+  | None -> Alcotest.fail "no dune-project above the working directory"
+  | Some root ->
+    let nested = List.fold_left Filename.concat root [ "_build"; "default" ] in
+    if Sys.file_exists (Filename.concat nested "lib") then nested else root
 
-let rules_of cmt =
-  (Sdb_modecheck.analyze ~xcheck:false [ cmt ]).Sdb_modecheck.r_findings
-  |> List.map (fun f -> f.Sdb_modecheck.f_rule)
-  |> List.sort_uniq compare
+(* The .cmt (and .cmti, when the fixture has an interface) of one
+   fixture unit; "" names the library's wrapper, through which one
+   fixture refers to another. *)
+let unit_files name =
+  let base =
+    List.fold_left Filename.concat (build_dir ())
+      [ "test"; "modecheck_fixtures"; ".modecheck_fixtures.objs"; "byte";
+        (if name = "" then "modecheck_fixtures"
+         else "modecheck_fixtures__" ^ name) ]
+  in
+  if not (Sys.file_exists (base ^ ".cmt")) then
+    Alcotest.failf "missing %s.cmt" base;
+  (base ^ ".cmt") :: List.filter Sys.file_exists [ base ^ ".cmti" ]
 
-(* Each fixture must trip exactly the seeded rules — a fixture that
-   also trips something unplanned is a regression in the checker, not
-   extra credit. *)
+let findings ?(xcheck = false) ?(refs = []) name =
+  (Sdb_modecheck.analyze ~xcheck
+     ~refs:(List.concat_map unit_files refs)
+     (unit_files name))
+    .Sdb_modecheck.r_findings
+
+let rules_of fs =
+  List.sort_uniq compare (List.map (fun f -> f.Sdb_modecheck.f_rule) fs)
+
+(* A fixture trips exactly the seeded rules — one that also trips
+   something unplanned is a regression in the checker, not extra
+   credit. *)
+let expect ?xcheck ?refs name rules =
+  check Alcotest.(list string) name (List.sort compare rules)
+    (rules_of (findings ?xcheck ?refs name))
+
+let count name rule n =
+  check Alcotest.int
+    (Printf.sprintf "%s: %s findings" name rule)
+    n
+    (List.length
+       (List.filter (fun f -> f.Sdb_modecheck.f_rule = rule) (findings name)))
+
+(* The interprocedural rules: one seeded fixture and one twin each. *)
 let fixture_cases =
   [
-    ("Fx_mode", [ "mode" ]);
-    ("Fx_chain", [ "mode" ]);
-    ("Fx_iomutex", [ "io-under-mutex"; "unprotected-acquire" ]);
-    ("Fx_cycle", [ "lock-order" ]);
-    ("Fx_noblock", [ "noblock" ]);
-    ("Fx_clean", []);
+    ("Fx_mode", [ "mode" ], false);
+    ("Fx_chain", [ "mode" ], false);
+    ("Fx_mode_ok", [], false);
+    ("Fx_deadlock", [ "deadlock" ], false);
+    ("Fx_deadlock_ok", [], false);
+    ("Fx_noblock", [ "noblock" ], false);
+    ("Fx_noblock_ok", [], false);
+    ("Fx_iomutex", [ "io-under-mutex"; "unprotected-acquire" ], false);
+    ("Fx_iomutex_ok", [], false);
+    ("Fx_unprotected", [ "unprotected-acquire" ], false);
+    ("Fx_unprotected_ok", [], false);
+    ("Fx_cycle", [ "lock-order" ], false);
+    ("Fx_lockdep", [ "lockdep-xcheck" ], true);
+    ("Fx_lockdep_ok", [], true);
+    ("Fx_attr", [ "attr" ], false);
+    ("Fx_clean", [], false);
   ]
 
-let test_fixture (name, expected) () =
-  match fixture_cmt name with
-  | None -> () (* sandboxed without build-tree access: covered by CI *)
-  | Some cmt ->
-    check Alcotest.(list string) name (List.sort compare expected) (rules_of cmt)
+(* The per-unit rules, each with its waived twin and, for the rules
+   scoped by source path, a fixture on the other side of the scope. *)
+let test_unix_io () =
+  expect "Fx_unix_io" [ "unix-io" ];
+  count "Fx_unix_io" "unix-io" 2;
+  expect "Fx_unix_io_ok" [];
+  expect "Fx_storage_io" []
 
-let test_self_test () =
-  match Sdb_modecheck.self_test () with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail e
+let test_mutex_pairing () =
+  expect "Fx_unpaired" [ "mutex-pairing" ];
+  count "Fx_unpaired" "mutex-pairing" 2;
+  expect "Fx_unpaired_ok" []
 
-(* The acceptance bar: the shipped tree checks clean under every rule,
-   including the cross-check of the statically derived lock-order DAG
-   against the runtime lockdep graph documented in DESIGN.md §5. *)
+let test_print_in_lib () =
+  expect "Fx_print" [ "print-in-lib" ];
+  count "Fx_print" "print-in-lib" 2;
+  expect "Fx_print_ok" [];
+  expect "Fx_outside_lib" []
+
+let test_global_mutable () =
+  expect "Fx_global" [ "global-mutable" ];
+  expect "Fx_global_ok" [];
+  expect "Fx_outside_lib" []
+
+let test_swallow () =
+  expect "Fx_swallow" [ "swallow" ];
+  count "Fx_swallow" "swallow" 2;
+  expect "Fx_swallow_ok" [];
+  expect "Fx_outside_lib" []
+
+let test_dead_export () =
+  expect ~refs:[ ""; "Fx_dead_user" ] "Fx_dead" [ "dead-export" ];
+  (match findings ~refs:[ ""; "Fx_dead_user" ] "Fx_dead" with
+  | [ f ] ->
+    check Alcotest.bool "a test reference does not count" true
+      (Helpers.contains ~needle:"only test/ references it" f.f_message)
+  | fs -> Alcotest.failf "expected one finding, got %d" (List.length fs));
+  expect "Fx_dead_ok" [];
+  expect "Fx_outside_lib" []
+
+let test_render () =
+  match findings "Fx_global" with
+  | [ f ] ->
+    check Alcotest.string "file:line:col: [rule] message"
+      (Printf.sprintf "test/modecheck_fixtures/lib/fx_global.ml:4:0: \
+                       [global-mutable] %s" f.f_message)
+      (Sdb_modecheck.render f)
+  | fs -> Alcotest.failf "expected one finding, got %d" (List.length fs)
+
+let test_read_error () =
+  let file = Filename.temp_file "sdb_modecheck" ".cmt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      let oc = open_out_bin file in
+      output_string oc "not a typedtree";
+      close_out oc;
+      check Alcotest.(list string) "unreadable .cmt" [ "read-error" ]
+        (rules_of (Sdb_modecheck.analyze ~xcheck:false [ file ]).r_findings))
+
+(* The acceptance bar: the lib/ and bin/ units of the shipped tree check
+   clean under every rule, including the cross-check of the statically
+   derived lock-order DAG against the runtime lockdep graph documented
+   in DESIGN.md §5. *)
 let test_tree_is_clean () =
-  let lib_with_cmts =
-    List.find_opt
-      (fun lib ->
-        Sys.file_exists lib && Sdb_modecheck.walk_cmts [ lib ] <> [])
-      (List.map (fun r -> Filename.concat r "lib") (build_roots ()))
-  in
-  match lib_with_cmts with
-  | None -> () (* sandboxed without build-tree access: covered by CI *)
-  | Some lib ->
-    begin
-      let cmts = Sdb_modecheck.walk_cmts [ lib ] in
-      check Alcotest.bool "found cmt files" true (cmts <> []);
-      let r = Sdb_modecheck.analyze ~xcheck:true cmts in
-      List.iter
-        (fun f -> Printf.eprintf "%s\n" (Sdb_modecheck.render f))
-        r.Sdb_modecheck.r_findings;
-      check Alcotest.int "tree findings" 0 (List.length r.r_findings);
-      check
-        Alcotest.(list (pair string string))
-        "static lock-order DAG matches the runtime lockdep graph"
-        (List.sort compare Sdb_modecheck.expected_lockdep)
-        (List.sort compare r.r_edges)
-    end
+  let r = Sdb_modecheck.analyze_tree (build_dir ()) in
+  List.iter
+    (fun f -> Printf.eprintf "%s\n" (Sdb_modecheck.render f))
+    r.r_findings;
+  check Alcotest.int "tree findings" 0 (List.length r.r_findings);
+  check
+    Alcotest.(list (pair string string))
+    "static lock-order DAG matches the runtime lockdep graph"
+    (List.sort compare Sdb_modecheck.expected_lockdep)
+    (List.sort compare r.r_edges)
 
 let () =
   Helpers.run "modecheck"
     [
       ( "fixtures",
         List.map
-          (fun (name, _ as case) ->
-            Alcotest.test_case name `Quick (test_fixture case))
+          (fun (name, rules, xcheck) ->
+            Alcotest.test_case name `Quick (fun () -> expect ~xcheck name rules))
           fixture_cases );
-      ( "gate",
+      ( "rules",
         [
-          Alcotest.test_case "self test" `Quick test_self_test;
-          Alcotest.test_case "tree is clean" `Quick test_tree_is_clean;
+          Alcotest.test_case "unix-io" `Quick test_unix_io;
+          Alcotest.test_case "mutex-pairing" `Quick test_mutex_pairing;
+          Alcotest.test_case "print-in-lib" `Quick test_print_in_lib;
+          Alcotest.test_case "global-mutable" `Quick test_global_mutable;
+          Alcotest.test_case "swallow" `Quick test_swallow;
+          Alcotest.test_case "dead-export" `Quick test_dead_export;
+          Alcotest.test_case "read-error" `Quick test_read_error;
+          Alcotest.test_case "render" `Quick test_render;
         ] );
+      ( "gate",
+        [ Alcotest.test_case "tree is clean" `Quick test_tree_is_clean ] );
     ]

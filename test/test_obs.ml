@@ -330,8 +330,6 @@ let test_slow_ring () =
   Fun.protect
     ~finally:(fun () -> Trace.set_sink None)
     (fun () ->
-      check (Alcotest.option (Alcotest.float 1e-12)) "threshold readable"
-        (Some 0.01) (Trace.Slow.threshold_s ());
       Trace.span "fast" ~start_s:1.0 ~dur_s:0.001;
       Trace.span "slow" ~start_s:2.0 ~dur_s:0.05;
       check (Alcotest.list Alcotest.string) "only spans over threshold"
@@ -346,8 +344,6 @@ let test_with_request () =
   with_sink (Trace.Ring.sink ring) (fun () ->
       Trace.span "before" ~start_s:0.0 ~dur_s:0.0;
       Trace.with_request "req-7" (fun () ->
-          check (Alcotest.option Alcotest.string) "context visible"
-            (Some "req-7") (Trace.current_request ());
           Trace.span "inside" ~start_s:1.0 ~dur_s:0.0;
           Trace.with_request "req-8" (fun () ->
               Trace.span "nested" ~start_s:2.0 ~dur_s:0.0);
@@ -357,8 +353,6 @@ let test_with_request () =
           Trace.span "explicit" ~attrs:[ ("req", "mine") ] ~start_s:4.0
             ~dur_s:0.0);
       Trace.span "after" ~start_s:5.0 ~dur_s:0.0);
-  check (Alcotest.option Alcotest.string) "no ambient context" None
-    (Trace.current_request ());
   let req name =
     let s = List.find (fun s -> s.Trace.name = name) (Trace.Ring.contents ring) in
     List.assoc_opt "req" s.Trace.attrs

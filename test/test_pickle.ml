@@ -15,15 +15,9 @@ let test_primitives () =
   check_roundtrip Alcotest.unit "unit" P.unit ();
   check_roundtrip Alcotest.bool "true" P.bool true;
   check_roundtrip Alcotest.bool "false" P.bool false;
-  check_roundtrip Alcotest.char "char" P.char 'q';
-  check_roundtrip Alcotest.char "nul char" P.char '\x00';
   List.iter
     (fun n -> check_roundtrip Alcotest.int "int" P.int n)
     [ 0; 1; -1; 42; -127; 128; 65536; max_int; min_int ];
-  check_roundtrip Alcotest.int32 "int32" P.int32 0xDEADBEEFl;
-  check_roundtrip Alcotest.int32 "int32 min" P.int32 Int32.min_int;
-  check_roundtrip Alcotest.int64 "int64" P.int64 0x1122334455667788L;
-  check_roundtrip Alcotest.int64 "int64 min" P.int64 Int64.min_int;
   List.iter
     (fun f -> check_roundtrip (Alcotest.float 0.0) "float" P.float f)
     [ 0.0; -0.0; 1.5; -3.25; infinity; neg_infinity; max_float; min_float; epsilon_float ];
@@ -33,8 +27,7 @@ let test_primitives () =
   check_roundtrip Alcotest.string "string" P.string "hello";
   check_roundtrip Alcotest.string "empty string" P.string "";
   check_roundtrip Alcotest.string "binary string" P.string "\x00\xFF\x80\n\t";
-  check_roundtrip Alcotest.string "long string" P.string (String.make 100_000 'x');
-  check_roundtrip Alcotest.bytes "bytes" P.bytes (Bytes.of_string "raw\x00bytes")
+  check_roundtrip Alcotest.string "long string" P.string (String.make 100_000 'x')
 
 (* ------------------------------------------------------------------ *)
 (* Compounds                                                           *)
@@ -47,17 +40,8 @@ let test_compounds () =
     "triple"
     (P.triple P.int P.bool P.string)
     (1, true, "y");
-  let quad = P.quad P.int P.int P.int P.string in
-  let a, b, c, d = roundtrip quad (1, 2, 3, "four") in
-  check Alcotest.int "quad.1" 1 a;
-  check Alcotest.int "quad.2" 2 b;
-  check Alcotest.int "quad.3" 3 c;
-  check Alcotest.string "quad.4" "four" d;
   check_roundtrip (Alcotest.list Alcotest.int) "list" (P.list P.int) [ 1; 2; 3 ];
   check_roundtrip (Alcotest.list Alcotest.int) "empty list" (P.list P.int) [];
-  check_roundtrip (Alcotest.array Alcotest.string) "array" (P.array P.string)
-    [| "a"; "b" |];
-  check_roundtrip (Alcotest.array Alcotest.int) "empty array" (P.array P.int) [||];
   check_roundtrip (Alcotest.option Alcotest.int) "some" (P.option P.int) (Some 9);
   check_roundtrip (Alcotest.option Alcotest.int) "none" (P.option P.int) None;
   check_roundtrip
@@ -359,8 +343,7 @@ let test_to_of_string () =
 
 let test_descr_rendering () =
   let d = P.descr (P.pair P.int (P.list P.string)) in
-  check Alcotest.string "descr" "pair(int,list(string))" (Descr.to_string d);
-  Alcotest.check Alcotest.bool "equal" true (Descr.equal d d)
+  check Alcotest.string "descr" "pair(int,list(string))" (Descr.to_string d)
 
 let test_counters () =
   P.Counters.reset ();

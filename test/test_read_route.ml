@@ -1,4 +1,4 @@
-(* The lock-free read path end to end: the engine routing queries
+(* The lock-free read route end to end: the engine routing queries
    through its atomically published root (read_path = `Epoch), readers
    in parallel domains, and the snapshot semantics observable over
    RPC. *)
@@ -141,9 +141,21 @@ let test_parallel_domain_pairing () =
    sequenced values while a reader repeatedly takes [snapshot] (the
    engine's query_with_lsn through the epoch route).  The payload and
    the LSN must come from the same published version: value i is
-   committed by exactly the update that moved the LSN to base + i. *)
+   committed by exactly the update that moved the LSN to base + i.
+   The race is made certain, not left to the scheduler: the writer
+   starts only once the reader's first snapshot has returned, and
+   holds its last write until the reader has taken a snapshot strictly
+   between the first and the last write. *)
 let test_rpc_snapshot_consistency () =
   let _store, ns = epoch_ns ~seed:10 () in
+  let first_snapshot = Atomic.make false
+  and mid_run = Atomic.make false
+  and abort = Atomic.make false in
+  let await flag =
+    while not (Atomic.get flag || Atomic.get abort) do
+      Thread.yield ()
+    done
+  in
   let serve_pair () =
     let client_t, server_t = Rpc.Inproc.pair () in
     let server = Thread.create (fun () -> Proto.serve ns server_t) () in
@@ -153,6 +165,7 @@ let test_rpc_snapshot_consistency () =
   let rc, rst, rsrv = serve_pair () in
   Fun.protect
     ~finally:(fun () ->
+      Atomic.set abort true;
       Proto.Client.close wc;
       Proto.Client.close rc;
       wst.Rpc.Transport.close ();
@@ -164,17 +177,23 @@ let test_rpc_snapshot_consistency () =
       Proto.Client.set_value wc (p "/seq") (Some "0");
       let base = Proto.Client.lsn rc in
       let writes = 50 in
+      let write i = Proto.Client.set_value wc (p "/seq") (Some (string_of_int i)) in
       let writer =
         Thread.create
           (fun () ->
-            for i = 1 to writes do
-              Proto.Client.set_value wc (p "/seq") (Some (string_of_int i))
-            done)
+            await first_snapshot;
+            for i = 1 to writes - 1 do
+              write i
+            done;
+            await mid_run;
+            if not (Atomic.get abort) then write writes)
           ()
       in
       let consistent = ref 0 in
       while Proto.Client.lsn rc < base + writes do
         let tree, lsn = Proto.Client.snapshot rc in
+        Atomic.set first_snapshot true;
+        if base < lsn && lsn < base + writes then Atomic.set mid_run true;
         let value =
           match Data.pfind (Data.pof_tree tree) (p "/seq") with
           | Some n -> n.Data.pvalue
@@ -197,7 +216,7 @@ let test_rpc_snapshot_consistency () =
         (Proto.Client.lookup rc (p "/seq")))
 
 let () =
-  Helpers.run "epoch"
+  Helpers.run "read_route"
     [
       ( "engine",
         [

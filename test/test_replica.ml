@@ -12,6 +12,7 @@ let p s = match Path.of_string s with Ok v -> v | Error e -> Alcotest.fail e
 
 (* A test cell: one replica with a local ns, servable over inproc RPC. *)
 type cell = {
+  id : string;
   ns : Ns.t;
   store : Mem.store;
   replica : Replica.t;
@@ -22,7 +23,7 @@ type cell = {
 let make_cell id seed =
   let store = Mem.create_store ~seed () in
   let ns = Ns.open_exn (Mem.fs store) in
-  { ns; store; replica = Replica.create ~id ns; server_threads = []; server_transports = [] }
+  { id; ns; store; replica = Replica.create ~id ns; server_threads = []; server_transports = [] }
 
 (* Connect [a] -> [b]: a client in [a] served by [b]'s name server.
    [how] selects first registration (at a given acked position) or
@@ -34,10 +35,10 @@ let connect ?(how = `Add) a b =
   b.server_transports <- server_t :: b.server_transports;
   let client = Proto.Client.create client_t in
   (match how with
-  | `Add -> Replica.add_peer a.replica ~id:(Replica.id b.replica) client
+  | `Add -> Replica.add_peer a.replica ~id:b.id client
   | `Add_from lsn ->
-    Replica.add_peer ~acked_lsn:lsn a.replica ~id:(Replica.id b.replica) client
-  | `Reconnect -> Replica.reconnect a.replica ~id:(Replica.id b.replica) client);
+    Replica.add_peer ~acked_lsn:lsn a.replica ~id:b.id client
+  | `Reconnect -> Replica.reconnect a.replica ~id:b.id client);
   client
 
 (* Kill [cell]'s server side only — the partition move mid-test. *)

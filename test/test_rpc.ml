@@ -31,8 +31,7 @@ let test_inproc_calls () =
       check Alcotest.string "echo" "hello"
         (Rpc.Client.call client ~meth:"echo" P.string P.string "hello");
       check Alcotest.int "add" 7
-        (Rpc.Client.call client ~meth:"add" (P.pair P.int P.int) P.int (3, 4));
-      check Alcotest.int "calls counted" 2 (Rpc.Client.calls client))
+        (Rpc.Client.call client ~meth:"add" (P.pair P.int P.int) P.int (3, 4)))
 
 let test_server_exception_propagates () =
   with_inproc_server echo_handlers (fun client ->
@@ -253,7 +252,6 @@ let test_ns_protocol_roundtrip () =
       Proto.Client.create_name client (p "/empty");
       check Alcotest.(option string) "remote lookup" (Some "10.0.0.1")
         (Proto.Client.lookup client (p "/hosts/alpha"));
-      check Alcotest.bool "remote exists" true (Proto.Client.exists client (p "/empty"));
       check Alcotest.(option (list string)) "remote ls" (Some [ "alpha" ])
         (Proto.Client.list_children client (p "/hosts"));
       check Alcotest.int "count" 4 (Proto.Client.count_nodes client);
@@ -267,7 +265,8 @@ let test_ns_protocol_roundtrip () =
       | Some (Data.Tree t) -> check Alcotest.int "depth 0" 0 (List.length t.tchildren)
       | None -> Alcotest.fail "export depth");
       Proto.Client.delete_subtree client (p "/sub");
-      check Alcotest.bool "deleted" false (Proto.Client.exists client (p "/sub"));
+      check Alcotest.(option string) "deleted" None
+        (Proto.Client.lookup client (p "/sub/x"));
       (* CAS over the wire. *)
       (match
          Proto.Client.compare_and_set client (p "/hosts/alpha")
@@ -296,11 +295,9 @@ let test_ns_protocol_roundtrip () =
       | Some _ -> Alcotest.fail "absorbed by checkpoint");
       let d = Proto.Client.digest client in
       check Alcotest.int "digest is md5" 16 (String.length d);
-      (* Enumeration and glob search over the wire. *)
+      (* Glob search over the wire. *)
       Proto.Client.set_value client (p "/svc/mail/port") (Some "25");
       Proto.Client.set_value client (p "/svc/news/port") (Some "119");
-      let under_svc = Proto.Client.enumerate client (p "/svc") in
-      check Alcotest.int "enumerate" 4 (List.length under_svc);
       (match Proto.Client.find client "/svc/*/port" with
       | Ok results ->
         check Alcotest.int "glob results" 2 (List.length results)

@@ -39,10 +39,10 @@ let test_burn_math () =
   check (Alcotest.float 1e-9) "bad fraction" 0.1 r.Slo.r_bad_fraction;
   (* Exactly at budget: burn 1.0 still passes... *)
   check (Alcotest.float 1e-9) "burn at budget" 1.0 r.Slo.r_burn;
-  check Alcotest.bool "at budget passes" true (Slo.pass slo);
+  check Alcotest.bool "at budget passes" true (Slo.report slo).Slo.r_pass;
   (* ...one more violation tips it over. *)
   Slo.record slo bad;
-  check Alcotest.bool "over budget fails" false (Slo.pass slo)
+  check Alcotest.bool "over budget fails" false (Slo.report slo).Slo.r_pass
 
 let test_failures_always_burn () =
   let _clock, slo = make "test_slo_failures" in
@@ -55,7 +55,7 @@ let test_failures_always_burn () =
 let test_rotation_expires_old_traffic () =
   let clock, slo = make "test_slo_rotation" in
   for _ = 1 to 10 do Slo.record slo bad done;
-  check Alcotest.bool "fresh violations fail" false (Slo.pass slo);
+  check Alcotest.bool "fresh violations fail" false (Slo.report slo).Slo.r_pass;
   (* Half a window later the violations are still in scope... *)
   clock := 3.0;
   check Alcotest.int "still visible mid-window" 10 (Slo.report slo).Slo.r_total;
@@ -87,7 +87,7 @@ let test_backward_clock_never_rotates () =
 let test_forward_step_clears_window () =
   let clock, slo = make "test_slo_step" in
   for _ = 1 to 10 do Slo.record slo bad done;
-  check Alcotest.bool "violating before the step" false (Slo.pass slo);
+  check Alcotest.bool "violating before the step" false (Slo.report slo).Slo.r_pass;
   (* A jump of at least the whole window means every bucket is stale. *)
   clock := 100.0;
   let r = Slo.report slo in
