@@ -5,14 +5,14 @@
    sdb_modecheck recognizes the coordinator's acquisitions.
 
    Without group commit every update is a group of one its caller
-   seals: take Update, verify and pickle, log, upgrade, apply — one
-   hold, the paper's protocol.  With it, an unconditional update
+   seals: take Update, verify and pickle, fold, log, upgrade, publish —
+   one hold, the paper's protocol.  With it, an unconditional update
    verifies and pickles under Update and joins the forming group, whose
    first member leads it: claim the commit slot, linger for joiners,
    then commit the sealed group the same way, with one log write and
    one fsync for all of its members.  A checked update never joins: it
    claims the slot before taking Update, so every earlier group is
-   applied when its precondition runs. *)
+   published when its precondition runs. *)
 
 module Vlock_core = Sdb_vlock.Vlock_core
 module Trace = Sdb_obs.Trace
@@ -70,17 +70,20 @@ let max_group_delay = 0.002
 let max_group_bytes = 1 lsl 20
 
 (* The engine's steps, called with the engine instance ['c] and the
-   sealed members' payloads in stage order.  [log] runs under Update and
-   is the commit point of every member; [apply] runs under Exclusive;
-   [notify] runs with no lock held (but the slot, when one is claimed,
-   so groups notify in LSN order).  [log] and [apply] raise on failure, having decided
-   whether it poisons; the other members of the group then raise
-   [member_failure ctx e]. *)
-type ('c, 'm) engine = {
+   sealed members' payloads in stage order.  Under Update, [fold]
+   computes the group's next version ['v] and [log] is the commit point
+   of every member; under Exclusive, [publish] makes the version
+   current; [notify] gets the published version and runs with no lock
+   held (but the slot, when one is claimed, so groups notify in LSN
+   order).  [fold] and [log] raise on failure, having decided whether
+   it poisons (a fold never does: nothing is staged yet); the other
+   members then raise [member_failure ctx e]. *)
+type ('c, 'm, 'v) engine = {
   size : 'm -> int;  (* framed log bytes of one member *)
+  fold : 'c -> 'm list -> 'v;
   log : 'c -> 'm list -> unit;
-  apply : 'c -> 'm list -> unit;
-  notify : 'c -> 'm list -> unit;
+  publish : 'c -> 'v -> unit;
+  notify : 'c -> 'm list -> 'v -> unit;
   member_failure : 'c -> exn -> exn;
 }
 
@@ -90,13 +93,13 @@ module Make (Mu : MU) (Vlock : VLOCK) : sig
   val create : name:string -> grouped:bool -> Vlock.t -> 'm t
 
   val commit :
-    'm t -> ('c, 'm) engine -> 'c -> checked:bool -> (unit -> ('m, 'e) result) ->
+    'm t -> ('c, 'm, 'v) engine -> 'c -> checked:bool -> (unit -> ('m, 'e) result) ->
     (unit, 'e) result
   (** [commit c engine ctx ~checked prepare] commits one member.
       [prepare] runs under Update — after every earlier commit when
       [checked] or not [grouped] — and verifies and pickles; its
       [Error] or exception leaves nothing committed.  Returns once the
-      member is durable and applied; raises its group's failure
+      member is durable and published; raises its group's failure
       otherwise. *)
 
   val idle : 'm t -> bool
@@ -176,9 +179,10 @@ end = struct
   [@@sdb.noblock]
 
   (* Commit a group under one continuous hold: Update from [seal] (which
-     names the members, or refuses) through the log write, Exclusive
-     for the apply.  Any failure releases the lock, settles every member
-     and re-raises to the caller. *)
+     names the members, or refuses) through the fold — at the seal, not
+     at join, so it includes a checked update committed in between — and
+     the log write, Exclusive for the publish.  Any failure releases the
+     lock, settles every member and re-raises to the caller. *)
   let run c engine ctx seal =
     Vlock.acquire c.lock Vlock_core.Update;
     let held = ref Vlock_core.Update in
@@ -192,16 +196,17 @@ end = struct
           | Ok sealed ->
             members := sealed;
             let payloads = List.map (fun m -> m.payload) sealed in
+            let next = engine.fold ctx payloads in
             engine.log ctx payloads;
             Vlock.upgrade c.lock;
             held := Vlock_core.Exclusive;
-            engine.apply ctx payloads;
-            Ok payloads)
+            engine.publish ctx next;
+            Ok (payloads, next))
     with
     | Error e -> Error e
-    | Ok payloads ->
+    | Ok (payloads, next) ->
       wake c !members Committed;
-      engine.notify ctx payloads;
+      engine.notify ctx payloads next;
       Ok ()
     | exception e ->
       wake c !members (Failed (engine.member_failure ctx e));

@@ -210,11 +210,7 @@ module Make (App : APP) = struct
 
   (* One commit-pipeline member: an update (or a whole batch),
      verified and pickled under the Update lock. *)
-  type member = {
-    updates : App.update list;
-    payloads : string list;
-    mutable first_lsn : int;  (* assigned at apply *)
-  }
+  type member = { updates : App.update list; payloads : string list }
 
   (* Where a checkpoint's snapshot sits in the log: the entries past
      [at_off] of generation [at_generation]'s log, [at_lsn] onwards, are
@@ -230,7 +226,8 @@ module Make (App : APP) = struct
     domain : (string * float * float) Domain.t;
   }
 
-  (* A published version for the lock-free read path. *)
+  (* A version of the database: the state after the first [lsn]
+     updates. *)
   type root = { state : App.state; lsn : int }
 
   type t = {
@@ -241,15 +238,14 @@ module Make (App : APP) = struct
     commit : member Commit.t;
     (* reusable pickle scratch; guarded by the Update lock *)
     pickle_buf : Buffer.t;
-    (* The lock-free read path (config.read_path = `Epoch): the state
-       root and its LSN, published as one immutable record at the end
-       of every Exclusive window.  The GC keeps a root alive for as long
-       as a reader holds it, so nothing is ever reclaimed by hand. *)
-    root : root Atomic.t option;
-    mutable state : App.state;
+    (* The current version, replaced by one store in each commit's
+       Exclusive window.  The `Locked read route loads it under Shared,
+       the `Epoch route with no lock; the Update holder reads it as the
+       version nothing else can replace.  The GC keeps a displaced root
+       alive for as long as a reader holds it. *)
+    root : root Atomic.t;
     mutable wal : Wal.Writer.t;
     mutable generation : int;
-    mutable lsn : int;
     mutable committed : int;
     mutable since_ckpt : int;  (* updates since the last checkpoint *)
     mutable ckpts : int;
@@ -279,15 +275,7 @@ module Make (App : APP) = struct
     if t.closed then raise Closed;
     if t.poisoned then raise Poisoned
 
-  (* Publish the state just applied.  Must run inside the Exclusive
-     window (single writer, before release): publication is then
-     ordered with the commit, so a reader never observes version N+1
-     before version N. *)
-  let publish_root t =
-    match t.root with
-    | None -> ()
-    | Some r -> Atomic.set r ({ state = t.state; lsn = t.lsn } : root)
-  [@@sdb.requires exclusive]
+  let current t = Atomic.get t.root
 
   let health t : health =
     if t.poisoned then `Poisoned
@@ -320,14 +308,9 @@ module Make (App : APP) = struct
       ckpt_mutex = Sdb_check.Mu.make ~kind:`Vlock ("smalldb.ckpt:" ^ App.name);
       commit = Commit.create ~name:App.name ~grouped:config.group_commit lock;
       pickle_buf = Buffer.create 256;
-      root =
-        (match config.read_path with
-        | `Locked -> None
-        | `Epoch -> Some (Atomic.make ({ state; lsn } : root)));
-      state;
+      root = Atomic.make { state; lsn };
       wal;
       generation;
-      lsn;
       committed = 0;
       since_ckpt = 0;
       ckpts = 0;
@@ -418,15 +401,23 @@ module Make (App : APP) = struct
     | `Stop_at_damage -> Wal.Reader.Stop_at_damage
     | `Skip_damaged -> Wal.Reader.Skip_damaged
 
-  (* Replay one log over (state, lsn); apply errors are fatal because a
-     committed update must be applicable.  Valid committed entries
-     beyond damage are a hard error (§4), not a torn tail: truncating
-     would silently lose them, so escalate instead of guessing. *)
+  exception Unappliable of int * exn
+
+  (* Replay one log over (state, lsn).  An entry [App.apply] rejects is
+     an error naming it, not an exception out of [open_].  Valid
+     committed entries beyond damage are a hard error (§4), not a torn
+     tail: truncating would silently lose them, so escalate instead of
+     guessing. *)
   let replay fs config ~log ~state ~lsn ~upto =
     match
       fold_from fs log ~policy:(wal_policy config.log_recovery) ~lsn ~upto ~init:state
-        ~f:(fun state _ u -> App.apply state u)
+        ~f:(fun state lsn u ->
+          try App.apply state u with e -> raise (Unappliable (lsn, e)))
     with
+    | exception Unappliable (lsn, e) ->
+      Error
+        (Printf.sprintf "log %s: entry at lsn %d does not apply: %s" log lsn
+           (Printexc.to_string e))
     | Ok (_, _, outcome) when outcome.Wal.Reader.entries_beyond_damage > 0 ->
       Error
         (Printf.sprintf
@@ -536,7 +527,8 @@ module Make (App : APP) = struct
      root taken under one brief Update hold, with its LSN and log
      offset, stays a consistent version however many updates follow. *)
   let mark_locked t =
-    { at_generation = t.generation; at_lsn = t.lsn; at_off = Wal.Writer.length t.wal }
+    let at_lsn = (current t).lsn in
+    { at_generation = t.generation; at_lsn; at_off = Wal.Writer.length t.wal }
   [@@sdb.requires update]
 
   (* Copy into the new generation's log [wal'] the frames committed
@@ -559,7 +551,7 @@ module Make (App : APP) = struct
           in
           fill 0;
           Wal.Writer.append_raw_frames wal' (Bytes.unsafe_to_string buf)
-            ~count:(t.lsn - mark.at_lsn));
+            ~count:((current t).lsn - mark.at_lsn));
       Wal.Writer.sync wal'
     end
   [@@sdb.requires update]
@@ -607,7 +599,7 @@ module Make (App : APP) = struct
            t.generation <- next;
            t.ckpts <- t.ckpts + 1;
            (* a carried tail is not covered by the snapshot just written *)
-           t.since_ckpt <- t.lsn - mark.at_lsn;
+           t.since_ckpt <- (current t).lsn - mark.at_lsn;
            note_space_reclaimed t)
      with
      | (Fs.No_space _ | Wal.Append_rolled_back _ | Poisoned) as e when not !committed ->
@@ -654,7 +646,7 @@ module Make (App : APP) = struct
     let state, mark =
       Vlock.with_lock t.lock Vlock.Update (fun () ->
           check_usable t;
-          (t.state, mark_locked t))
+          ((current t).state, mark_locked t))
     in
     let t0 = now () in
     let blob = checkpoint_blob ~lsn:mark.at_lsn state in
@@ -736,7 +728,7 @@ module Make (App : APP) = struct
           Vlock.with_lock t.lock Vlock.Update (fun () ->
               check_usable t;
               if t.pickling = None && due_for_checkpoint t then
-                Some (t.state, mark_locked t)
+                Some ((current t).state, mark_locked t)
               else None)
         in
         Option.iter (fun (state, mark) -> spawn_pickle t state mark) snapshot)
@@ -801,39 +793,35 @@ module Make (App : APP) = struct
   (* ---------------------------------------------------------------- *)
   (* Enquiries and updates                                             *)
 
+  (* Both routes read one root, so state and LSN come from the same
+     record; the `Locked route also holds Shared across the enquiry, as
+     the paper does.  The `Epoch route allocates nothing of its own. *)
+  let read_locked t ~site f =
+    Vlock.with_lock t.lock Vlock.Shared (fun () ->
+        Sdb_check.assert_mode (Vlock.sanitizer t.lock) Sdb_check.Shared ~site;
+        f (current t))
+  [@@sdb.acquires shared]
+
   let query t f =
     check_usable t;
-    match t.root with
-    | Some r -> f (Atomic.get r : root).state
-    | None ->
-      Vlock.with_lock t.lock Vlock.Shared (fun () ->
-          Sdb_check.assert_mode (Vlock.sanitizer t.lock) Sdb_check.Shared
-            ~site:"query";
-          f t.state)
-  [@@sdb.acquires shared]
+    match t.config.read_path with
+    | `Epoch -> f (current t).state
+    | `Locked -> read_locked t ~site:"query" (fun r -> f r.state)
 
   let query_with_lsn t f =
     check_usable t;
-    match t.root with
-    | Some r ->
-      (* State and LSN come from the same published record — the
-         atomicity the locked route gets from holding Shared across
-         both reads. *)
-      let ({ state; lsn } : root) = Atomic.get r in
-      (f state, lsn)
-    | None ->
-      Vlock.with_lock t.lock Vlock.Shared (fun () ->
-          Sdb_check.assert_mode (Vlock.sanitizer t.lock) Sdb_check.Shared
-            ~site:"query_with_lsn";
-          (f t.state, t.lsn))
-  [@@sdb.acquires shared]
+    let with_lsn { state; lsn } = (f state, lsn) in
+    match t.config.read_path with
+    | `Epoch -> with_lsn (current t)
+    | `Locked -> read_locked t ~site:"query_with_lsn" with_lsn
 
   (* ---------------------------------------------------------------- *)
   (* The commit pipeline (§3, §4d)                                     *)
 
-  (* The paper's three steps under the paper's locks: Update for verify
-     and the log write (enquiries keep running), Exclusive only for the
-     memory mutation.  [Commit] sequences them; these are the steps.
+  (* The paper's three steps under the paper's locks: Update for verify,
+     the fold into the next version and the log write (enquiries keep
+     running), Exclusive only for the memory mutation — one store of the
+     root.  [Commit] sequences them; these are the steps.
 
      Failures follow one rule (DESIGN.md §4b/§4c): before the commit
      point nothing reached the disk, so the member fails and the engine
@@ -864,7 +852,7 @@ module Make (App : APP) = struct
     Sdb_check.assert_mode (Vlock.sanitizer t.lock) Sdb_check.Update
       ~site:"commit.prepare";
     let t0 = now () in
-    let v = verify t.state in
+    let v = verify (current t).state in
     let d = phase m_phase_verify ~span:"update.verify" ~attrs:app_attrs t0 in
     t.phase <- { t.phase with verify_s = t.phase.verify_s +. d };
     match v with
@@ -882,17 +870,33 @@ module Make (App : APP) = struct
       in
       let d = phase m_phase_pickle t1 in
       t.phase <- { t.phase with pickle_s = t.phase.pickle_s +. d };
-      Ok { updates; payloads; first_lsn = 0 }
+      Ok { updates; payloads }
 
   let member_size m =
     List.fold_left (fun acc p -> acc + String.length p + Wal.frame_overhead) 0 m.payloads
+
+  let group_updates members = List.concat_map (fun m -> m.updates) members
+
+  (* Fold the sealed group's updates, in stage order, into the version
+     its commit will publish.  Nothing is staged yet, so a raising
+     [App.apply] fails the group before the commit point and the engine
+     stays usable. *)
+  let fold_group t members =
+    check_usable t;
+    let t0 = now () in
+    let { state; lsn } = current t and updates = group_updates members in
+    let next =
+      { state = List.fold_left App.apply state updates; lsn = lsn + List.length updates }
+    in
+    let d = phase m_phase_apply ~span:"update.apply" ~attrs:(group_attrs members) t0 in
+    t.phase <- { t.phase with apply_s = t.phase.apply_s +. d };
+    next
+  [@@sdb.requires update]
 
   (* Stage every member's frames and emit them with one write and one
      fsync: the commit point of the whole group.  "update.log" covers
      exactly that — stage, write, fsync — not the pickling. *)
   let log_group t members =
-    if t.closed then raise Closed;
-    if t.poisoned then raise Poisoned;
     let t0 = now () in
     (try List.iter (fun m -> List.iter (Wal.Writer.stage t.wal) m.payloads) members
      with e ->
@@ -924,54 +928,41 @@ module Make (App : APP) = struct
     t.phase <- { t.phase with log_s = t.phase.log_s +. d }
   [@@sdb.requires update]
 
-  (* Committed: apply in stage order and assign dense LSNs.  A
-     committed update must apply, so a raising [App.apply] poisons. *)
-  let apply_group t members =
+  (* Committed: make the folded version current.  The single writer
+     publishes before it releases Exclusive, so versions appear in
+     commit order and no reader sees version N+1 before version N. *)
+  let publish t next =
     Sdb_check.assert_mode (Vlock.sanitizer t.lock) Sdb_check.Exclusive
-      ~site:"commit.apply";
-    let t0 = now () in
-    (try
-       List.iter
-         (fun m -> List.iter (fun u -> t.state <- App.apply t.state u) m.updates)
-         members
-     with e ->
-       t.poisoned <- true;
-       raise e);
-    let d = phase m_phase_apply ~span:"update.apply" ~attrs:(group_attrs members) t0 in
-    t.phase <- { t.phase with apply_s = t.phase.apply_s +. d };
-    let base = t.lsn in
-    List.iter
-      (fun m ->
-        m.first_lsn <- t.lsn;
-        t.lsn <- t.lsn + List.length m.updates)
-      members;
-    let n = t.lsn - base in
+      ~site:"commit.publish";
+    let n = next.lsn - (current t).lsn in
+    Atomic.set t.root next;
     t.committed <- t.committed + n;
     t.since_ckpt <- t.since_ckpt + n;
     Metrics.add m_updates n;
-    Metrics.observe m_group_size (float_of_int n);
-    publish_root t
+    Metrics.observe m_group_size (float_of_int n)
   [@@sdb.requires exclusive]
 
   (* Subscribers see a group's updates in LSN order, exactly as if the
-     members had committed one by one. *)
-  let notify_group t members =
+     members had committed one by one: they hold the LSNs just below
+     [next.lsn]. *)
+  let notify_group t members next =
+    let updates = group_updates members in
+    let first = next.lsn - List.length updates in
     Trace.with_span "update.notify" ~attrs:(group_attrs members ()) (fun () ->
-        List.iter
-          (fun m -> List.iteri (fun i u -> notify t (m.first_lsn + i) u) m.updates)
-          members)
+        List.iteri (fun i u -> notify t (first + i) u) updates)
 
   let engine =
     {
       Commit_core.size = member_size;
+      fold = fold_group;
       log = log_group;
-      apply = apply_group;
+      publish;
       notify = notify_group;
       member_failure = (fun t e -> if t.poisoned then Poisoned else e);
     }
 
   (* A checked update never joins a group: its precondition runs after
-     every earlier commit is applied. *)
+     every earlier commit is published. *)
   let commit t ~checked ~verify updates =
     check_updatable t;
     let r = Commit.commit t.commit engine t ~checked (prepare_member t ~verify updates) in
@@ -1121,7 +1112,8 @@ module Make (App : APP) = struct
                   || outcome.Wal.Reader.stopped_early <> None
                 then replay_consistent := false
                 else begin
-                  if shadow_lsn <> t.lsn then begin
+                  let memory = current t in
+                  if shadow_lsn <> memory.lsn then begin
                     replay_consistent := false;
                     findings :=
                       {
@@ -1130,13 +1122,13 @@ module Make (App : APP) = struct
                         reason =
                           Printf.sprintf
                             "replay reaches lsn %d but memory is at lsn %d"
-                            shadow_lsn t.lsn;
+                            shadow_lsn memory.lsn;
                       }
                       :: !findings
                   end;
                   match digest with
                   | Some d when !replay_consistent ->
-                    if not (String.equal (d shadow) (d t.state)) then begin
+                    if not (String.equal (d shadow) (d memory.state)) then begin
                       replay_consistent := false;
                       findings :=
                         {
@@ -1248,7 +1240,7 @@ module Make (App : APP) = struct
     Vlock.with_lock t.lock Vlock.Shared (fun () ->
         {
           generation = t.generation;
-          lsn = t.lsn;
+          lsn = (current t).lsn;
           updates_committed = t.committed;
           checkpoints_written = t.ckpts;
           log_entries = Wal.Writer.entries t.wal;
@@ -1263,7 +1255,7 @@ module Make (App : APP) = struct
 
   (* The update lock pins the log file name and its base LSN without
      blocking enquiries. *)
-  let log_start t = t.lsn - Wal.Writer.entries t.wal [@@sdb.requires update]
+  let log_start t = (current t).lsn - Wal.Writer.entries t.wal [@@sdb.requires update]
 
   let fold_current_log t ~init ~f =
     match
@@ -1340,17 +1332,19 @@ module Make (App : APP) = struct
     let fold t ~init ~f =
       match fold_all t ~init ~f with
       | Ok (acc, lsn) ->
-        if lsn <> t.lsn then
+        if lsn <> (current t).lsn then
           Error
-            (Printf.sprintf "history: trail holds %d updates but lsn is %d" lsn t.lsn)
+            (Printf.sprintf "history: trail holds %d updates but lsn is %d" lsn
+               (current t).lsn)
         else Ok acc
       | Error e -> Error e
 
     let available t = Result.is_ok (fold t ~init:() ~f:(fun () _ _ -> ()))
 
     let state_at t ~lsn =
-      if lsn < 0 || lsn > t.lsn then
-        Error (Printf.sprintf "history: lsn %d outside [0, %d]" lsn t.lsn)
+      let last = (current t).lsn in
+      if lsn < 0 || lsn > last then
+        Error (Printf.sprintf "history: lsn %d outside [0, %d]" lsn last)
       else
         match
           fold_all t ~init:(App.init ()) ~f:(fun state at u ->

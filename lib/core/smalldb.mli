@@ -6,22 +6,23 @@
     each subsequent update.  Enquiries touch only memory.  An update
     (1) verifies its preconditions against the in-memory state,
     (2) records its parameters as a log entry — one disk write, the
-    commit point — and (3) applies itself to the in-memory state.
-    Restart loads the checkpoint and replays the log.
+    commit point — and (3) applies itself to the in-memory state: the
+    state is persistent, so [apply] builds the next version before the
+    log write, and step (3) is one store of the root.  Restart loads
+    the checkpoint and replays the log.
 
     Concurrency follows the paper's three-mode locking: enquiries hold
-    a shared lock; an update holds the update lock through steps (1)
-    and (2) — so enquiries keep running during the disk write — and
+    a shared lock; an update holds the update lock until its entry is
+    durable — so enquiries keep running during the disk write — and
     upgrades to exclusive only for step (3).  A checkpoint holds the
-    update lock only briefly, twice: to pin a snapshot of the
-    (persistent) state, and to hand the pickled snapshot over
-    ({!Make.checkpoint}).
+    update lock only briefly, twice: to pin a snapshot of the state,
+    and to hand the pickled snapshot over ({!Make.checkpoint}).
 
     Instantiate {!Make} with an application: its state and update
     types, their pickles, and the (total, deterministic) [apply]
-    function.  [apply] must succeed on any update that was committed;
-    verify preconditions with {!Make.update_checked} {e before} the
-    commit, never inside [apply]. *)
+    function.  An [apply] that raises fails its update before the
+    commit point, with nothing logged; still, verify preconditions
+    with {!Make.update_checked}, which can refuse with a value. *)
 
 module type APP = sig
   type state
@@ -81,26 +82,27 @@ type config = {
       (** commit concurrent unconditional updates ({!Make.update},
           {!Make.update_batch}) as a group sharing one log write and one
           fsync (DESIGN.md §4d).  Identical durability and failure
-          semantics per update; throughput under concurrent updaters is
-          no longer capped at 1/fsync-latency.  A group leader lingers
+          semantics per update, but a raising [App.apply] fails its
+          whole group; throughput under concurrent updaters is no
+          longer capped at 1/fsync-latency.  A group leader lingers
           at most 2 ms for joiners, and not at all when no updater is
           queued.  {!Make.update_checked} always commits as a group of
           one, so its precondition sees every earlier update.  Off
           (the default), every update is a group of one: the paper's
           protocol *)
   read_path : [ `Locked | `Epoch ];
-      (** [`Locked] (the default): every enquiry holds the Vlock in
-          Shared mode — the paper's protocol, and the baseline.
-          [`Epoch]: enquiries run lock-free.  The writer publishes
-          the state and its LSN as one immutable record through an
-          [Atomic.t], once per applied group inside its Exclusive
-          window, so versions appear in commit order; a reader loads
-          the record and queries that version with no lock traffic at
-          all.  A displaced version lives on for exactly as long as
-          some reader still holds it: the GC reclaims it, nothing
-          else does.  WAL, group commit, checkpointing and
-          replication are unchanged; the fsync remains the commit
-          point, and a version is published only after it commits. *)
+      (** Both routes read the same root: the state and its LSN as one
+          immutable record in an [Atomic.t], which the writer replaces
+          once per committed group inside its Exclusive window, so
+          versions appear in commit order.  [`Locked] (the default):
+          every enquiry loads the root holding the Vlock in Shared
+          mode — the paper's protocol, and the baseline.  [`Epoch]:
+          enquiries load it with no lock traffic at all.  A displaced
+          version lives on for exactly as long as some reader still
+          holds it: the GC reclaims it, nothing else does.  WAL, group
+          commit, checkpointing and replication are the same on both
+          routes; the fsync remains the commit point, and a version is
+          published only after it commits. *)
 }
 
 val default_config : config
@@ -150,12 +152,12 @@ type stats = {
 }
 
 exception Poisoned
-(** The instance observed a failure after a commit point (e.g. [apply]
-    raised on a committed update, the log fsync failed with an unknown
-    number of bytes already durable — the fsyncgate rule: a failed
-    fsync is never retried — or the backing store crashed); memory may
-    disagree with disk, so every subsequent operation refuses.
-    Re-open the store to recover. *)
+(** The instance observed a failure at or after a commit point (the log
+    fsync failed with an unknown number of bytes already durable — the
+    fsyncgate rule: a failed fsync is never retried — a failed log
+    write could not be rolled back, or a checkpoint install failed
+    after its switch); memory may disagree with disk, so every
+    subsequent operation refuses.  Re-open the store to recover. *)
 
 exception Closed
 
@@ -196,8 +198,9 @@ module Make (App : APP) : sig
   val open_ : ?config:config -> Sdb_storage.Fs.t -> (t, string) result
   (** Open or create the database in [fs]'s directory, running crash
       recovery as needed.  [Error] when the current log's base LSN is
-      not its checkpoint's LSN, or a log is in a format this build does
-      not read (a version-1 [SDBWAL1] log). *)
+      not its checkpoint's LSN, a log is in a format this build does
+      not read (a version-1 [SDBWAL1] log), or [App.apply] raises on a
+      logged entry (the error names the log and the entry's LSN). *)
 
   val open_exn : ?config:config -> Sdb_storage.Fs.t -> t
 
@@ -225,15 +228,16 @@ module Make (App : APP) : sig
       checked update never joins a group, it commits as a group of one.
 
       Exception safety (poison-vs-release, see DESIGN.md): a
-      [precondition] or pickler that {e raises} propagates with the
-      lock released and the engine untouched and usable — nothing
-      reached the disk.  A log write that fails and is rolled back
-      fails the update cleanly ([Degraded] on no-space, the cause
-      otherwise).  A failed fsync, an unrestorable write or a raising
-      [App.apply] also releases the lock but first poisons the engine
-      ({!Poisoned}), because memory and disk may now disagree.  A
-      raising subscriber propagates to the caller after the update is
-      already durable and applied, with no lock held. *)
+      [precondition], pickler or [App.apply] that {e raises}
+      propagates with the lock released and the engine untouched and
+      usable — [apply] runs before the log write, so nothing reached
+      the disk.  A log write that fails and is rolled back fails the
+      update cleanly ([Degraded] on no-space, the cause otherwise).  A
+      failed fsync or an unrestorable write also releases the lock but
+      first poisons the engine ({!Poisoned}), because memory and disk
+      may now disagree.  A raising subscriber propagates to the caller
+      after the update is already durable and applied, with no lock
+      held. *)
 
   val update_batch : t -> App.update list -> unit
   (** One caller, many updates, one member of the commit pipeline: one

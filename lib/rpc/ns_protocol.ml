@@ -72,7 +72,6 @@ let handlers ns =
   in
   [
     h ~meth:"lookup" codec_path codec_value (fun p -> Ns.lookup ns p);
-    h ~meth:"exists" codec_path P.bool (fun p -> Ns.exists ns p);
     h ~meth:"list_children" codec_path
       (P.option (P.list P.string))
       (fun p -> Ns.list_children ns p);
@@ -82,9 +81,6 @@ let handlers ns =
       (fun (p, depth) ->
         match depth with None -> Ns.export ns p | Some d -> Ns.export ~depth:d ns p);
     h ~meth:"count_nodes" P.unit P.int (fun () -> Ns.count_nodes ns);
-    h ~meth:"enumerate" codec_path
-      (P.list (P.pair codec_path codec_value))
-      (fun p -> Ns.enumerate ns p);
     h ~meth:"find" P.string
       (P.result (P.list (P.pair codec_path codec_value)) P.string)
       (fun pattern ->
@@ -118,14 +114,6 @@ let handlers ns =
       (P.pair P.int P.float)
       (P.list codec_span)
       (fun (max_n, min_dur_s) -> Sdb_obs.Trace.Slow.recent ~min_dur_s ~max_n ());
-    (* One atomic call: the digest is of exactly the returned tree, so
-       a repairing replica can verify the transfer. *)
-    h ~meth:"fetch_state"
-      P.unit
-      (P.triple codec_tree P.int P.string)
-      (fun () ->
-        let tree, lsn = Ns.snapshot_with_lsn ns in
-        (tree, lsn, Digest.string (P.encode codec_tree tree)));
     h ~meth:"scrub" P.bool codec_scrub_report (fun repair -> Ns.scrub ~repair ns);
     h ~meth:"health" P.unit codec_health (fun () -> Ns.health ns);
     (* Heartbeat: the failure detector's probe.  Must stay the cheapest

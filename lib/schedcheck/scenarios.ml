@@ -84,14 +84,14 @@ let drained v () =
 
 (* ------------------------------------------------------------------ *)
 
-let recursive_read ~legacy () =
-  let v = V.create ~legacy_recursive_block:legacy () in
+let recursive_read () =
+  let v = V.create () in
   let reader () =
     V.acquire v Shared;
     Schedcheck.yield "reading";
-    (* The enquiry path re-entering Shared — under the legacy gate this
-       parks behind the upgrader's pending upgrade while the upgrader
-       drains this very thread: the deadlock of ISSUE 7. *)
+    (* The enquiry path re-entering Shared: parking it behind the
+       upgrader's pending upgrade, while the upgrader drains this very
+       thread, would deadlock both. *)
     V.acquire v Shared;
     V.release v Shared;
     V.release v Shared
@@ -197,47 +197,63 @@ let upgrade_vs_readers_broken () =
 
 module C = Sdb_commit.Commit_core.Make (Vsync) (V)
 
-(* The engine side is modeled — the log write is one scheduling point,
-   the state is one key that the first [inserts] updaters insert if
-   absent — and everything else (join, linger, seal, the commit slot,
-   park and wake, the lock hand-offs) is the shipped coordinator.
-   [observe] hears the shapes an execution reached, so a bounded
-   exploration can show what it covered. *)
+exception Fold_failed
+
+(* The engine side is modeled — the fold computes the group's LSNs, the
+   log write is one scheduling point, the state is one key that the
+   first [inserts] updaters insert if absent — and everything else
+   (join, linger, seal, the commit slot, park and wake, the lock
+   hand-offs) is the shipped coordinator.  [observe] hears the shapes
+   an execution reached, so a bounded exploration can show what it
+   covered. *)
 let group_commit ?(grouped = true) ?(checked_joins = false) ?(inserts = 0)
-    ?(observe = ignore) ~updaters () =
+    ?raising ?(observe = ignore) ~updaters () =
   Vsync.clock := 0.0;
   let v = V.create () in
   let c = C.create ~name:"sched" ~grouped v in
   let present = ref false and inserted = ref 0 in
   let lsn = Array.make updaters 0 and next_lsn = ref 0 in
   let returned = Array.make updaters false in
-  let flushes = ref 0 and applied = ref 0 and in_commit = ref 0 in
+  let failed = Array.make updaters false and doomed = Array.make updaters false in
+  let flushes = ref 0 and published = ref 0 and in_commit = ref 0 in
   let logged = ref [] and notified = ref [] in
   let engine =
     {
       Sdb_commit.Commit_core.size = (fun _ -> 1);
+      fold =
+        (fun () group ->
+          check (V.inspect v).i_update "group-commit: fold without Update";
+          if List.exists (fun i -> Some i = raising) group then begin
+            List.iter (fun i -> doomed.(i) <- true) group;
+            observe (Printf.sprintf "fold raised in a group of %d" (List.length group));
+            raise Fold_failed
+          end;
+          (group, List.mapi (fun k i -> (i, !next_lsn + k + 1)) group));
       log =
         (fun () group ->
           incr in_commit;
           check (!in_commit = 1) "group-commit: two groups committing at once";
           check (V.inspect v).i_update "group-commit: log write without Update";
+          check
+            (not (List.exists (fun i -> doomed.(i)) group))
+            "group-commit: flushed a group whose fold raised";
           Schedcheck.yield "fsync";
           incr flushes;
           observe (Printf.sprintf "group of %d" (List.length group));
           logged := group);
-      apply =
-        (fun () group ->
-          check (V.inspect v).i_exclusive "group-commit: apply without Exclusive";
+      publish =
+        (fun () (group, lsns) ->
+          check (V.inspect v).i_exclusive "group-commit: publish without Exclusive";
           check (group == !logged) "group-commit: group changed after its flush";
-          incr applied;
+          incr published;
           List.iter
-            (fun i ->
-              incr next_lsn;
-              lsn.(i) <- !next_lsn;
+            (fun (i, l) ->
+              lsn.(i) <- l;
               if i < inserts then present := true)
-            group);
+            lsns;
+          next_lsn := !next_lsn + List.length lsns);
       notify =
-        (fun () group ->
+        (fun () group _ ->
           (* Without the commit slot, the next commit may overtake a
              notification; with it, groups commit and notify in turn. *)
           if not grouped then decr in_commit;
@@ -259,7 +275,8 @@ let group_commit ?(grouped = true) ?(checked_joins = false) ?(inserts = 0)
     | Ok () ->
       check (lsn.(i) > 0) "group-commit: returned without an assigned LSN";
       if insert then incr inserted
-    | Error () -> check insert "group-commit: unconditional update refused");
+    | Error () -> check insert "group-commit: unconditional update refused"
+    | exception Fold_failed -> failed.(i) <- true);
     returned.(i) <- true
   in
   Schedcheck.scenario
@@ -267,7 +284,14 @@ let group_commit ?(grouped = true) ?(checked_joins = false) ?(inserts = 0)
     ~finale:(fun () ->
       drained v ();
       check (C.idle c) "group-commit: slot held or group forming at end";
-      check (!flushes = !applied) "group-commit: one flush per group violated";
+      check (!flushes = !published) "group-commit: one flush per group violated";
+      Array.iteri
+        (fun i d ->
+          check (failed.(i) = d)
+            (Printf.sprintf "group-commit: updater %d's outcome disagrees with its fold" i);
+          check ((not d) || lsn.(i) = 0)
+            (Printf.sprintf "group-commit: updater %d published after its fold raised" i))
+        doomed;
       check (inserts = 0 || !inserted = 1)
         (Printf.sprintf "group-commit: %d checked inserts committed" !inserted);
       let notified = List.map (fun i -> lsn.(i)) !notified in

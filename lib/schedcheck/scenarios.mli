@@ -21,13 +21,12 @@ end
 module V : Sdb_vlock.Vlock_core.S
 (** The engine's lock protocol under the virtual scheduler. *)
 
-val recursive_read : legacy:bool -> unit -> Schedcheck.scenario
+val recursive_read : unit -> Schedcheck.scenario
 [@@sdb.check.allow
   "dead-export: schedcheck scenario: test_schedcheck explores it"]
 (** One reader taking a nested Shared hold, racing one
-    update-then-upgrade writer.  With [legacy:true] (the pre-fix gate:
-    every Shared acquisition parks behind a pending upgrade) the
-    explorer finds the recursive-read deadlock; with [legacy:false] the
+    update-then-upgrade writer: the nested acquisition must pass a
+    pending upgrade (parking it would deadlock both threads), so the
     bounded space passes exhaustively. *)
 
 val fresh_reader_gate : unit -> Schedcheck.scenario
@@ -56,6 +55,7 @@ val group_commit :
   ?grouped:bool ->
   ?checked_joins:bool ->
   ?inserts:int ->
+  ?raising:int ->
   ?observe:(string -> unit) ->
   updaters:int ->
   unit ->
@@ -69,16 +69,20 @@ val group_commit :
     [group_commit = true]) unconditional updaters join forming groups;
     without it every commit is a group of one.  Checks: at most one
     group between log write and notification (commit-slot
-    exclusivity), Update held for the flush and Exclusive for the
-    apply, one flush per group, dense LSNs, notifications in LSN
-    order, every updater returned, lock and coordinator drained, and
-    exactly one insert committed.  [checked_joins:true] lets checked
-    inserts join groups, the pre-fix protocol: the explorer must then
-    find two inserts committing.  [observe] is told the shapes each
-    execution reached (["group of N"] per flush, ["prepared while a
+    exclusivity), Update held for the fold and the flush and Exclusive
+    for the publish, one flush per group, dense LSNs, notifications in
+    LSN order, every updater returned, lock and coordinator drained,
+    and exactly one insert committed.  With [raising = i], the fold of
+    any group holding updater [i] raises: that group is neither
+    flushed nor published and every one of its members returns the
+    fold's exception, while other groups commit.
+    [checked_joins:true] lets checked inserts join groups, the pre-fix
+    protocol: the explorer must then find two inserts committing.
+    [observe] is told the shapes each execution reached (["group of
+    N"] per flush, ["fold raised in a group of N"], ["prepared while a
     group of 2+ commits"] for an update that forms the next group while
-    a sealed one is still committing), so a preemption-bounded run can
-    assert its coverage. *)
+    a sealed one is still committing), so a run can assert its
+    coverage. *)
 
 val replica_outbox : pushes:int -> capacity:int -> unit -> Schedcheck.scenario
 [@@sdb.check.allow

@@ -44,7 +44,7 @@ type inspection = {
 module type S = sig
   type t
 
-  val create : ?legacy_recursive_block:bool -> unit -> t
+  val create : unit -> t
   val acquire : t -> mode -> unit
   val release : t -> mode -> unit
   val upgrade : t -> unit
@@ -64,9 +64,6 @@ module Make (Sync : SYNC) = struct
   type t = {
     mutex : Sync.mutex;
     changed : Sync.cond;
-    (* Pre-fix semantics for the schedcheck regression: a nested Shared
-       acquisition parks behind a pending upgrade instead of passing. *)
-    legacy : bool;
     (* Reader ownership: thread id -> number of Shared holds.  The sum
        of all counts always equals [n_readers]; entries are removed at
        zero so dead threads do not accumulate. *)
@@ -85,11 +82,10 @@ module Make (Sync : SYNC) = struct
     mutable w_exclusive : int;
   }
 
-  let create ?(legacy_recursive_block = false) () =
+  let create () =
     {
       mutex = Sync.make_mutex ();
       changed = Sync.make_cond ();
-      legacy = legacy_recursive_block;
       readers_by = Hashtbl.create 8;
       n_readers = 0;
       upd = false;
@@ -136,7 +132,7 @@ module Make (Sync : SYNC) = struct
              readers, so parking this one deadlocks both.  First-time
              readers still queue behind a pending upgrade, which is
              what keeps the upgrader from being starved. *)
-          let nested = (not t.legacy) && Hashtbl.mem t.readers_by tid in
+          let nested = Hashtbl.mem t.readers_by tid in
           if not nested then begin
             t.w_shared <- t.w_shared + 1;
             (try

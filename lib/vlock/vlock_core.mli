@@ -67,15 +67,7 @@ type inspection = {
 module type S = sig
   type t
 
-  val create : ?legacy_recursive_block:bool -> unit -> t
-  (** [legacy_recursive_block:true] restores the pre-fix semantics in
-      which {e every} Shared acquisition — including a nested one by a
-      thread that already holds Shared — parks behind a pending
-      upgrade.  That gate is the recursive-read deadlock: the upgrader
-      waits for the reader to drain while the reader waits for the
-      upgrade to clear.  It exists only so the schedule-exploration
-      harness can reproduce the bug as a regression; the engine always
-      runs with the fix. *)
+  val create : unit -> t
 
   val acquire : t -> mode -> unit
   val release : t -> mode -> unit

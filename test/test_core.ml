@@ -135,38 +135,64 @@ let test_batch_single_sync () =
   KVDb.update_batch db [];
   check Alcotest.int "empty batch no-op" 5 (KVDb.stats db).Smalldb.lsn
 
-let test_apply_failure_poisons () =
-  let module Bomb = struct
-    type state = int
-    type update = Ok_up | Boom
+(* An app whose [apply] rejects [Boom] when [strict]: the same name and
+   codecs either way, so a store written by the lenient one reopens
+   under the strict one. *)
+module Bomb (S : sig val strict : bool end) = struct
+  type state = int
+  type update = Ok_up | Boom
 
-    let name = "bomb"
-    let codec_state = P.int
+  let name = "bomb"
+  let codec_state = P.int
+  let codec_update = P.enum ~name:"bomb.update" [ ("ok", Ok_up); ("boom", Boom) ]
+  let init () = 0
 
-    let codec_update =
-      P.enum ~name:"bomb.update" [ ("ok", Ok_up); ("boom", Boom) ]
+  let apply st = function
+    | Ok_up -> st + 1
+    | Boom -> if S.strict then failwith "apply exploded" else st
+end
 
-    let init () = 0
+module Strict = Bomb (struct let strict = true end)
+module Lenient = Bomb (struct let strict = false end)
+module StrictDb = Smalldb.Make (Strict)
+module LenientDb = Smalldb.Make (Lenient)
 
-    let apply st = function
-      | Ok_up -> st + 1
-      | Boom -> failwith "apply exploded"
-  end in
-  let module Db = Smalldb.Make (Bomb) in
+let test_raising_apply_fails_before_commit () =
   let store = Mem.create_store () in
-  let db = Db.open_exn (Mem.fs store) in
-  Db.update db Bomb.Ok_up;
-  (match Db.update db Bomb.Boom with
+  let db = StrictDb.open_exn (Mem.fs store) in
+  StrictDb.update db Strict.Ok_up;
+  (match StrictDb.update db Strict.Boom with
   | _ -> Alcotest.fail "expected apply failure"
-  | exception Failure _ -> ());
-  (* The update was committed but not applied: memory may disagree
-     with disk, so the instance must refuse further work. *)
-  (match Db.update db Bomb.Ok_up with
-  | _ -> Alcotest.fail "expected Poisoned"
-  | exception Smalldb.Poisoned -> ());
-  match Db.query db Fun.id with
-  | _ -> Alcotest.fail "query should be poisoned too"
-  | exception Smalldb.Poisoned -> ()
+  | exception Failure m -> check Alcotest.string "the app's exception" "apply exploded" m);
+  (* The fold runs before the commit point: nothing was logged, so the
+     engine stays usable and the next update takes the next LSN. *)
+  check Alcotest.bool "healthy" true (StrictDb.health db = `Healthy);
+  StrictDb.update db Strict.Ok_up;
+  check Alcotest.int "next update at lsn 2" 2 (StrictDb.stats db).Smalldb.lsn;
+  check Alcotest.int "state" 2 (StrictDb.query db Fun.id);
+  check
+    Alcotest.(list int)
+    "no log entry for the raising update" [ 0; 1 ]
+    (List.rev (StrictDb.fold_log db ~init:[] ~f:(fun acc lsn u ->
+         check Alcotest.bool "logged update applies" true (u = Strict.Ok_up);
+         lsn :: acc)));
+  StrictDb.close db;
+  let db2 = StrictDb.open_exn (Mem.fs store) in
+  check Alcotest.int "reopens at that lsn" 2 (StrictDb.stats db2).Smalldb.lsn;
+  check Alcotest.int "replayed state" 2 (StrictDb.query db2 Fun.id);
+  StrictDb.close db2
+
+let test_unappliable_log_entry_is_open_error () =
+  let store = Mem.create_store () in
+  let db = LenientDb.open_exn (Mem.fs store) in
+  LenientDb.update db Lenient.Ok_up;
+  LenientDb.update db Lenient.Boom;
+  LenientDb.close db;
+  match StrictDb.open_ (Mem.fs store) with
+  | Ok _ -> Alcotest.fail "expected an open error"
+  | Error e ->
+    check Alcotest.bool ("names the log and lsn 1: " ^ e) true
+      (contains ~needle:(Store.log_file 0) e && contains ~needle:"lsn 1" e)
 
 let test_raising_precondition_releases_lock () =
   (* A precondition that raises (rather than returning [Error]) must
@@ -701,7 +727,7 @@ let test_update_span_sequence () =
       check
         (Alcotest.list Alcotest.string)
         "one update, four phase spans"
-        [ "update.verify"; "update.log"; "update.apply"; "update.notify" ]
+        [ "update.verify"; "update.apply"; "update.log"; "update.notify" ]
         (span_names ring);
       (* Every span carries the application name. *)
       List.iter
@@ -723,7 +749,7 @@ let test_update_span_sequence () =
       check
         (Alcotest.list Alcotest.string)
         "grouped update"
-        [ "update.verify"; "update.join"; "update.log"; "update.apply"; "update.notify" ]
+        [ "update.verify"; "update.join"; "update.apply"; "update.log"; "update.notify" ]
         (span_names ring);
       Trace.Ring.clear ring;
       (match KVDb.update_checked gdb ~precondition:(fun _ -> Ok ()) (KV.Set ("k", "w")) with
@@ -732,7 +758,7 @@ let test_update_span_sequence () =
       check
         (Alcotest.list Alcotest.string)
         "checked update"
-        [ "update.verify"; "update.log"; "update.apply"; "update.notify" ]
+        [ "update.verify"; "update.apply"; "update.log"; "update.notify" ]
         (span_names ring))
 
 let test_recovery_spans_after_reopen () =
@@ -1544,7 +1570,10 @@ let () =
           Alcotest.test_case "precondition passes" `Quick test_precondition_passes;
           Alcotest.test_case "one write one sync" `Quick test_update_is_one_write_one_sync;
           Alcotest.test_case "batch single sync" `Quick test_batch_single_sync;
-          Alcotest.test_case "apply failure poisons" `Quick test_apply_failure_poisons;
+          Alcotest.test_case "raising apply fails before the commit point" `Quick
+            test_raising_apply_fails_before_commit;
+          Alcotest.test_case "unappliable log entry is an open error" `Quick
+            test_unappliable_log_entry_is_open_error;
           Alcotest.test_case "raising precondition releases lock" `Quick
             test_raising_precondition_releases_lock;
           Alcotest.test_case "raising pickler releases lock" `Quick

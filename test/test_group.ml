@@ -2,7 +2,8 @@
 
    Correctness under the group coordinator: concurrent updaters all
    commit with dense LSNs and subscribers see them in stage order; a
-   failing precondition fails only its own member; a group-wide log
+   failing precondition fails only its own member; a raising apply
+   fails its whole group before the commit point; a group-wide log
    failure fails every member with the §4b/§4c taxonomy (Degraded on
    no-space, Poisoned after a failed fsync).  Batching itself is
    timing-dependent, so assertions here are about semantics; the
@@ -13,6 +14,7 @@ module Fs = Sdb_storage.Fs
 module Mem = Sdb_storage.Mem_fs
 module Fault = Sdb_storage.Fault_fs
 module Metrics = Sdb_obs.Metrics
+module Trace = Sdb_obs.Trace
 open Helpers
 
 let grouped () = { Smalldb.default_config with group_commit = true }
@@ -327,6 +329,87 @@ let test_fsync_fault_poisons_and_wakes_all () =
   KVDb.update db2 (KV.Set ("after", "y"));
   KVDb.close db2
 
+(* The test KV, except that [apply] rejects the key "boom". *)
+module Picky = struct
+  include KV
+
+  let name = "picky-kv"
+
+  let apply st = function
+    | KV.Set ("boom", _) -> failwith "apply exploded"
+    | u -> KV.apply st u
+end
+
+module PickyDb = Smalldb.Make (Picky)
+
+let test_raising_apply_fails_its_group () =
+  let store = Mem.create_store ~seed:11 () in
+  let fs = Mem.fs store in
+  let db = PickyDb.open_exn ~config:(grouped ()) fs in
+  (* Groups notify holding the commit slot: the first commit's
+     subscriber keeps it until the next group has formed behind it. *)
+  let gate = Mutex.create () and moved = Condition.create () in
+  let holding = ref false and release = ref false and first = ref true in
+  let _sub =
+    PickyDb.subscribe db (fun _ _ ->
+        if !first then begin
+          first := false;
+          Mutex.protect gate (fun () ->
+              holding := true;
+              Condition.broadcast moved;
+              while not !release do
+                Condition.wait moved gate
+              done)
+        end)
+  in
+  let ring = Trace.Ring.create ~capacity:256 in
+  Trace.set_sink (Some (Trace.Ring.sink ring));
+  Fun.protect ~finally:(fun () -> Trace.set_sink None) @@ fun () ->
+  let t0 = Thread.create (fun () -> PickyDb.update db (KV.Set ("first", "v"))) () in
+  await "the first commit's notification" (fun () ->
+      Mutex.protect gate (fun () -> !holding));
+  Trace.Ring.clear ring;
+  let before = Fs.Counters.copy fs.Fs.counters in
+  let keys = [ "a"; "boom"; "b"; "c" ] in
+  let outcomes = Array.make (List.length keys) "unset" in
+  let ths =
+    List.mapi
+      (fun i k ->
+        Thread.create
+          (fun () ->
+            outcomes.(i) <-
+              (match PickyDb.update db (KV.Set (k, "v")) with
+              | () -> "committed"
+              | exception Failure m -> m))
+          ())
+      keys
+  in
+  (* A member joins under the Update hold it verified under, and the
+     leader seals under Update: once every member has verified, all of
+     them are in the group the leader seals. *)
+  await "every member verified" (fun () ->
+      List.length
+        (List.filter
+           (fun s -> s.Trace.name = "update.verify")
+           (Trace.Ring.contents ring))
+      = List.length keys);
+  Mutex.protect gate (fun () ->
+      release := true;
+      Condition.broadcast moved);
+  List.iter Thread.join (t0 :: ths);
+  Array.iter (check Alcotest.string "every member fails with the app's exception" "apply exploded")
+    outcomes;
+  let d = Fs.Counters.diff ~after:fs.Fs.counters ~before in
+  check Alcotest.int "no fsync" 0 d.Fs.Counters.syncs;
+  check Alcotest.int "no write" 0 d.Fs.Counters.data_writes;
+  check Alcotest.bool "healthy" true (PickyDb.health db = `Healthy);
+  check Alcotest.int "only the first commit" 1 (PickyDb.stats db).Smalldb.lsn;
+  PickyDb.update db (KV.Set ("after", "v"));
+  check Alcotest.int "the next group commits" 2 (PickyDb.stats db).Smalldb.lsn;
+  check Alcotest.(list string) "state" [ "after"; "first" ]
+    (PickyDb.query db (fun st -> List.map fst (Smap.bindings st)));
+  PickyDb.close db
+
 let test_no_space_degrades_and_fails_all_members () =
   let store = Mem.create_store ~seed:9 () in
   let ctl, ffs = Fault.wrap (Mem.fs store) in
@@ -393,6 +476,8 @@ let () =
         ] );
       ( "failures",
         [
+          Alcotest.test_case "raising apply fails its group, commits none" `Quick
+            test_raising_apply_fails_its_group;
           Alcotest.test_case "failed fsync poisons, wakes all parked" `Quick
             test_fsync_fault_poisons_and_wakes_all;
           Alcotest.test_case "no-space degrades, fails all cleanly" `Quick

@@ -1,8 +1,8 @@
-(* Schedule-exploration suite: the recursive-read deadlock is
-   reproduced on the legacy gate and proven gone on the shipped
-   protocol; the other engine critical sections pass their bounded
-   interleaving spaces exhaustively; and the harness itself is checked
-   to still catch a seeded bug and to be deterministic. *)
+(* Schedule-exploration suite: the explorer finds (and replays) a
+   seeded lock-order deadlock, and the recursive read passes on the
+   shipped protocol; the other engine critical sections pass their
+   bounded interleaving spaces exhaustively; and the harness itself is
+   checked to still catch a seeded bug and to be deterministic. *)
 
 module Sched = Sdb_schedcheck.Schedcheck
 module Scen = Sdb_schedcheck.Scenarios
@@ -14,17 +14,30 @@ let assert_passed name outcome =
     executions
   | o -> Alcotest.failf "%s did not pass:\n%s" name (Sched.pp_outcome o)
 
-(* --- the regression: the pre-fix gate deadlocks, replayably ------- *)
+(* --- a seeded deadlock is found, replayably ---------------------- *)
 
-let test_legacy_deadlock () =
-  match Sched.explore (Scen.recursive_read ~legacy:true) with
+(* Two threads take two mutexes in opposite order: the classic
+   lock-order inversion, which deadlocks only on the schedule that
+   preempts between the two acquisitions. *)
+let opposite_order () =
+  let a = Sched.Mutex.create "a" and b = Sched.Mutex.create "b" in
+  let take first second () =
+    Sched.Mutex.lock first;
+    Sched.Mutex.lock second;
+    Sched.Mutex.unlock second;
+    Sched.Mutex.unlock first
+  in
+  Sched.scenario [ ("ab", take a b); ("ba", take b a) ]
+
+let test_lock_order_deadlock () =
+  match Sched.explore opposite_order with
   | Sched.Deadlocked r ->
-    (* Both threads must be stuck: the reader parked behind the pending
-       upgrade, the upgrader draining the reader. *)
+    (* Both threads must be stuck, each holding the mutex the other
+       waits for. *)
     Alcotest.(check int) "both threads blocked" 2 (List.length r.Sched.r_blocked);
     (* The schedule is a reproducible artifact: replaying it must hit
        the same deadlock. *)
-    (match Sched.replay (Scen.recursive_read ~legacy:true) ~schedule:r.Sched.r_schedule with
+    (match Sched.replay opposite_order ~schedule:r.Sched.r_schedule with
     | Sched.Deadlocked r', _ ->
       Alcotest.(check (list int))
         "replay follows the same schedule" r.Sched.r_schedule r'.Sched.r_schedule
@@ -32,13 +45,11 @@ let test_legacy_deadlock () =
       Alcotest.failf "replay did not deadlock:\n%s" (Sched.pp_outcome o))
   | o ->
     Alcotest.failf
-      "legacy recursive read should deadlock under some schedule:\n%s"
+      "opposite lock order should deadlock under some schedule:\n%s"
       (Sched.pp_outcome o)
 
 let test_fixed_passes () =
-  let n = assert_passed "recursive_read(fixed)"
-      (Sched.explore (Scen.recursive_read ~legacy:false))
-  in
+  let n = assert_passed "recursive_read" (Sched.explore Scen.recursive_read) in
   Alcotest.(check bool) "more than one interleaving explored" true (n > 1)
 
 (* --- the other critical sections, exhaustively -------------------- *)
@@ -72,6 +83,23 @@ let test_group_commit () =
   List.iter
     (fun shape -> Alcotest.(check bool) ("reached: " ^ shape) true (Hashtbl.mem seen shape))
     [ "group of 2"; "group of 3"; "prepared while a group of 2+ commits" ]
+
+(* A fold that raises fails its group before the commit point: no
+   flush, no publish, every member woken with the exception, the lock
+   drained and the slot released — exhausted over two updaters in both
+   commit modes, and reaching the group of two that fails whole. *)
+let test_raising_fold () =
+  let seen = Hashtbl.create 8 in
+  let observe shape = Hashtbl.replace seen shape () in
+  ignore
+    (assert_passed "group_commit(2, fold raises)"
+       (Sched.explore (Scen.group_commit ~raising:0 ~observe ~updaters:2)));
+  ignore
+    (assert_passed "solo commit(2, fold raises)"
+       (Sched.explore (Scen.group_commit ~grouped:false ~raising:1 ~updaters:2)));
+  List.iter
+    (fun shape -> Alcotest.(check bool) ("reached: " ^ shape) true (Hashtbl.mem seen shape))
+    [ "fold raised in a group of 1"; "fold raised in a group of 2"; "group of 1" ]
 
 (* Two checked "insert if absent" updaters on one key: exactly one
    commits, alone and beside an unconditional updater that may group,
@@ -162,7 +190,7 @@ let test_deterministic () =
   | o, _ -> Alcotest.failf "expected Passed:\n%s" (Sched.pp_outcome o)
 
 let test_schedule_bound () =
-  match Sched.explore ~max_schedules:1 (Scen.recursive_read ~legacy:false) with
+  match Sched.explore ~max_schedules:1 Scen.recursive_read with
   | Sched.Schedule_bound_exceeded { executions } ->
     Alcotest.(check int) "stopped at the bound" 1 executions
   | o -> Alcotest.failf "expected Schedule_bound_exceeded:\n%s" (Sched.pp_outcome o)
@@ -196,8 +224,8 @@ let () =
     [
       ( "regression",
         [
-          Alcotest.test_case "legacy recursive read deadlocks (replayable)" `Quick
-            test_legacy_deadlock;
+          Alcotest.test_case "lock-order inversion deadlocks (replayable)" `Quick
+            test_lock_order_deadlock;
           Alcotest.test_case "fixed protocol passes exhaustively" `Quick
             test_fixed_passes;
         ] );
@@ -211,6 +239,8 @@ let () =
             test_group_commit;
           Alcotest.test_case "group commit: one checked insert commits" `Quick
             test_checked_inserts;
+          Alcotest.test_case "group commit: raising fold fails its group" `Quick
+            test_raising_fold;
           Alcotest.test_case "replica outbox hand-off" `Quick test_replica_outbox;
           Alcotest.test_case "failure detector: revive only by heartbeat" `Quick
             test_failure_detector;
