@@ -760,7 +760,7 @@ let e11 ~quick () =
     let fresh = Mem.create_store ~seed:115 () in
     (match Replica.clone_from client (Mem.fs fresh) with
     | Ok cloned ->
-      let same = Replica.digest cloned = Replica.digest ns in
+      let same = Ns.digest cloned = Ns.digest ns in
       add "replica restored from a peer"
         (if same then "clone digest matches source" else "DIGEST MISMATCH");
       Ns.close cloned
@@ -1701,7 +1701,7 @@ let e19 ~quick () =
             Float.is_nan !t_converged
             && not (Float.is_nan !t_heal)
             && staleness = 0
-            && String.equal (Replica.digest ns_a) (Replica.digest ns_b)
+            && String.equal (Ns.digest ns_a) (Ns.digest ns_b)
           then t_converged := t;
           samples := (t, staleness, state) :: !samples;
           Unix.sleepf 0.05
@@ -2033,7 +2033,7 @@ let bechamel_suite ~quick () =
     match B.Textfile_db.open_ (Mem.fs text_store) with Ok d -> d | Error e -> failwith e
   in
   let update_payload = Rng.string rng ~len:paper_value_len in
-  let blob = P.to_string Data.codec_tree (fst (Ns.snapshot_with_lsn ns)) in
+  let blob = P.to_string Data.codec_pnode (Ns.Db.query (Ns.db ns) Fun.id) in
   let client_t, server_t = Rpc.Inproc.pair () in
   let echo = [ Rpc.Server.handler ~meth:"echo" P.string P.string Fun.id ] in
   let server = Thread.create (fun () -> Rpc.Server.serve ~handlers:echo server_t) () in
@@ -2051,11 +2051,13 @@ let bechamel_suite ~quick () =
       Test.make ~name:"e2.marshal-update-unsafe"
         (Staged.stage (fun () ->
              Marshal.to_string (entry_path 1, update_payload) []));
+      (* What a checkpoint and a restart run on the state: the live
+         root's pickle and its restore. *)
       Test.make ~name:"e3.pickle-db-64k"
         (Staged.stage (fun () ->
-             ignore (P.encode Data.codec_tree (fst (Ns.snapshot_with_lsn ns)))));
+             ignore (P.encode Data.codec_pnode (Ns.Db.query (Ns.db ns) Fun.id))));
       Test.make ~name:"e4.unpickle-db-64k"
-        (Staged.stage (fun () -> ignore (P.of_string Data.codec_tree blob)));
+        (Staged.stage (fun () -> ignore (P.of_string Data.codec_pnode blob)));
       Test.make ~name:"e5.group-commit-10"
         (Staged.stage (fun () ->
              Ns.Db.update_batch (Ns.db ns)

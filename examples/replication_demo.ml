@@ -61,8 +61,8 @@ let () =
   Printf.printf "gamma sees /svc/mail = %s\n"
     (Option.value (Ns.lookup c.ns (p "/svc/mail")) ~default:"<missing>");
   Printf.printf "digests: alpha=beta %b, alpha=gamma %b\n"
-    (Replica.digest a.ns = Replica.digest b.ns)
-    (Replica.digest a.ns = Replica.digest c.ns);
+    (Ns.digest a.ns = Ns.digest b.ns)
+    (Ns.digest a.ns = Ns.digest c.ns);
 
   print_endline "== partition: beta goes down ==";
   cut b;
@@ -103,7 +103,7 @@ let () =
   | Ok gamma2 ->
     Printf.printf "gamma rebuilt from alpha: /svc/ftp = %s, digest match %b\n"
       (Option.value (Ns.lookup gamma2 (p "/svc/ftp")) ~default:"<missing>")
-      (Replica.digest gamma2 = Replica.digest a.ns);
+      (Ns.digest gamma2 = Ns.digest a.ns);
     Ns.close gamma2);
 
   Replica.shutdown a.replica;

@@ -261,6 +261,19 @@ let note_acquire l mode =
         if d > !max_depth then max_depth := d)
   end
 
+(* A try-lock never waits, so it cannot close a lock-order cycle: a
+   successful one only joins the thread's held stack, adding no edge
+   and skipping the nesting check. *)
+let note_try_acquired l mode =
+  if enabled () then begin
+    Atomic.incr n_checks;
+    locked (fun () ->
+        let stack = stack_of_thread (tid ()) in
+        stack := { h_lock = l; h_mode = mode } :: !stack;
+        let d = List.length !stack in
+        if d > !max_depth then max_depth := d)
+  end
+
 let note_release l mode =
   if enabled () then begin
     Atomic.incr n_checks;
@@ -366,6 +379,13 @@ module Mu = struct
     Stdlib.Mutex.lock t.m
   [@@sdb.check.allow
     "mutex-pairing: Mu.lock is the acquire primitive; Mu.unlock releases"]
+
+  let try_lock t =
+    Stdlib.Mutex.try_lock t.m
+    && begin
+         note_try_acquired t.checker Mutex;
+         true
+       end
 
   let unlock t =
     note_release t.checker Mutex;

@@ -129,6 +129,12 @@ module Mu : sig
       name across instances of one family. *)
 
   val lock : t -> unit
+  val try_lock : t -> bool
+  (** Lock without waiting: [false], with nothing taken, when another
+      thread holds it.  A taken lock is recorded as held (the release
+      is {!unlock}); it adds no lock-order edge, since a try never
+      waits. *)
+
   val unlock : t -> unit
 
   val with_lock : t -> (unit -> 'a) -> 'a

@@ -218,12 +218,14 @@ module Make (App : APP) = struct
   type mark = { at_generation : int; at_lsn : int; at_off : int }
 
   (* A policy checkpoint pickling on its own domain.  The domain only
-     pickles; the blob and its pickle start and end times come back
-     through [Domain.join] once [finished] is set, its last act. *)
+     pickles; its last act stores the blob with its pickle start and end
+     times, or the exception it raised, in [result].  The install reads
+     that slot and never joins the domain: a terminating domain first
+     finishes its share of the current major GC cycle, and a commit
+     would wait for it. *)
   type pickling = {
     mark : mark;
-    finished : bool Atomic.t;
-    domain : (string * float * float) Domain.t;
+    result : (string * float * float, exn * Printexc.raw_backtrace) result option Atomic.t;
   }
 
   (* A version of the database: the state after the first [lsn]
@@ -654,15 +656,19 @@ module Make (App : APP) = struct
   [@@sdb.acquires update]
 
   (* Under the checkpoint token: take the policy pickle out of its slot
-     if it has finished.  [Domain.join] re-raises a pickler's exception,
-     as a pickle on the caller's thread would. *)
+     if it has finished.  A pickler's exception is re-raised, as a
+     pickle on the caller's thread would raise it. *)
   let take_finished t =
     match t.pickling with
-    | Some p when Atomic.get p.finished ->
-      t.pickling <- None;
-      let blob, t0, t1 = Domain.join p.domain in
-      Some (p.mark, (t0, t1), blob)
-    | Some _ | None -> None
+    | None -> None
+    | Some p -> (
+      match Atomic.get p.result with
+      | None -> None
+      | Some r -> (
+        t.pickling <- None;
+        match r with
+        | Ok (blob, t0, t1) -> Some (p.mark, (t0, t1), blob)
+        | Error (e, bt) -> Printexc.raise_with_backtrace e bt))
 
   (* Install a finished policy pickle, or drop it if the generation
      moved since its snapshot (a scrub repair superseded it).  A pickle
@@ -677,17 +683,23 @@ module Make (App : APP) = struct
   (* The domain only pickles: it never touches the file system, the
      metrics or the trace sink. *)
   let spawn_pickle t state mark =
-    let finished = Atomic.make false in
-    let domain =
+    let result = Atomic.make None in
+    let (_ : unit Domain.t) =
       Domain.spawn (fun () ->
-          Fun.protect
-            ~finally:(fun () -> Atomic.set finished true)
-            (fun () ->
+          let r =
+            match
               let t0 = now () in
               let blob = checkpoint_blob ~lsn:mark.at_lsn state in
-              (blob, t0, now ())))
+              (blob, t0, now ())
+            with
+            | v -> Ok v
+            | exception e -> Error (e, Printexc.get_raw_backtrace ())
+          in
+          Atomic.set result (Some r))
     in
-    t.pickling <- Some { mark; finished; domain }
+    t.pickling <- Some { mark; result }
+
+  let pickle_finished p = Option.is_some (Atomic.get p.result)
 
   let due_for_checkpoint t =
     match t.config.policy with
@@ -715,30 +727,32 @@ module Make (App : APP) = struct
      is due and none is in flight, pin a snapshot under Update and hand
      it to a pickling domain.  [due] is re-checked under the locks — the
      members of a group all finish together, and only the first of them
-     should checkpoint. *)
+     should checkpoint.  The token is only tried, never waited for: its
+     holder installs or supersedes a finished pickle, or else the next
+     commit retries, so no committer waits out another's install. *)
   let policy_checkpoint t =
     check_usable t;
-    Sdb_check.Mu.lock t.ckpt_mutex;
-    Fun.protect
-      ~finally:(fun () -> Sdb_check.Mu.unlock t.ckpt_mutex)
-      (fun () ->
-        check_usable t;
-        install_finished t;
-        let snapshot =
-          Vlock.with_lock t.lock Vlock.Update (fun () ->
-              check_usable t;
-              if t.pickling = None && due_for_checkpoint t then
-                Some ((current t).state, mark_locked t)
-              else None)
-        in
-        Option.iter (fun (state, mark) -> spawn_pickle t state mark) snapshot)
+    if Sdb_check.Mu.try_lock t.ckpt_mutex then
+      Fun.protect
+        ~finally:(fun () -> Sdb_check.Mu.unlock t.ckpt_mutex)
+        (fun () ->
+          check_usable t;
+          install_finished t;
+          let snapshot =
+            Vlock.with_lock t.lock Vlock.Update (fun () ->
+                check_usable t;
+                if t.pickling = None && due_for_checkpoint t then
+                  Some ((current t).state, mark_locked t)
+                else None)
+          in
+          Option.iter (fun (state, mark) -> spawn_pickle t state mark) snapshot)
   [@@sdb.acquires update]
 
   (* After a commit: install a finished policy pickle, or start the
      policy's next checkpoint when one is due.  Both checks here are
      unlocked hints; [policy_checkpoint] repeats them under the locks. *)
   let maybe_auto_checkpoint t =
-    let ready = match t.pickling with Some p -> Atomic.get p.finished | None -> false in
+    let ready = match t.pickling with Some p -> pickle_finished p | None -> false in
     if
       ready
       || t.pickling = None && due_for_checkpoint t && now () >= t.auto_ckpt_retry_at
@@ -1250,7 +1264,7 @@ module Make (App : APP) = struct
           background_checkpoint =
             (match t.pickling with
             | None -> `Idle
-            | Some p -> if Atomic.get p.finished then `Ready else `Pickling);
+            | Some p -> if pickle_finished p then `Ready else `Pickling);
         })
 
   (* The update lock pins the log file name and its base LSN without
@@ -1307,7 +1321,8 @@ module Make (App : APP) = struct
     (* Each log is folded only below the next one's base: the entries
        from there on were carried into the next log.  Damage or
        truncation in an archive is corruption of history, not a
-       recoverable tail. *)
+       recoverable tail.  The result carries the trail's length and the
+       root's LSN, both read in the one Update hold. *)
     let fold_all t ~init ~f =
       check_usable t;
       Vlock.with_lock t.lock Vlock.Update (fun () ->
@@ -1315,7 +1330,7 @@ module Make (App : APP) = struct
           | Error e -> Error e
           | Ok logs ->
             let rec go acc lsn = function
-              | [] -> Ok (acc, lsn)
+              | [] -> Ok (acc, lsn, (current t).lsn)
               | log :: rest -> (
                 let upto = match rest with [] -> Ok max_int | next :: _ -> log_base t.fs next in
                 match
@@ -1329,13 +1344,13 @@ module Make (App : APP) = struct
             in
             go init 0 logs)
 
+    (* The trail's length is compared with the LSN read in the same
+       Update hold: an update committed after it is in neither. *)
     let fold t ~init ~f =
       match fold_all t ~init ~f with
-      | Ok (acc, lsn) ->
-        if lsn <> (current t).lsn then
-          Error
-            (Printf.sprintf "history: trail holds %d updates but lsn is %d" lsn
-               (current t).lsn)
+      | Ok (acc, trail, lsn) ->
+        if trail <> lsn then
+          Error (Printf.sprintf "history: trail holds %d updates but lsn is %d" trail lsn)
         else Ok acc
       | Error e -> Error e
 
@@ -1350,7 +1365,7 @@ module Make (App : APP) = struct
           fold_all t ~init:(App.init ()) ~f:(fun state at u ->
               if at < lsn then App.apply state u else state)
         with
-        | Ok (state, total) ->
+        | Ok (state, total, _) ->
           if total < lsn then Error "history: trail shorter than requested lsn"
           else Ok state
         | Error e -> Error e

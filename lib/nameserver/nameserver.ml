@@ -151,13 +151,13 @@ let health = Db.health
    liveness. *)
 let ping t = (stats t).Smalldb.lsn
 
-(* The canonical digest of the live state: the wire tree pickles with
-   sorted children, so equal trees give equal strings — which the raw
-   node pickle (hash tables, insertion-ordered) does not. *)
-let state_digest root =
-  Digest.string (P.encode Ns_data.codec_tree (Ns_data.psnapshot root))
+(* The canonical digest of a state: its pickle, whose children come
+   out in label order, so equal trees give equal strings.  A published
+   root never changes, so it is encoded after the query has let go of
+   it. *)
+let state_digest root = Digest.string (P.encode Ns_data.codec_pnode root)
 
-let digest t = Db.query t state_digest
+let digest t = state_digest (Db.query t Fun.id)
 let scrub ?repair t = Db.scrub ?repair ~digest:state_digest t
 
 let start_scrubber ?interval ?repair t =

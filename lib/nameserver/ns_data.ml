@@ -2,12 +2,21 @@ module P = Sdb_pickle.Pickle
 
 type tree = Tree of { tvalue : string option; tchildren : (string * tree) list }
 
-let codec_tree =
+(* The one wire format of a tree, whichever representation holds it:
+   an optional value, then the children as a list of (label, subtree)
+   pairs in ascending label order. *)
+let node_codec ~children ~value ~kids ~make =
   P.mu "ns.tree" (fun self ->
       P.record2 "ns.tree"
-        (P.field "value" (P.option P.string) (fun (Tree t) -> t.tvalue))
-        (P.field "children" (P.list (P.pair P.string self)) (fun (Tree t) -> t.tchildren))
-        (fun tvalue tchildren -> Tree { tvalue; tchildren }))
+        (P.field "value" (P.option P.string) value)
+        (P.field "children" (children (P.pair P.string self)) kids)
+        make)
+
+let codec_tree =
+  node_codec ~children:P.list
+    ~value:(fun (Tree t) -> t.tvalue)
+    ~kids:(fun (Tree t) -> t.tchildren)
+    ~make:(fun tvalue tchildren -> Tree { tvalue; tchildren })
 
 let leaf v = Tree { tvalue = v; tchildren = [] }
 
@@ -122,11 +131,41 @@ let rec psnapshot ?depth n =
   in
   Tree { tvalue = n.pvalue; tchildren = children }
 
-(* The pickle goes through the sorted exchange tree, so equal stores
-   give equal checkpoint bytes — canonical by construction, where a
-   raw hashtbl pickle would be insertion-ordered. *)
+(* A child map from its bindings in wire order.  Strictly ascending
+   labels (what [codec_pnode] writes) build it in linear time, by
+   unions of disjoint halves; any other order falls back to adding the
+   bindings one by one, so a repeated label keeps its last binding, as
+   [pof_tree] does. *)
+let smap_of_bindings bs =
+  let n = Array.length bs in
+  let rec ascending i =
+    i >= n || (String.compare (fst bs.(i - 1)) (fst bs.(i)) < 0 && ascending (i + 1))
+  in
+  if ascending 1 then
+    let rec build lo hi =
+      match hi - lo with
+      | 0 -> Smap.empty
+      | 1 -> Smap.singleton (fst bs.(lo)) (snd bs.(lo))
+      | len ->
+        let mid = lo + (len / 2) in
+        Smap.union (fun _ l _ -> Some l) (build lo mid) (build mid hi)
+    in
+    build 0 n
+  else Array.fold_left (fun m (label, child) -> Smap.add label child m) Smap.empty bs
+
+(* Pickled straight from the maps, whose bindings come out sorted: the
+   bytes of [psnapshot n] under [codec_tree], so equal stores give
+   equal checkpoints, without building the exchange tree. *)
 let codec_pnode =
-  P.conv ~name:"ns.pnode" (fun n -> psnapshot n) pof_tree codec_tree
+  P.conv ~name:"ns.pnode" Fun.id Fun.id
+    (node_codec
+       ~children:
+         (P.collection ~length:Smap.cardinal
+            ~iter:(fun f m -> Smap.iter (fun label child -> f (label, child)) m)
+            ~of_array:smap_of_bindings)
+       ~value:(fun n -> n.pvalue)
+       ~kids:(fun n -> n.pchildren)
+       ~make:(fun pvalue pchildren -> { pvalue; pchildren }))
 
 let pchildren_labels n = Smap.fold (fun l _ acc -> l :: acc) n.pchildren [] |> List.rev
 

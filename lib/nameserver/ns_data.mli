@@ -29,8 +29,11 @@ type pnode = { pvalue : string option; pchildren : pnode Smap.t }
 
 val empty_pnode : pnode
 val codec_pnode : pnode Sdb_pickle.Pickle.t
-(** Pickles through the sorted exchange {!tree}, so equal stores give
-    equal bytes. *)
+(** The state's pickle: the bytes and fingerprint of {!codec_tree} on
+    [psnapshot n], written straight from the maps, so equal stores give
+    equal bytes.  Restores build each child map in linear time when its
+    labels ascend strictly; otherwise the last binding of a label wins,
+    as in {!pof_tree}. *)
 
 val pfind : pnode -> Name_path.t -> pnode option
 val pmem : pnode -> Name_path.t -> bool

@@ -130,15 +130,29 @@ let expect_tag rd tag =
     err "pickle: expected %s at offset %d, found %s" (tag_name tag) (rd.pos - 1)
       (tag_name c)
 
-let write_uvarint wr n = Varint.write_unsigned wr.buf n
+(* Lengths, arities and case indices are nearly always one byte: those
+   are written and read in place, the general varint code only handles
+   longer encodings. *)
+let write_uvarint wr n =
+  if n >= 0 && n < 0x80 then Buffer.add_char wr.buf (Char.unsafe_chr n)
+  else Varint.write_unsigned wr.buf n
 let write_svarint wr n = Varint.write_signed wr.buf n
 
 let read_uvarint rd =
-  match Varint.read_unsigned rd.src ~pos:rd.pos with
-  | v, p ->
-    rd.pos <- p;
-    v
-  | exception Varint.Malformed m -> err "pickle: %s at offset %d" m rd.pos
+  let c =
+    if rd.pos < String.length rd.src then Char.code (String.unsafe_get rd.src rd.pos)
+    else 0x80
+  in
+  if c < 0x80 then begin
+    rd.pos <- rd.pos + 1;
+    c
+  end
+  else
+    match Varint.read_unsigned rd.src ~pos:rd.pos with
+    | v, p ->
+      rd.pos <- p;
+      v
+    | exception Varint.Malformed m -> err "pickle: %s at offset %d" m rd.pos
 
 let read_svarint rd =
   match Varint.read_signed rd.src ~pos:rd.pos with
@@ -269,20 +283,40 @@ let triple a b c =
         (x, y, z));
   }
 
-let list elt =
+(* Any collection goes on the wire as a list: the length, then each
+   element in [iter]'s order.  Reads hand the elements back as an array
+   in wire order; the first element read seeds it. *)
+let collection ~length ~iter ~of_array elt =
   {
     d = Descr.List elt.d;
     w =
-      (fun wr xs ->
+      (fun wr c ->
+        let len = length c in
         Buffer.add_char wr.buf tag_list;
-        write_uvarint wr (List.length xs);
-        List.iter (elt.w wr) xs);
+        write_uvarint wr len;
+        let written = ref 0 in
+        iter
+          (fun x ->
+            incr written;
+            elt.w wr x)
+          c;
+        if !written <> len then
+          err "pickle: collection length %d but %d elements written" len !written);
     r =
       (fun rd ->
         expect_tag rd tag_list;
         let len = read_length rd "list" in
-        List.init len (fun _ -> elt.r rd));
+        if len = 0 then of_array [||]
+        else begin
+          let arr = Array.make len (elt.r rd) in
+          for i = 1 to len - 1 do
+            arr.(i) <- elt.r rd
+          done;
+          of_array arr
+        end);
   }
+
+let list elt = collection ~length:List.length ~iter:List.iter ~of_array:Array.to_list elt
 
 let option elt =
   {
@@ -710,14 +744,18 @@ let encode codec v =
   encode_into buf codec v;
   Buffer.contents buf
 
-let decode codec s =
+(* The value at [pos] must run to the end of [s]. *)
+let decode_from codec s pos =
   let rd = new_reader s in
+  rd.pos <- pos;
   let v = codec.r rd in
   if rd.pos <> String.length s then
     err "pickle: %d trailing bytes after value" (String.length s - rd.pos);
-  Counters.add Counters.unpickled (String.length s);
+  Counters.add Counters.unpickled (String.length s - pos);
   Counters.add Counters.u_ops 1;
   v
+
+let decode codec s = decode_from codec s 0
 
 let decode_result codec s =
   match decode codec s with
@@ -726,15 +764,16 @@ let decode_result codec s =
 
 let magic = "SDBP1"
 
+(* Header and body share one buffer: the body is encoded in place
+   after the header, never copied into it. *)
 let to_string codec v =
-  let body = encode codec v in
-  let fp = fingerprint codec in
-  let buf = Buffer.create (String.length body + 24) in
+  let buf = Buffer.create 4096 in
   Buffer.add_string buf magic;
-  Buffer.add_string buf fp;
-  Buffer.add_string buf body;
+  Buffer.add_string buf (fingerprint codec);
+  encode_into buf codec v;
   Buffer.contents buf
 
+(* The body is decoded where it sits, after the header. *)
 let of_string codec s =
   let mlen = String.length magic in
   let fplen = 16 in
@@ -748,5 +787,8 @@ let of_string codec s =
       Result.Error
         (Printf.sprintf "pickle: type fingerprint mismatch: data %s, codec %s"
            (Digest.to_hex fp) (Digest.to_hex expected))
-    else decode_result codec (String.sub s (mlen + fplen) (String.length s - mlen - fplen))
+    else
+      match decode_from codec s (mlen + fplen) with
+      | v -> Result.Ok v
+      | exception Error m -> Result.Error m
   end

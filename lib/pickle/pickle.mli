@@ -55,6 +55,20 @@ val string : string t
 val pair : 'a t -> 'b t -> ('a * 'b) t
 val triple : 'a t -> 'b t -> 'c t -> ('a * 'b * 'c) t
 val list : 'a t -> 'a list t
+
+val collection :
+  length:('c -> int) ->
+  iter:(('a -> unit) -> 'c -> unit) ->
+  of_array:('a array -> 'c) ->
+  'a t ->
+  'c t
+(** Any collection, as a {!list} on the wire: the same bytes and the
+    same fingerprint as the list of the elements [iter] visits, in that
+    order.  [length c] is that count (a mismatch raises {!Error} on
+    write).  Reads pass the elements to [of_array] in wire order; a
+    truncated or mis-tagged length raises {!Error}.  {!list} is this
+    combinator over [List]. *)
+
 val option : 'a t -> 'a option t
 val result : 'a t -> 'e t -> ('a, 'e) result t
 

@@ -606,13 +606,9 @@ let shutdown t =
 (* ------------------------------------------------------------------ *)
 (* Digests and hard-error recovery                                     *)
 
-let digest ns =
-  let tree, _lsn = Ns.snapshot_with_lsn ns in
-  Digest.string (P.encode Ns_data.codec_tree tree)
-
 let converged_with t peer_client =
   match Proto.Client.digest peer_client with
-  | peer_digest -> String.equal (digest t.ns) peer_digest
+  | peer_digest -> String.equal (Ns.digest t.ns) peer_digest
   | exception Rpc.Rpc_error _ -> false
 
 (* Resumable state transfer: [fetch_meta] pins the encoding of the

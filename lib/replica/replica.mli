@@ -129,8 +129,6 @@ val converged_with : t -> Sdb_rpc.Ns_protocol.Client.t -> bool
    test_replica calls it"]
 (** Digest comparison with a peer — the long-term consistency check. *)
 
-val digest : Sdb_nameserver.Nameserver.t -> string
-
 val clone_from :
   Sdb_rpc.Ns_protocol.Client.t -> Sdb_storage.Fs.t -> (Sdb_nameserver.Nameserver.t, string) result
 (** Hard-error recovery: rebuild a replica's database from a peer's

@@ -64,8 +64,8 @@ let handlers ns =
      the request is refused and the client restarts from fresh meta. *)
   let chunk_cache = ref None (* (lsn, digest, bytes) *) in
   let encoded_state () =
-    let tree, lsn = Ns.snapshot_with_lsn ns in
-    let bytes = P.encode codec_tree tree in
+    let root, lsn = Ns.Db.query_with_lsn (Ns.db ns) Fun.id in
+    let bytes = P.encode Ns_data.codec_pnode root in
     let meta = (lsn, Digest.string bytes, bytes) in
     chunk_cache := Some meta;
     meta
@@ -104,9 +104,7 @@ let handlers ns =
       (P.option (P.list (P.pair P.int codec_update)))
       (fun from -> Ns.updates_since ns from);
     h ~meth:"checkpoint" P.unit P.unit (fun () -> Ns.checkpoint ns);
-    h ~meth:"digest" P.unit P.string (fun () ->
-        let tree, _lsn = Ns.snapshot_with_lsn ns in
-        Digest.string (P.encode codec_tree tree));
+    h ~meth:"digest" P.unit P.string (fun () -> Ns.digest ns);
     h ~meth:"metrics" P.unit P.string (fun () -> Sdb_obs.Metrics.render ());
     (* The last slow spans from the process-global ring (empty unless
        the server installed one); the argument narrows the query. *)

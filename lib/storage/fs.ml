@@ -133,23 +133,42 @@ type t = {
   counters : Counters.t;
 }
 
+(* One buffer of the size the file had when opened, filled in place
+   and handed over without a copy; should the file have grown since,
+   the rest is read on to its end. *)
 let read_file fs file =
   let r = fs.open_reader file in
-  let buf = Buffer.create (max 64 r.r_size) in
-  let chunk = Bytes.create 65536 in
-  let rec go () =
-    let n = r.r_read chunk 0 (Bytes.length chunk) in
-    if n > 0 then begin
-      Buffer.add_subbytes buf chunk 0 n;
-      go ()
+  let read_all () =
+    let buf = Bytes.create r.r_size in
+    let rec fill got =
+      if got = r.r_size then got
+      else
+        match r.r_read buf got (r.r_size - got) with
+        | 0 -> got
+        | n -> fill (got + n)
+    in
+    let got = fill 0 in
+    if got < r.r_size then Bytes.sub_string buf 0 got
+    else begin
+      let chunk = Bytes.create 4096 in
+      let rec more acc =
+        match r.r_read chunk 0 (Bytes.length chunk) with
+        | 0 -> List.rev acc
+        | n -> more (Bytes.sub_string chunk 0 n :: acc)
+      in
+      match more [] with
+      | [] -> Bytes.unsafe_to_string buf
+      | rest -> String.concat "" (Bytes.unsafe_to_string buf :: rest)
     end
   in
-  (try go ()
-   with e ->
-     r.r_close ();
-     raise e);
+  let contents =
+    try read_all ()
+    with e ->
+      r.r_close ();
+      raise e
+  in
   r.r_close ();
-  Buffer.contents buf
+  contents
 
 let write_file fs file contents =
   let w = fs.create file in

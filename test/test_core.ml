@@ -592,6 +592,39 @@ let test_history_fold_and_state_at () =
 (* With retain_previous too, generation g-1's log stays live as
    logfile<g-1> instead of joining the archive; history must still read
    it as that generation's log. *)
+(* [fold] compares the trail with the LSN read in its own Update hold,
+   so updates committing beside it, on another domain, never make a
+   good trail look short. *)
+let test_history_beside_committer () =
+  let _, _, db = mem_db ~config:archive_config () in
+  let stop = Atomic.make false and commits = Atomic.make 0 in
+  let committer =
+    Domain.spawn (fun () ->
+        while (not (Atomic.get stop)) && Atomic.get commits < 3000 do
+          let i = Atomic.fetch_and_add commits 1 in
+          KVDb.update db (sequenced_update (i mod 64));
+          if i mod 50 = 49 then KVDb.checkpoint db
+        done)
+  in
+  let failures = ref [] in
+  let first = ref 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      Domain.join committer)
+    (fun () ->
+      await "the committer" (fun () -> Atomic.get commits > 0);
+      first := Atomic.get commits;
+      for _ = 1 to 500 do
+        (match KVDb.History.fold db ~init:0 ~f:(fun n _ _ -> n + 1) with
+        | Ok _ -> ()
+        | Error e -> failures := e :: !failures);
+        if not (KVDb.History.available db) then failures := "unavailable" :: !failures
+      done);
+  check Alcotest.(list string) "every fold succeeded" [] (List.rev !failures);
+  check Alcotest.bool "updates committed beside the folds" true (Atomic.get commits > !first);
+  KVDb.close db
+
 let test_history_with_retained_previous () =
   let config = { archive_config with retain_previous = true } in
   let _, _, db = mem_db ~config () in
@@ -1175,6 +1208,137 @@ let test_history_across_carried_tail () =
       Alcotest.(list (pair string string))
       "tip equals live" (ParkDb.query db Smap.bindings) (Smap.bindings st)
 
+(* Gates in the state codec: the policy's pickle (on its own domain)
+   and a manual checkpoint's (on the main domain) park at their own
+   gate while it is shut.  [explode] makes the policy's pickle raise. *)
+module Gate = struct
+  type t = { m : Mutex.t; c : Condition.t; mutable shut : bool; mutable parked : bool }
+
+  let make () = { m = Mutex.create (); c = Condition.create (); shut = false; parked = false }
+
+  let locked g f =
+    Mutex.lock g.m;
+    Fun.protect ~finally:(fun () -> Mutex.unlock g.m) f
+
+  let shut g = locked g (fun () -> g.shut <- true)
+
+  let open_ g =
+    locked g (fun () ->
+        g.shut <- false;
+        Condition.broadcast g.c)
+
+  let pass g =
+    locked g (fun () ->
+        if g.shut then begin
+          g.parked <- true;
+          Condition.broadcast g.c;
+          while g.shut do
+            Condition.wait g.c g.m
+          done;
+          g.parked <- false
+        end)
+
+  let await_parked g =
+    locked g (fun () ->
+        while not g.parked do
+          Condition.wait g.c g.m
+        done)
+
+  let policy = make ()
+  let manual = make ()
+  let explode = Atomic.make false
+end
+
+module GateKV = struct
+  include KV
+
+  let name = "gate-kv"
+
+  let codec_state =
+    P.conv ~name:"gate-kv.state"
+      (fun m ->
+        if Domain.is_main_domain () then Gate.pass Gate.manual
+        else begin
+          Gate.pass Gate.policy;
+          if Atomic.get Gate.explode then failwith "checkpoint pickler exploded"
+        end;
+        m)
+      Fun.id KV.codec_state
+end
+
+module GateDb = Smalldb.Make (GateKV)
+
+(* While another thread holds the checkpoint token (a manual checkpoint
+   parked in its pickle), a commit that finds the policy's pickle
+   finished leaves it to the holder and returns without waiting.  The
+   manual checkpoint supersedes it, and the next commit drops it. *)
+let test_background_install_never_waits () =
+  let db = GateDb.open_exn ~config:(every 4) (Mem.fs (Mem.create_store ~seed:89 ())) in
+  let gset i = GateDb.update db (sequenced_update i) in
+  let background () = (GateDb.stats db).Smalldb.background_checkpoint in
+  let generation () = (GateDb.stats db).Smalldb.generation in
+  Gate.shut Gate.policy;
+  Gate.shut Gate.manual;
+  Fun.protect
+    ~finally:(fun () ->
+      Gate.open_ Gate.policy;
+      Gate.open_ Gate.manual)
+    (fun () ->
+      for i = 0 to 3 do
+        gset i
+      done;
+      Gate.await_parked Gate.policy;
+      let manual = Thread.create (fun () -> GateDb.checkpoint db) () in
+      Gate.await_parked Gate.manual;
+      Gate.open_ Gate.policy;
+      await "the policy pickle" (fun () -> background () = `Ready);
+      let committed = Atomic.make false in
+      let committer =
+        Thread.create
+          (fun () ->
+            gset 4;
+            Atomic.set committed true)
+          ()
+      in
+      await "a commit beside the held token" (fun () -> Atomic.get committed);
+      Thread.join committer;
+      check Alcotest.bool "left to the token's holder" true (background () = `Ready);
+      check Alcotest.int "nothing installed" 0 (generation ());
+      Gate.open_ Gate.manual;
+      Thread.join manual);
+  check Alcotest.int "the manual checkpoint" 1 (generation ());
+  gset 5;
+  let s = GateDb.stats db in
+  check Alcotest.bool "superseded pickle dropped" true (s.Smalldb.background_checkpoint = `Idle);
+  check Alcotest.int "one checkpoint" 1 s.Smalldb.checkpoints_written;
+  check Alcotest.int "every update" 6 (GateDb.query db Smap.cardinal);
+  GateDb.close db
+
+(* A policy pickle that raises hands its exception to the commit that
+   installs it, as a pickle on that thread would; the slot is free
+   again and the next checkpoint goes through. *)
+let test_background_pickler_raises () =
+  let db = GateDb.open_exn ~config:(every 4) (Mem.fs (Mem.create_store ~seed:90 ())) in
+  let gset i = GateDb.update db (sequenced_update i) in
+  let background () = (GateDb.stats db).Smalldb.background_checkpoint in
+  Atomic.set Gate.explode true;
+  Fun.protect
+    ~finally:(fun () -> Atomic.set Gate.explode false)
+    (fun () ->
+      for i = 0 to 3 do
+        gset i
+      done;
+      await "the failed pickle" (fun () -> background () = `Ready));
+  (match gset 4 with
+  | () -> fail "expected the pickler's exception"
+  | exception Failure m -> check Alcotest.string "its exception" "checkpoint pickler exploded" m);
+  check Alcotest.int "the update committed" 5 (GateDb.query db Smap.cardinal);
+  gset 5;
+  await "the next pickle" (fun () -> background () = `Ready);
+  gset 6;
+  check Alcotest.int "installed" 1 (GateDb.stats db).Smalldb.generation;
+  GateDb.close db
+
 (* Crash at every disk operation of a checkpoint's hand-over, for each
    of its two callers.  [prepare fs] opens a store and brings it to the
    hand-over it returns; [survivors] reopens the store after a crash
@@ -1625,6 +1789,8 @@ let () =
             test_history_survives_crash_mid_checkpoint;
           Alcotest.test_case "history across a carried tail" `Quick
             test_history_across_carried_tail;
+          Alcotest.test_case "fold beside a committer" `Quick
+            test_history_beside_committer;
           prop_history_prefix;
         ] );
       ( "instrumentation",
@@ -1650,6 +1816,9 @@ let () =
           Alcotest.test_case "close while parked" `Quick test_background_close_while_parked;
           Alcotest.test_case "superseded pickle dropped" `Quick test_background_superseded;
           Alcotest.test_case "pickle and install spans" `Quick test_background_spans;
+          Alcotest.test_case "install never waits for the token" `Quick
+            test_background_install_never_waits;
+          Alcotest.test_case "raising pickler" `Quick test_background_pickler_raises;
         ] );
       ( "real-fs",
         [ Alcotest.test_case "end to end on a directory" `Quick test_real_fs_end_to_end ]

@@ -117,6 +117,135 @@ let test_materialize_roundtrip () =
   check Alcotest.string "canonical pickle" (pickle node) (pickle rebuilt)
 
 (* ------------------------------------------------------------------ *)
+(* The state codec                                                      *)
+
+module P = Sdb_pickle.Pickle
+
+(* What the state pickled to while it went through the exchange tree. *)
+let tree_pickle n = P.encode Data.codec_tree (Data.psnapshot n)
+
+let restores_equal what n restored =
+  check tree_testable what (Data.psnapshot n) (Data.psnapshot restored)
+
+let check_pnode_codec what n =
+  let bytes = P.encode Data.codec_pnode n in
+  check Alcotest.string (what ^ ": the exchange tree's bytes") (tree_pickle n) bytes;
+  restores_equal (what ^ ": restored") n (P.decode Data.codec_pnode bytes)
+
+let chain depth =
+  let rec go d = if d = 0 then Data.leaf (Some "bottom") else Data.tree [ ("x", go (d - 1)) ] in
+  Data.pof_tree (go depth)
+
+let fan width =
+  Data.pof_tree
+    (Data.tree ~value:"root"
+       (List.init width (fun i -> (Printf.sprintf "k%05d" i, Data.leaf (Some (string_of_int i))))))
+
+let test_pnode_codec_shapes () =
+  check_pnode_codec "empty" Data.empty_pnode;
+  check_pnode_codec "deep" (chain 3000);
+  check_pnode_codec "wide" (fan 10_000);
+  check_pnode_codec "wide under deep"
+    (Data.pgraft (chain 50) (List.init 50 (fun _ -> "x")) (Data.psnapshot (fan 777)))
+
+(* Trees whose children may come in any order and repeat a label: the
+   raw material of a hand-built pickle. *)
+let gen_raw_tree =
+  QCheck2.Gen.(
+    sized_size (0 -- 12)
+    @@ fix (fun self n ->
+           map2
+             (fun tvalue tchildren -> Data.Tree { tvalue; tchildren })
+             (option (string_size ~gen:printable (0 -- 4)))
+             (if n = 0 then pure []
+              else
+                list_size (0 -- 6)
+                  (pair (oneofl [ "a"; "b"; "c"; "d"; ""; "b2" ]) (self (n / 3))))))
+
+let prop_pnode_codec_equals_tree =
+  Helpers.qtest ~count:300 "state pickle = exchange-tree pickle" gen_raw_tree (fun t ->
+      let n = Data.pof_tree t in
+      let bytes = P.encode Data.codec_pnode n in
+      String.equal bytes (tree_pickle n)
+      && Data.equal_tree (Data.psnapshot n)
+           (Data.psnapshot (P.decode Data.codec_pnode bytes)))
+
+(* A pickle whose labels are out of order or repeated restores as
+   [pof_tree] builds it: in order, the last binding of a label wins. *)
+let prop_unsorted_pickle_last_wins =
+  Helpers.qtest ~count:300 "unsorted or repeated labels: last wins" gen_raw_tree (fun t ->
+      Data.equal_tree
+        (Data.psnapshot (Data.pof_tree t))
+        (Data.psnapshot (P.decode Data.codec_pnode (P.encode Data.codec_tree t))))
+
+let test_unsorted_pickle_last_wins () =
+  let hand_built =
+    Data.Tree
+      {
+        tvalue = None;
+        tchildren =
+          [ ("b", Data.leaf (Some "1")); ("a", Data.leaf (Some "2")); ("b", Data.leaf (Some "3")) ];
+      }
+  in
+  let n = P.decode Data.codec_pnode (P.encode Data.codec_tree hand_built) in
+  check Alcotest.(list string) "labels" [ "a"; "b" ] (Data.pchildren_labels n);
+  check Alcotest.(option string) "last b wins" (Some "3")
+    (Option.bind (Data.pfind n [ "b" ]) (fun c -> c.Data.pvalue))
+
+(* A store the exchange-tree codec wrote: a checkpoint (generation 1),
+   its empty log and the version file, after the updates of
+   [golden_updates] and a checkpoint.  The state codec must still open
+   it, and write the same checkpoint bytes. *)
+let golden_fingerprint = "1577b2f3cf78b74b59161f0cd7da02d8"
+
+let golden_files =
+  [
+    ( "checkpoint1",
+      "534442503187344865b2f2ded512b80d39015a0d900a1102080a6e616d65736572766572040e11020f000d040a0805656d70747911020f000d010a080364697211020f000d000a08076772616674656411020f010801670d020a08016111020f000d000a08017a11020f0108000d000a0805686f73747311020f000d020a0805616c70686111020f01080831302e302e302e310d000a08046265746111020f01080831302e302e302e320d000a0805757365727311020f000d010a080361646211020f01080e416e647265772042697272656c6c0d00"
+    );
+    ("logfile1", "53444257414c320a5dd0b4484dafccb4055e3b8a7fa508730700000000000000");
+    ("version", "31");
+  ]
+
+let golden_updates ns =
+  Ns.set_value ns (p "/hosts/alpha") (Some "10.0.0.1");
+  Ns.set_value ns (p "/hosts/beta") (Some "10.0.0.2");
+  Ns.set_value ns (p "/users/adb") (Some "Andrew Birrell");
+  Ns.create ns (p "/empty/dir");
+  Ns.write_subtree ns (p "/grafted")
+    (Data.tree ~value:"g" [ ("z", Data.leaf (Some "")); ("a", Data.leaf None) ]);
+  Ns.set_value ns (p "/gone") (Some "x");
+  Ns.delete_subtree ns (p "/gone")
+
+let of_hex h = String.init (String.length h / 2) (fun i -> Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
+
+let test_golden_checkpoint () =
+  check Alcotest.string "fingerprint pinned" golden_fingerprint
+    (P.fingerprint_hex Data.codec_pnode);
+  let store = Mem.create_store ~seed:32 () in
+  let fs = Mem.fs store in
+  List.iter (fun (file, hex) -> Sdb_storage.Fs.write_file fs file (of_hex hex)) golden_files;
+  let ns = Ns.open_exn fs in
+  check Alcotest.(option string) "golden opens" (Some "Andrew Birrell")
+    (Ns.lookup ns (p "/users/adb"));
+  check Alcotest.(option string) "empty value" (Some "") (Ns.lookup ns (p "/grafted/z"));
+  check Alcotest.int "nodes" 11 (Ns.count_nodes ns);
+  Ns.close ns;
+  let store = Mem.create_store ~seed:33 () in
+  let fs = Mem.fs store in
+  let ns = Ns.open_exn fs in
+  golden_updates ns;
+  Ns.checkpoint ns;
+  Ns.close ns;
+  List.iter
+    (fun (file, hex) ->
+      check Alcotest.string (file ^ " byte-identical") hex
+        (String.concat ""
+           (List.map (fun c -> Printf.sprintf "%02x" (Char.code c))
+              (List.of_seq (String.to_seq (Sdb_storage.Fs.read_file fs file))))))
+    golden_files
+
+(* ------------------------------------------------------------------ *)
 (* The served database                                                  *)
 
 let test_ns_basic () =
@@ -510,6 +639,18 @@ let prop_model_survives_restart =
       let after = model_of_ns ns2 in
       PathMap.bindings before = PathMap.bindings after)
 
+(* The digest encodes the root itself; it must stay the MD5 of the
+   exchange tree's pickle, which replicas compare across versions. *)
+let prop_digest_formula =
+  Helpers.qtest ~count:60 "digest = MD5 of the exchange-tree pickle"
+    QCheck2.Gen.(pair gen_raw_tree (list_size (0 -- 10) gen_update))
+    (fun (t, updates) ->
+      let _, _, ns = mem_ns () in
+      Ns.write_subtree ns [] t;
+      List.iter (fun u -> Ns.Db.update (Ns.db ns) u) updates;
+      let tree, _ = Ns.snapshot_with_lsn ns in
+      String.equal (Ns.digest ns) (Digest.string (P.encode Data.codec_tree tree)))
+
 let () =
   Helpers.run "nameserver"
     [
@@ -523,6 +664,12 @@ let () =
           Alcotest.test_case "tree ops" `Quick test_data_ops;
           Alcotest.test_case "snapshot depth" `Quick test_snapshot_depth;
           Alcotest.test_case "materialize roundtrip" `Quick test_materialize_roundtrip;
+          Alcotest.test_case "state codec: empty, deep, wide" `Quick test_pnode_codec_shapes;
+          Alcotest.test_case "state codec: unsorted pickle, last wins" `Quick
+            test_unsorted_pickle_last_wins;
+          Alcotest.test_case "state codec: golden checkpoint" `Quick test_golden_checkpoint;
+          prop_pnode_codec_equals_tree;
+          prop_unsorted_pickle_last_wins;
         ] );
       ( "server",
         [
@@ -544,5 +691,5 @@ let () =
           Alcotest.test_case "find" `Quick test_find;
           prop_find_equals_filter;
         ] );
-      ( "properties", [ prop_model; prop_model_survives_restart ] );
+      ( "properties", [ prop_model; prop_model_survives_restart; prop_digest_formula ] );
     ]

@@ -192,7 +192,7 @@ let round ~seed r =
   Fault_net.clear ctl;
   let converged =
     wait_for ~timeout_s:30.0 (fun () ->
-        String.equal (Replica.digest ns_a) (Replica.digest ns_b))
+        String.equal (Ns.digest ns_a) (Ns.digest ns_b))
   in
   let rep =
     match Replica.peers replica with [ x ] -> x | _ -> failwith "one peer"

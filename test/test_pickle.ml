@@ -341,6 +341,47 @@ let test_to_of_string () =
   | Ok _ -> Alcotest.fail "empty accepted"
   | Error _ -> ()
 
+(* A collection pickles as the list of its elements: the same bytes
+   and fingerprint as [P.list], read back through an array. *)
+module Iset = Set.Make (Int)
+
+let codec_iset =
+  P.collection ~length:Iset.cardinal ~iter:Iset.iter
+    ~of_array:(fun a -> Iset.of_seq (Array.to_seq a))
+    P.int
+
+let test_collection () =
+  List.iter
+    (fun xs ->
+      let set = Iset.of_list xs in
+      check (Alcotest.list Alcotest.int) "roundtrip" (Iset.elements set)
+        (Iset.elements (roundtrip codec_iset set));
+      check Alcotest.string "the list's bytes" (P.encode (P.list P.int) (Iset.elements set))
+        (P.encode codec_iset set))
+    [ []; [ 7 ]; [ 3; -1; 2 ]; List.init 300 (fun i -> i * 37) ];
+  check Alcotest.string "the list's fingerprint" (P.fingerprint_hex (P.list P.int))
+    (P.fingerprint_hex codec_iset);
+  let arr =
+    P.collection ~length:Array.length ~iter:Array.iter ~of_array:Fun.id P.string
+  in
+  check (Alcotest.array Alcotest.string) "array, wire order" [| "b"; "a"; "b" |]
+    (roundtrip arr [| "b"; "a"; "b" |]);
+  let rejects what s =
+    match P.decode codec_iset s with
+    | _ -> Alcotest.fail (what ^ " accepted")
+    | exception P.Error _ -> ()
+  in
+  (* 300 elements: the length is a two-byte varint after the tag. *)
+  let enc = P.encode codec_iset (Iset.of_list (List.init 300 Fun.id)) in
+  rejects "length cut after its first byte" (String.sub enc 0 2);
+  rejects "elements cut short" (String.sub enc 0 (String.length enc - 1));
+  rejects "length past the input" (String.sub enc 0 3 ^ "\x04\x00");
+  rejects "mis-tagged length" ("\x0A" ^ String.sub enc 1 (String.length enc - 1));
+  let lying = P.collection ~length:(fun _ -> 2) ~iter:List.iter ~of_array:Array.to_list P.int in
+  match P.encode lying [ 1 ] with
+  | _ -> Alcotest.fail "a length the iterator does not match was written"
+  | exception P.Error _ -> ()
+
 let test_descr_rendering () =
   let d = P.descr (P.pair P.int (P.list P.string)) in
   check Alcotest.string "descr" "pair(int,list(string))" (Descr.to_string d)
@@ -512,6 +553,7 @@ let () =
           Alcotest.test_case "primitives" `Quick test_primitives;
           Alcotest.test_case "compounds" `Quick test_compounds;
           Alcotest.test_case "hashtbl" `Quick test_hashtbl;
+          Alcotest.test_case "collection as a list" `Quick test_collection;
         ] );
       ( "structs",
         [

@@ -70,7 +70,7 @@ let test_eager_propagation () =
     check Alcotest.int "no backlog" 0 r.Replica.backlog;
     check Alcotest.int "outbox drained" 0 r.Replica.queued
   | _ -> Alcotest.fail "one peer expected");
-  check Alcotest.string "digests equal" (Replica.digest a.ns) (Replica.digest b.ns);
+  check Alcotest.string "digests equal" (Ns.digest a.ns) (Ns.digest b.ns);
   teardown a;
   teardown b
 
@@ -101,7 +101,7 @@ let test_unreachable_peer_and_anti_entropy () =
   Replica.anti_entropy a.replica;
   check Alcotest.(option string) "caught up y" (Some "2") (Ns.lookup b.ns (p "/y"));
   check Alcotest.(option string) "caught up z" (Some "3") (Ns.lookup b.ns (p "/z"));
-  check Alcotest.string "converged" (Replica.digest a.ns) (Replica.digest b.ns);
+  check Alcotest.string "converged" (Ns.digest a.ns) (Ns.digest b.ns);
   teardown a;
   teardown b
 
@@ -120,7 +120,7 @@ let test_anti_entropy_snapshot_fallback () =
     (Ns.lookup b.ns (p "/old/one"));
   check Alcotest.(option string) "snapshot brought new" (Some "3")
     (Ns.lookup b.ns (p "/new"));
-  check Alcotest.string "converged" (Replica.digest a.ns) (Replica.digest b.ns);
+  check Alcotest.string "converged" (Ns.digest a.ns) (Ns.digest b.ns);
   teardown a;
   teardown b
 
@@ -140,7 +140,7 @@ let test_propagation_via_any_path () =
   check Alcotest.bool "flushed batch" true (Replica.flush a.replica);
   check Alcotest.(option string) "batch 1" (Some "1") (Ns.lookup b.ns (p "/b1"));
   check Alcotest.(option string) "batch 2" (Some "2") (Ns.lookup b.ns (p "/b2"));
-  check Alcotest.string "converged" (Replica.digest a.ns) (Replica.digest b.ns);
+  check Alcotest.string "converged" (Ns.digest a.ns) (Ns.digest b.ns);
   teardown a;
   teardown b
 
@@ -191,7 +191,7 @@ let test_clone_from_peer () =
   | Ok cloned ->
     check Alcotest.(option string) "cloned value" (Some "host1")
       (Ns.lookup cloned (p "/svc/mail"));
-    check Alcotest.string "clone converged" (Replica.digest a.ns) (Replica.digest cloned);
+    check Alcotest.string "clone converged" (Ns.digest a.ns) (Ns.digest cloned);
     (* The clone is durable: reopen from its own disk. *)
     Ns.close cloned;
     let reopened = Ns.open_exn (Mem.fs fresh_store) in
@@ -209,8 +209,8 @@ let test_three_replicas_chain () =
     Replica.set_value a.replica (p (Printf.sprintf "/n%d" i)) (Some (string_of_int i))
   done;
   check Alcotest.bool "flushed" true (Replica.flush a.replica);
-  check Alcotest.string "a=b" (Replica.digest a.ns) (Replica.digest b.ns);
-  check Alcotest.string "a=c" (Replica.digest a.ns) (Replica.digest c.ns);
+  check Alcotest.string "a=b" (Ns.digest a.ns) (Ns.digest b.ns);
+  check Alcotest.string "a=c" (Ns.digest a.ns) (Ns.digest c.ns);
   (* The paper's acceptable loss: updates at a dead replica that never
      propagated.  Kill the a->b link, update, and confirm only b lags.
      [flush] still drains the healthy peer even though it returns
@@ -331,7 +331,7 @@ let test_repair_from_peer_after_refused_open () =
     check Alcotest.(option string) "value restored" (Some big)
       (Ns.lookup repaired (p "/k3"));
     check Alcotest.string "digest matches the healthy peer"
-      (Replica.digest peer.ns) (Replica.digest repaired);
+      (Ns.digest peer.ns) (Ns.digest repaired);
     let r = Ns.scrub repaired in
     check Alcotest.int "scrub clean after repair" 0
       (List.length r.Smalldb.findings);
@@ -445,12 +445,12 @@ let test_anti_entropy_races_commits () =
   (* Whatever raced past the catch-up is drained by the outbox or one
      more round; either way the stores converge. *)
   ignore (Replica.flush a.replica);
-  if not (String.equal (Replica.digest a.ns) (Replica.digest b.ns)) then begin
+  if not (String.equal (Ns.digest a.ns) (Ns.digest b.ns)) then begin
     Replica.anti_entropy a.replica;
     ignore (Replica.flush a.replica)
   end;
-  check Alcotest.string "converged under racing commits" (Replica.digest a.ns)
-    (Replica.digest b.ns);
+  check Alcotest.string "converged under racing commits" (Ns.digest a.ns)
+    (Ns.digest b.ns);
   check Alcotest.(option string) "late value present" (Some "y")
     (Ns.lookup b.ns (p "/race/30"));
   teardown a;
@@ -488,7 +488,7 @@ let test_flapping_peer_applies_exactly_once () =
   Replica.anti_entropy a.replica;
   batch "up2";
   check Alcotest.bool "drained after second heal" true (Replica.flush a.replica);
-  check Alcotest.string "converged" (Replica.digest a.ns) (Replica.digest b.ns);
+  check Alcotest.string "converged" (Ns.digest a.ns) (Ns.digest b.ns);
   check Alcotest.int "each update applied exactly once" 40 (Atomic.get applied);
   Ns.Db.unsubscribe (Ns.db b.ns) sub;
   teardown a;
@@ -527,7 +527,7 @@ let test_heartbeat_detects_and_self_heals () =
     (wait_for ~timeout_s:3.0 (fun () -> peer_health a.replica = Detector.Alive));
   check Alcotest.bool "self-healed without manual anti-entropy" true
     (wait_for ~timeout_s:5.0 (fun () ->
-         String.equal (Replica.digest a.ns) (Replica.digest b.ns)));
+         String.equal (Ns.digest a.ns) (Ns.digest b.ns)));
   check Alcotest.(option string) "partition-era update arrived" (Some "2")
     (Ns.lookup b.ns (p "/h/during"));
   teardown a;
@@ -562,7 +562,7 @@ let test_resumable_repair_under_resets () =
   | Error e -> Alcotest.fail ("repair under resets failed: " ^ e)
   | Ok ns2 ->
     check Alcotest.string "rebuilt store digest-identical"
-      (Replica.digest a.ns) (Ns.digest ns2);
+      (Ns.digest a.ns) (Ns.digest ns2);
     Ns.close ns2);
   check Alcotest.bool "resets were actually injected" true
     (Fault_net.injected ctl > 0);

@@ -203,6 +203,32 @@ let test_mutex_across_io () =
   Sdb_check.assert_no_mutex_held_during_io ~site:"test.fsync";
   Vlock.release l Vlock.Update
 
+(* A try-lock that succeeds is held like a lock (its unlock balances
+   it, and I/O under it is caught); one that fails takes nothing.  A
+   try never waits, so it adds no lock-order edge: the reverse order
+   taken with a blocking lock afterwards is no cycle. *)
+let test_try_lock () =
+  fresh ();
+  let a = Sdb_check.Mu.make "t.try.a" and b = Sdb_check.Mu.make "t.try.b" in
+  Sdb_check.Mu.lock a;
+  check Alcotest.bool "taken" true (Sdb_check.Mu.try_lock b);
+  expect_violation "io" (fun () -> Sdb_check.assert_no_mutex_held_during_io ~site:"test.io");
+  let busy = ref true in
+  let th = Thread.create (fun () -> busy := Sdb_check.Mu.try_lock b) () in
+  Thread.join th;
+  check Alcotest.bool "held elsewhere: not taken" false !busy;
+  Sdb_check.Mu.unlock b;
+  Sdb_check.Mu.unlock a;
+  check Alcotest.(list (pair string string)) "no edge from a try" []
+    (Sdb_check.lock_order_edges ());
+  let logged = List.length (Sdb_check.violations ()) in
+  Sdb_check.Mu.lock b;
+  Sdb_check.Mu.lock a;
+  Sdb_check.Mu.unlock a;
+  Sdb_check.Mu.unlock b;
+  check Alcotest.int "reverse order: no violation" logged
+    (List.length (Sdb_check.violations ()))
+
 let test_violation_log_and_stats () =
   fresh ();
   let l = Sdb_check.make_lock "t.log" in
@@ -317,6 +343,7 @@ let () =
             test_upgrade_without_hold;
           Alcotest.test_case "guarded field" `Quick test_guarded_field;
           Alcotest.test_case "mutex across io" `Quick test_mutex_across_io;
+          Alcotest.test_case "try-lock bookkeeping" `Quick test_try_lock;
           Alcotest.test_case "violation log and stats" `Quick
             test_violation_log_and_stats;
           Alcotest.test_case "disabled is inert" `Quick test_disabled_is_inert;

@@ -478,6 +478,35 @@ let test_inplace_overwrite_at_risk () =
     (Printf.sprintf "in-place overwrites vulnerable (%d/61)" !vulnerable)
     true (!vulnerable > 0)
 
+(* [read_file] reads into one buffer of the size the file had when it
+   was opened; a file resized between the open and the reads is still
+   read to its end. *)
+let test_read_file_resized () =
+  let _, fs = mem () in
+  let big = String.init 200_000 (fun i -> Char.chr (i land 0xFF)) in
+  write fs "big" big;
+  check Alcotest.string "several pages" big (read fs "big");
+  write fs "empty" "";
+  check Alcotest.string "empty" "" (read fs "empty");
+  let after_open change =
+    {
+      fs with
+      Fs.open_reader =
+        (fun file ->
+          let r = fs.Fs.open_reader file in
+          change file;
+          r);
+    }
+  in
+  write fs "f" "abc";
+  let grow file =
+    let w = fs.Fs.open_append file in
+    w.Fs.w_write (String.make 5000 'd');
+    w.Fs.w_close ()
+  in
+  check Alcotest.string "grown" ("abc" ^ String.make 5000 'd') (read (after_open grow) "f");
+  check Alcotest.string "shrunk" "abc" (read (after_open (fun file -> fs.Fs.truncate file 3)) "f")
+
 let () =
   Helpers.run "storage"
     [
@@ -486,6 +515,7 @@ let () =
           Alcotest.test_case "mem backend" `Quick test_mem_basic;
           Alcotest.test_case "real backend" `Quick test_real_basic;
           Alcotest.test_case "real rejects path escape" `Quick test_real_reject_paths;
+          Alcotest.test_case "read_file of a resized file" `Quick test_read_file_resized;
         ] );
       ( "prefixed",
         [
