@@ -1166,10 +1166,15 @@ let e16 ~quick () =
   (* A simulated 1 ms fsync stands in for a real disk's cache flush;
      reads and writes stay fast, so the run isolates what batching the
      commit point buys.  Solo mode pays one fsync per update; grouped,
-     every updater parked behind the leader rides the same fsync. *)
+     every updater parked behind the leader rides the same fsync.  The
+     tight-loop rows update back to back; the think-time rows pause
+     200 us between updates, as a closed-loop client's round trip does,
+     so the others are rarely queued when a leader decides. *)
   let total = if quick then 192 else 960 in
+  let runs = if quick then 1 else 5 in
+  let cores = Domain.recommended_domain_count () in
   let value = String.make 64 'v' in
-  let run ~threads ~group =
+  let run ~threads ~group ~think =
     let store = Mem.create_store ~seed:(1600 + threads) () in
     let ctl, ffs = Fault.wrap (Mem.fs store) in
     Fault.set_latency ctl ~op:`Sync 0.001;
@@ -1185,7 +1190,8 @@ let e16 ~quick () =
                   (fun () ->
                     for i = 0 to per_thread - 1 do
                       CrashDb.update db
-                        (CrashApp.Set (Printf.sprintf "t%d-%05d" tid i, value))
+                        (CrashApp.Set (Printf.sprintf "t%d-%05d" tid i, value));
+                      if think > 0.0 then Thread.delay think
                     done)
                   ())
           in
@@ -1200,32 +1206,57 @@ let e16 ~quick () =
     (rate, spu)
   in
   let combos =
-    List.concat_map (fun t -> [ (t, false); (t, true) ]) [ 1; 2; 4; 8 ]
+    List.concat_map
+      (fun (threads, think) -> [ (threads, think, false); (threads, think, true) ])
+      [ (1, 0.0); (2, 0.0); (4, 0.0); (8, 0.0); (2, 0.0002); (4, 0.0002) ]
+  in
+  (* Every round runs every row, the order alternating between rounds;
+     each row reports its median and spread (quartile distance over the
+     median) across rounds. *)
+  let samples =
+    List.init runs (fun r ->
+        let order = if r mod 2 = 0 then combos else List.rev combos in
+        List.map (fun (threads, think, group) ->
+            ((threads, think, group), run ~threads ~group ~think))
+          order)
+    |> List.concat
+  in
+  let quantile xs q =
+    let a = Array.of_list (List.sort compare xs) in
+    a.(int_of_float (q *. float_of_int (Array.length a - 1) +. 0.5))
   in
   let results =
-    List.map (fun (threads, group) ->
-        let rate, spu = run ~threads ~group in
-        (threads, group, rate, spu))
+    List.map
+      (fun combo ->
+        let mine = List.filter_map (fun (c, r) -> if c = combo then Some r else None) samples in
+        let rates = List.map fst mine in
+        let rate = quantile rates 0.5 in
+        let spread = (quantile rates 0.75 -. quantile rates 0.25) /. rate in
+        (combo, rate, spread, quantile (List.map snd mine) 0.5))
       combos
   in
   let baseline =
-    match List.find_opt (fun (t, g, _, _) -> t = 1 && not g) results with
-    | Some (_, _, r, _) -> r
+    match List.find_opt (fun ((t, th, g), _, _, _) -> t = 1 && th = 0.0 && not g) results with
+    | Some (_, r, _, _) -> r
     | None -> nan
   in
   let rows =
     List.map
-      (fun (threads, group, rate, spu) ->
+      (fun ((threads, think, group), rate, spread, spu) ->
+        let think_us = int_of_float (think *. 1e6 +. 0.5) in
         json_add
           (Printf.sprintf
-             "{\"experiment\": \"e16\", \"threads\": %d, \"group_commit\": %b, \
-              \"updates_per_s\": %.1f, \"speedup_vs_solo\": %.3f, \
-              \"fsyncs_per_update\": %.4f}"
-             threads group rate (rate /. baseline) spu);
+             "{\"experiment\": \"e16\", \"threads\": %d, \"think_us\": %d, \
+              \"group_commit\": %b, \"updates_per_s\": %.1f, \"spread\": %.3f, \
+              \"speedup_vs_solo\": %.3f, \"fsyncs_per_update\": %.4f, \"runs\": %d, \
+              \"cores\": %d}"
+             threads think_us group rate spread (rate /. baseline) spu runs cores);
         [
           string_of_int threads;
+          (if think_us = 0 then "-" else Printf.sprintf "%d us" think_us);
           (if group then "on" else "off");
           Printf.sprintf "%.0f /s" rate;
+          Printf.sprintf "%.1f%%" (spread *. 100.);
           Printf.sprintf "%.2fx" (rate /. baseline);
           Printf.sprintf "%.3f" spu;
         ])
@@ -1233,8 +1264,12 @@ let e16 ~quick () =
   in
   Tablefmt.print
     ~header:
-      [ "threads"; "group commit"; "updates"; "vs 1-thread solo"; "fsyncs/update" ]
+      [
+        "threads"; "think"; "group commit"; "updates"; "spread"; "vs 1-thread solo";
+        "fsyncs/update";
+      ]
     rows;
+  note "medians over %d runs per row, the rows' order alternating; %d cores" runs cores;
   note
     "grouped updaters amortize the 1 ms commit fsync; fsyncs/update falls      toward 1/N while solo mode stays pinned at 1";
   paper

@@ -577,17 +577,21 @@ let rec scan fc st (e : Typedtree.expression) =
       scan fc st body
   | Texp_sequence (a, b) -> scan fc st a; scan fc st b
   | Texp_ifthenelse (c, t, eo) ->
-      scan fc st c;
+      (* [if Mu.try_lock m then ... else ...]: the lock is held in the
+         arm where the try succeeded, and only there. *)
+      let tried = try_locked fc c in
+      if tried = None then scan fc st c;
       let s0 = snap st in
-      scan fc st t;
-      let arm_then = snap st in
-      (match eo with
-      | Some els ->
-          restore st s0;
-          scan fc st els;
-          let arm_else = snap st in
-          join_into st [ arm_then; arm_else ]
-      | None -> join_into st [ arm_then; s0 ])
+      let arm taken body =
+        restore st s0;
+        (match tried with
+        | Some (m, loc, when_true) when when_true = taken -> mu_try_lock fc st loc m
+        | _ -> ());
+        (match body with Some b -> scan fc st b | None -> ());
+        snap st
+      in
+      let arm_then = arm true (Some t) in
+      join_into st [ arm_then; arm false eo ]
   | Texp_match (scrut, cases, _) ->
       scan fc st scrut;
       let s0 = snap st in
@@ -772,6 +776,38 @@ and mu_lock fc st loc arg =
   st.mus <- (cls, kind) :: st.mus;
   open_record fc (`M cls) loc
 
+(* A successful try-lock is held like a locked mutex — acquisitions
+   under it are lock-order edges from it, and it must be released on
+   every path — but adds no edge into it and no self-deadlock: a try
+   never waits. *)
+and mu_try_lock fc st loc arg =
+  let cls, kind = mu_class_of_arg fc.c arg in
+  st.mus <- (cls, kind) :: st.mus;
+  open_record fc (`M cls) loc
+
+(* [Mu.try_lock m] or [not (Mu.try_lock m)] as a condition: the mutex,
+   the call's location, and whether the lock is held when it is true. *)
+and try_locked fc (c : Typedtree.expression) =
+  match c.exp_desc with
+  | Texp_apply _ -> (
+      let head, args = collect_app c in
+      let nolabels =
+        List.filter_map
+          (fun (l, a) -> if l = Asttypes.Nolabel then Some a else None)
+          args
+      in
+      match (head.exp_desc, nolabels) with
+      | Texp_ident (p, _, _), [ a ] -> (
+          match resolve fc.c p with
+          | [ "Mu"; "try_lock" ] -> Some (a, c.exp_loc, true)
+          | [ "not" ] | [ "Stdlib"; "not" ] -> (
+              match try_locked fc a with
+              | Some (m, loc, held) -> Some (m, loc, not held)
+              | None -> None)
+          | _ -> None)
+      | _ -> None)
+  | _ -> None
+
 and mu_unlock fc st arg =
   let cls, _ = mu_class_of_arg fc.c arg in
   let rec remove = function
@@ -855,6 +891,9 @@ and dispatch fc st loc p args =
           inline_fn_arg fc st f;
           st.held <- prev
       | [ "Mu"; "lock" ], [ m ] -> mu_lock fc st loc m
+      | [ "Mu"; "try_lock" ], [ m ] ->
+          (* outside a condition: held from here, as if it succeeded *)
+          mu_try_lock fc st loc m
       | [ "Mu"; "unlock" ], [ m ] -> mu_unlock fc st m
       (* Raw stdlib mutexes are the sanitizer's uninstrumented leaves
          (DESIGN.md §5.1): only the open-acquisition audit

@@ -85,8 +85,11 @@ type config = {
           semantics per update, but a raising [App.apply] fails its
           whole group; throughput under concurrent updaters is no
           longer capped at 1/fsync-latency.  A group leader lingers
-          at most 2 ms for joiners, and not at all when no updater is
-          queued.  {!Make.update_checked} always commits as a group of
+          for the callers expected back: those whose last gap between
+          a commit returning and their next commit was within one log
+          write and fsync, each until one log time after its return
+          and never past 2 ms; a lone updater, or callers that pause
+          longer, never make it linger.  {!Make.update_checked} always commits as a group of
           one, so its precondition sees every earlier update.  Off
           (the default), every update is a group of one: the paper's
           protocol *)

@@ -49,22 +49,29 @@ let rec pfind n = function
 
 let pmem n path = pfind n path <> None
 
+(* The edits below descend each level once: [Smap.update] finds the
+   child and rebuilds the path to it in one walk.  Log replay and the
+   commit's fold are streams of these. *)
+
+(* [n] with its child [c] replaced by [f] of it (an absent child is
+   empty). *)
+let with_child n c f =
+  {
+    n with
+    pchildren =
+      Smap.update c
+        (fun child -> Some (f (Option.value child ~default:empty_pnode)))
+        n.pchildren;
+  }
+
 let rec pensure n = function
   | [] -> n
-  | c :: rest ->
-    let child =
-      Option.value (Smap.find_opt c n.pchildren) ~default:empty_pnode
-    in
-    { n with pchildren = Smap.add c (pensure child rest) n.pchildren }
+  | c :: rest -> with_child n c (fun child -> pensure child rest)
 
 let rec pset_value n path v =
   match path with
   | [] -> { n with pvalue = v }
-  | c :: rest ->
-    let child =
-      Option.value (Smap.find_opt c n.pchildren) ~default:empty_pnode
-    in
-    { n with pchildren = Smap.add c (pset_value child rest v) n.pchildren }
+  | c :: rest -> with_child n c (fun child -> pset_value child rest v)
 
 (* No intermediate creation: an absent path is a no-op, deleting the
    root empties it. *)
@@ -75,11 +82,9 @@ let pdelete_subtree n path =
     let rec go n = function
       | [] -> assert false (* non-empty by the match above *)
       | [ base ] -> { n with pchildren = Smap.remove base n.pchildren }
-      | c :: rest -> (
-        match Smap.find_opt c n.pchildren with
-        | None -> n
-        | Some child ->
-          { n with pchildren = Smap.add c (go child rest) n.pchildren })
+      | c :: rest ->
+        let kids = Smap.update c (Option.map (fun child -> go child rest)) n.pchildren in
+        if kids == n.pchildren then n else { n with pchildren = kids }
     in
     go n path
 
@@ -99,11 +104,7 @@ let pgraft n path tr =
     let rec go n = function
       | [] -> assert false
       | [ base ] -> { n with pchildren = Smap.add base (pof_tree tr) n.pchildren }
-      | c :: rest ->
-        let child =
-          Option.value (Smap.find_opt c n.pchildren) ~default:empty_pnode
-        in
-        { n with pchildren = Smap.add c (go child rest) n.pchildren }
+      | c :: rest -> with_child n c (fun child -> go child rest)
     in
     go n path
 

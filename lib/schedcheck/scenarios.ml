@@ -30,9 +30,12 @@ module Vsync = struct
 
   (* What Commit_core.MU adds: named mutexes; sections as one scheduling
      point each (they touch only state this mutex guards, see
-     [Schedcheck.Mutex.atomically]); plain cells; and a virtual clock
-     that advances half a linger per reading, so a leader polls for
-     joiners at most twice.  Scenarios reset it per execution. *)
+     [Schedcheck.Mutex.atomically]); plain cells; and a virtual clock.
+     Time moves only where a scenario moves it (a log write's fsync, a
+     caller's pause between commits) and by one [tick] per poll of a
+     linger, which is a scheduling point, so a linger polls a bounded
+     number of times.  Scenarios reset the clock and the poll count per
+     execution. *)
   type t = mutex
   type 'a cell = 'a ref
 
@@ -47,13 +50,18 @@ module Vsync = struct
   let get = ( ! )
   let set = ( := )
   let clock = ref 0.0
+  let tick = Sdb_commit.Commit_core.max_group_delay /. 8.
+  let polls = ref 0
+  let expired = ref false  (* the last poll found the deadline passed *)
+  let now () = !clock
 
-  let now () =
-    clock := !clock +. (Sdb_commit.Commit_core.max_group_delay /. 2.);
-    !clock
+  let before t =
+    clock := !clock +. tick;
+    incr polls;
+    expired := !clock >= t;
+    not !expired
 
-  (* The poll's lock-queue read is already a scheduling point. *)
-  let yield () = ()
+  let yield () = Schedcheck.yield "linger"
 end
 
 module V = Sdb_vlock.Vlock_core.Make (Vsync)
@@ -200,44 +208,78 @@ module C = Sdb_commit.Commit_core.Make (Vsync) (V)
 exception Fold_failed
 
 (* The engine side is modeled — the fold computes the group's LSNs, the
-   log write is one scheduling point, the state is one key that the
-   first [inserts] updaters insert if absent — and everything else
-   (join, linger, seal, the commit slot, park and wake, the lock
-   hand-offs) is the shipped coordinator.  [observe] hears the shapes
-   an execution reached, so a bounded exploration can show what it
-   covered. *)
+   log write is one scheduling point that takes [fsync_s] of virtual
+   time, the state is one key that the last [inserts] updaters insert
+   if absent — and everything else (join, linger, seal, the commit slot,
+   park and wake, the lock hand-offs) is the shipped coordinator.
+   Updater 0 commits [rounds] times, pausing [pause_s] between commits,
+   so the coordinator learns its gap and a later leader may await it;
+   once finished, it never comes back to a leader awaiting it.  The
+   others commit once.  [observe] hears the shapes an execution
+   reached, so a bounded exploration can show what it covered. *)
+let fsync_s = 0.001
+let pause_s = 0.0002
+
 let group_commit ?(grouped = true) ?(checked_joins = false) ?(inserts = 0)
-    ?raising ?(observe = ignore) ~updaters () =
+    ?raising ?(rounds = 1) ?(observe = ignore) ~updaters () =
   Vsync.clock := 0.0;
+  Vsync.polls := 0;
+  Vsync.expired := false;
+  let max_group_delay = Sdb_commit.Commit_core.max_group_delay in
   let v = V.create () in
   let c = C.create ~name:"sched" ~grouped v in
+  (* Updater 0 makes commits 0 .. rounds - 1, updater i > 0 commit
+     rounds + i - 1. *)
+  let commits = updaters + rounds - 1 in
+  let who k = if k < rounds then 0 else k - rounds + 1 in
   let present = ref false and inserted = ref 0 in
-  let lsn = Array.make updaters 0 and next_lsn = ref 0 in
-  let returned = Array.make updaters false in
-  let failed = Array.make updaters false and doomed = Array.make updaters false in
+  let lsn = Array.make commits 0 and next_lsn = ref 0 in
+  let finished = Array.make updaters false in
+  let failed = Array.make commits false and doomed = Array.make commits false in
   let flushes = ref 0 and published = ref 0 and in_commit = ref 0 in
-  let logged = ref [] and notified = ref [] in
+  let logged = ref [] and notified = ref [] and polled = ref 0 in
+  (* The polls since the previous seal are this group leader's linger:
+     leaders linger holding the slot, one at a time. *)
+  let lingered group =
+    let polls = !Vsync.polls - !polled in
+    polled := !Vsync.polls;
+    check
+      (float_of_int (polls - 1) *. Vsync.tick <= max_group_delay)
+      (Printf.sprintf "group-commit: a leader lingered %d polls" polls);
+    if polls > 0 then
+      observe
+        (match group with
+        | [ _ ] when not !Vsync.expired ->
+          (* nobody joined, yet the wait ended before its deadline *)
+          "linger cut short by a checked update"
+        | [ k ] when Array.for_all Fun.id (Array.mapi (fun i f -> f || i = who k) finished) ->
+          "lingered for a caller that never came back, committed alone"
+        | [ _ ] -> "lingered, committed alone"
+        | _ -> Printf.sprintf "lingered, then a group of %d" (List.length group))
+  in
   let engine =
     {
       Sdb_commit.Commit_core.size = (fun _ -> 1);
       fold =
         (fun () group ->
           check (V.inspect v).i_update "group-commit: fold without Update";
-          if List.exists (fun i -> Some i = raising) group then begin
-            List.iter (fun i -> doomed.(i) <- true) group;
+          lingered group;
+          if List.exists (fun k -> Some (who k) = raising) group then begin
+            List.iter (fun k -> doomed.(k) <- true) group;
             observe (Printf.sprintf "fold raised in a group of %d" (List.length group));
             raise Fold_failed
           end;
-          (group, List.mapi (fun k i -> (i, !next_lsn + k + 1)) group));
+          (group, List.mapi (fun j k -> (k, !next_lsn + j + 1)) group));
       log =
         (fun () group ->
           incr in_commit;
           check (!in_commit = 1) "group-commit: two groups committing at once";
           check (V.inspect v).i_update "group-commit: log write without Update";
           check
-            (not (List.exists (fun i -> doomed.(i)) group))
+            (not (List.exists (fun k -> doomed.(k)) group))
             "group-commit: flushed a group whose fold raised";
           Schedcheck.yield "fsync";
+          Vsync.clock := !Vsync.clock +. fsync_s;
           incr flushes;
           observe (Printf.sprintf "group of %d" (List.length group));
           logged := group);
@@ -247,9 +289,9 @@ let group_commit ?(grouped = true) ?(checked_joins = false) ?(inserts = 0)
           check (group == !logged) "group-commit: group changed after its flush";
           incr published;
           List.iter
-            (fun (i, l) ->
-              lsn.(i) <- l;
-              if i < inserts then present := true)
+            (fun (k, l) ->
+              lsn.(k) <- l;
+              if who k >= updaters - inserts then present := true)
             lsns;
           next_lsn := !next_lsn + List.length lsns);
       notify =
@@ -264,20 +306,24 @@ let group_commit ?(grouped = true) ?(checked_joins = false) ?(inserts = 0)
     }
   in
   let updater i () =
-    let insert = i < inserts in
-    let prepare () =
-      check (V.inspect v).i_update "group-commit: prepare without Update";
-      if !in_commit > 0 && List.length !logged > 1 then
-        observe "prepared while a group of 2+ commits";
-      if insert && !present then Error () else Ok i
-    in
-    (match C.commit c engine () ~checked:(insert && not checked_joins) prepare with
-    | Ok () ->
-      check (lsn.(i) > 0) "group-commit: returned without an assigned LSN";
-      if insert then incr inserted
-    | Error () -> check insert "group-commit: unconditional update refused"
-    | exception Fold_failed -> failed.(i) <- true);
-    returned.(i) <- true
+    let insert = i >= updaters - inserts in
+    for r = 0 to (if i = 0 then rounds else 1) - 1 do
+      if r > 0 then Vsync.clock := !Vsync.clock +. pause_s;
+      let k = if i = 0 then r else rounds + i - 1 in
+      let prepare () =
+        check (V.inspect v).i_update "group-commit: prepare without Update";
+        if !in_commit > 0 && List.length !logged > 1 then
+          observe "prepared while a group of 2+ commits";
+        if insert && !present then Error () else Ok k
+      in
+      match C.commit c engine () ~checked:(insert && not checked_joins) prepare with
+      | Ok () ->
+        check (lsn.(k) > 0) "group-commit: returned without an assigned LSN";
+        if insert then incr inserted
+      | Error () -> check insert "group-commit: unconditional update refused"
+      | exception Fold_failed -> failed.(k) <- true
+    done;
+    finished.(i) <- true
   in
   Schedcheck.scenario
     ~invariant:(lock_invariant v)
@@ -286,22 +332,22 @@ let group_commit ?(grouped = true) ?(checked_joins = false) ?(inserts = 0)
       check (C.idle c) "group-commit: slot held or group forming at end";
       check (!flushes = !published) "group-commit: one flush per group violated";
       Array.iteri
-        (fun i d ->
-          check (failed.(i) = d)
-            (Printf.sprintf "group-commit: updater %d's outcome disagrees with its fold" i);
-          check ((not d) || lsn.(i) = 0)
-            (Printf.sprintf "group-commit: updater %d published after its fold raised" i))
+        (fun k d ->
+          check (failed.(k) = d)
+            (Printf.sprintf "group-commit: commit %d's outcome disagrees with its fold" k);
+          check ((not d) || lsn.(k) = 0)
+            (Printf.sprintf "group-commit: commit %d published after its fold raised" k))
         doomed;
       check (inserts = 0 || !inserted = 1)
         (Printf.sprintf "group-commit: %d checked inserts committed" !inserted);
-      let notified = List.map (fun i -> lsn.(i)) !notified in
+      let notified = List.map (fun k -> lsn.(k)) !notified in
       check
         ((if grouped then notified else List.sort compare notified)
         = List.init !next_lsn succ)
         "group-commit: LSNs not dense, or notified out of order";
       Array.iteri
         (fun i r -> check r (Printf.sprintf "group-commit: updater %d never woken" i))
-        returned)
+        finished)
     (List.init updaters (fun i -> (Printf.sprintf "updater%d" i, updater i)))
 
 (* ------------------------------------------------------------------ *)

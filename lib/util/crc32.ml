@@ -1,16 +1,16 @@
 type t = int32
 
-let polynomial = 0xEDB88320l
+let polynomial = 0xEDB88320
 
+(* The register and the table in native ints: the low 32 bits hold the
+   CRC, and no [int32] is boxed per byte. *)
 let table =
   lazy
-    (let t = Array.make 256 0l in
+    (let t = Array.make 256 0 in
      for n = 0 to 255 do
-       let c = ref (Int32.of_int n) in
+       let c = ref n in
        for _ = 0 to 7 do
-         if Int32.logand !c 1l <> 0l then
-           c := Int32.logxor polynomial (Int32.shift_right_logical !c 1)
-         else c := Int32.shift_right_logical !c 1
+         c := if !c land 1 <> 0 then polynomial lxor (!c lsr 1) else !c lsr 1
        done;
        t.(n) <- !c
      done;
@@ -24,13 +24,12 @@ let update crc b ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Bytes.length b then
     invalid_arg "Crc32.update";
   let tbl = Lazy.force table in
-  let c = ref (Int32.logxor crc 0xFFFFFFFFl) in
+  let c = ref (Int32.to_int crc land 0xFFFFFFFF lxor 0xFFFFFFFF) in
   for i = pos to pos + len - 1 do
     let byte = Char.code (Bytes.unsafe_get b i) in
-    let idx = Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int byte)) 0xFFl) in
-    c := Int32.logxor tbl.(idx) (Int32.shift_right_logical !c 8)
+    c := Array.unsafe_get tbl ((!c lxor byte) land 0xFF) lxor (!c lsr 8)
   done;
-  Int32.logxor !c 0xFFFFFFFFl
+  Int32.of_int (!c lxor 0xFFFFFFFF)
 
 let update_string crc s =
   update crc (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)

@@ -16,12 +16,6 @@ type stats = Vlock_core.stats = {
   upgrades : int;
 }
 
-type waiting = Vlock_core.waiting = {
-  waiting_shared : int;
-  waiting_update : int;
-  waiting_exclusive : int;
-}
-
 type t = {
   san : Sdb_check.lock;
   core : Core.t;
@@ -163,7 +157,7 @@ let with_lock t mode f =
 
 let sanitizer t = t.san
 (* Observability accessors: snapshot reads off the sanitizer path,
-   safe to call from probes and the lockdep linger loop. *)
+   safe to call from probes. *)
 let readers t = Core.readers t.core [@@sdb.noblock]
 let shared_hold_count t = Core.shared_hold_count t.core [@@sdb.noblock]
 let update_held t = Core.update_held t.core [@@sdb.noblock]
@@ -171,5 +165,4 @@ let exclusive_held t = Core.exclusive_held t.core [@@sdb.noblock]
 let upgrade_pending t = Core.upgrade_pending t.core [@@sdb.noblock]
 
 let waiters t mode = Core.waiters t.core mode [@@sdb.noblock]
-let waiting t = Core.waiting t.core [@@sdb.noblock]
 let stats t = Core.stats t.core [@@sdb.noblock]

@@ -100,19 +100,6 @@ val waiters : t -> mode -> int
     itself are not counted: they already hold [Update].  A nested
     Shared re-entry never blocks, so it never counts.) *)
 
-type waiting = Vlock_core.waiting = {
-  waiting_shared : int;
-  waiting_update : int;
-  waiting_exclusive : int;
-}
-
-val waiting : t -> waiting
-(** All three {!waiters} counts read under a single mutex hold — a
-    consistent snapshot of who is parked on the lock right now.  The
-    group-commit leader polls this to decide whether lingering will
-    grow its group: a non-zero [waiting_update] means another updater
-    is queued and will join the forming group as soon as it runs. *)
-
 type stats = Vlock_core.stats = {
   shared_acquisitions : int;
   update_acquisitions : int;

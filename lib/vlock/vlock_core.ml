@@ -26,19 +26,12 @@ type stats = {
   upgrades : int;
 }
 
-type waiting = {
-  waiting_shared : int;
-  waiting_update : int;
-  waiting_exclusive : int;
-}
-
 type inspection = {
   i_readers : int;
   i_update : bool;
   i_exclusive : bool;
   i_upgrade_pending : bool;
   i_hold_sum : int;
-  i_waiting : waiting;
 }
 
 module type S = sig
@@ -55,7 +48,6 @@ module type S = sig
   val exclusive_held : t -> bool
   val upgrade_pending : t -> bool
   val waiters : t -> mode -> int
-  val waiting : t -> waiting
   val stats : t -> stats
   val inspect : t -> inspection
 end
@@ -254,14 +246,6 @@ module Make (Sync : SYNC) = struct
         | Update -> t.w_update
         | Exclusive -> t.w_exclusive)
 
-  let waiting t =
-    locked t (fun () ->
-        {
-          waiting_shared = t.w_shared;
-          waiting_update = t.w_update;
-          waiting_exclusive = t.w_exclusive;
-        })
-
   let stats t =
     locked t (fun () ->
         {
@@ -278,12 +262,6 @@ module Make (Sync : SYNC) = struct
       i_exclusive = t.excl;
       i_upgrade_pending = t.upgrade_pending;
       i_hold_sum = Hashtbl.fold (fun _ n acc -> acc + n) t.readers_by 0;
-      i_waiting =
-        {
-          waiting_shared = t.w_shared;
-          waiting_update = t.w_update;
-          waiting_exclusive = t.w_exclusive;
-        };
     }
 end
 

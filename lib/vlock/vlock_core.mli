@@ -49,19 +49,12 @@ type stats = {
   upgrades : int;
 }
 
-type waiting = {
-  waiting_shared : int;
-  waiting_update : int;
-  waiting_exclusive : int;
-}
-
 type inspection = {
   i_readers : int;
   i_update : bool;
   i_exclusive : bool;
   i_upgrade_pending : bool;
   i_hold_sum : int;  (** sum of all per-thread shared hold counts *)
-  i_waiting : waiting;
 }
 
 module type S = sig
@@ -83,7 +76,6 @@ module type S = sig
   val exclusive_held : t -> bool
   val upgrade_pending : t -> bool
   val waiters : t -> mode -> int
-  val waiting : t -> waiting
   val stats : t -> stats
 
   val inspect : t -> inspection

@@ -283,6 +283,189 @@ let test_group_checkpoints_once () =
   KVDb.close db
 
 (* ------------------------------------------------------------------ *)
+(* The linger: callers expected back within one log write and fsync    *)
+
+let wal_syncs () = Metrics.counter_value (Metrics.counter "sdb_wal_syncs_total")
+
+let lingers () =
+  (Metrics.histogram_snapshot (Metrics.histogram "sdb_group_linger_seconds"))
+    .Sdb_util.Histogram.s_count
+
+(* Timing checks get a few attempts: the suite's other processes share
+   the cores, and a thread the kernel leaves waiting can cost one
+   attempt its figure.  Only the last failure is reported. *)
+let within_attempts n f =
+  let rec go i =
+    match f () with
+    | Ok () -> ()
+    | Error msg when i < n ->
+      Printf.printf "attempt %d: %s\n" i msg;
+      go (i + 1)
+    | Error msg -> Alcotest.fail msg
+  in
+  go 1
+
+(* [updates] commits, [pause] apart, on a thread of its own; returns the
+   latency of each. *)
+let paced db ~tag ~updates ~pause =
+  let lat = Array.make updates 0.0 in
+  let th =
+    Thread.create
+      (fun () ->
+        for i = 0 to updates - 1 do
+          let t0 = Unix.gettimeofday () in
+          KVDb.update db (KV.Set (Printf.sprintf "%s-%d" tag i, "v"));
+          lat.(i) <- Unix.gettimeofday () -. t0;
+          if pause > 0.0 then Thread.delay pause
+        done)
+      ()
+  in
+  (th, lat)
+
+let mean a = Array.fold_left ( +. ) 0.0 a /. float_of_int (Array.length a)
+
+let median a =
+  let a = Array.copy a in
+  Array.sort compare a;
+  a.(Array.length a / 2)
+
+(* Two closed-loop callers that pause 200 us between updates are never
+   both queued when a leader decides; lingering for the one about to
+   come back lets them share most fsyncs (one each without it). *)
+let test_pausing_callers_share_fsyncs () =
+  within_attempts 3 @@ fun () ->
+  let db = KVDb.open_exn ~config:(grouped ()) (slow_sync_store 31) in
+  let updates = 150 in
+  let syncs0 = wal_syncs () in
+  let runs = List.map (fun tag -> paced db ~tag ~updates ~pause:0.0002) [ "a"; "b" ] in
+  List.iter (fun (th, _) -> Thread.join th) runs;
+  let per_update = float_of_int (wal_syncs () - syncs0) /. float_of_int (2 * updates) in
+  check Alcotest.int "all committed" (2 * updates) (KVDb.stats db).Smalldb.lsn;
+  KVDb.close db;
+  Printf.printf "fsyncs per update: %.3f\n" per_update;
+  if per_update <= 0.6 then Ok ()
+  else Error (Printf.sprintf "%.3f fsyncs per update (want <= 0.6)" per_update)
+
+let test_lone_caller_never_lingers () =
+  let db = KVDb.open_exn ~config:(grouped ()) (slow_sync_store 37) in
+  let updates = 60 in
+  let syncs0 = wal_syncs () and lingers0 = lingers () in
+  let th, _ = paced db ~tag:"solo" ~updates ~pause:0.0002 in
+  Thread.join th;
+  check Alcotest.int "no linger" lingers0 (lingers ());
+  check Alcotest.int "one fsync per update" updates (wal_syncs () - syncs0);
+  KVDb.close db
+
+(* A caller that pauses 5 ms, longer than the fsync, is never awaited:
+   the busy caller's updates take as long beside it as alone.  Solo and
+   paired rounds alternate, and each paired round is compared with the
+   solo round just before it, so a change in the machine's load falls
+   on both sides of a ratio. *)
+let test_slow_caller_never_awaited () =
+  within_attempts 3 @@ fun () ->
+  let db = KVDb.open_exn ~config:(grouped ()) (slow_sync_store 41) in
+  let updates = 40 in
+  let busy tag =
+    let th, lat = paced db ~tag ~updates ~pause:0.0 in
+    Thread.join th;
+    mean lat
+  in
+  let ratios =
+    Array.init 5 (fun round ->
+        let solo = busy (Printf.sprintf "solo%d" round) in
+        let stop = Atomic.make false in
+        let slow =
+          Thread.create
+            (fun () ->
+              let i = ref 0 in
+              while not (Atomic.get stop) do
+                KVDb.update db (KV.Set (Printf.sprintf "slow%d-%d" round !i, "v"));
+                incr i;
+                Thread.delay 0.005
+              done)
+            ()
+        in
+        Thread.delay 0.02;
+        let paired = busy (Printf.sprintf "busy%d" round) in
+        Atomic.set stop true;
+        Thread.join slow;
+        paired /. solo)
+  in
+  KVDb.close db;
+  let r = median ratios in
+  Printf.printf "busy caller's latency beside the slow one / alone: %.3f (median of 5 rounds)\n" r;
+  if r <= 1.1 then Ok ()
+  else Error (Printf.sprintf "busy caller's mean latency %.0f%% above its solo latency" ((r -. 1.) *. 100.))
+
+(* A leader awaits a caller that paused briefly, and that caller never
+   comes back: the leader commits alone once a log time has passed since
+   the caller's return (the exact bound is the schedule explorer's to
+   check; here, only that the wait ends).  A checked update queued on
+   the commit slot instead ends the wait at once: well before that
+   deadline, which lies more than 0.5 ms after the checked update
+   arrives.  The checked update must arrive while the leader lingers,
+   which the scheduler may deny an attempt. *)
+let test_checked_update_ends_the_linger () =
+  let attempt ~checked seed =
+    let db = KVDb.open_exn ~config:(grouped ()) (slow_sync_store seed) in
+    let order = ref [] in
+    let _sub = KVDb.subscribe db (fun lsn u -> order := (u, lsn) :: !order) in
+    let ring = Trace.Ring.create ~capacity:256 in
+    Trace.set_sink (Some (Trace.Ring.sink ring));
+    Fun.protect ~finally:(fun () ->
+        Trace.set_sink None;
+        KVDb.close db)
+    @@ fun () ->
+    (* This thread is the caller that pauses, then never comes back. *)
+    for i = 0 to 3 do
+      KVDb.update db (KV.Set ("gone", string_of_int i));
+      Thread.delay 0.0002
+    done;
+    Trace.Ring.clear ring;
+    let leader = Thread.create (fun () -> KVDb.update db (KV.Set ("leader", "v"))) () in
+    let t_checked =
+      if checked then begin
+        Thread.delay 0.0001;
+        let t = Unix.gettimeofday () in
+        (match KVDb.update_checked db ~precondition:(fun _ -> Ok ()) (KV.Set ("checked", "v")) with
+        | Ok () -> ()
+        | Error () -> fail "the checked update was refused");
+        Some t
+      end
+      else None
+    in
+    Thread.join leader;
+    let lsn key = List.assoc (KV.Set (key, "v")) !order in
+    let linger =
+      List.filter (fun s -> s.Trace.name = "update.linger") (Trace.Ring.contents ring)
+    in
+    match (t_checked, linger) with
+    | None, [ s ] ->
+      check Alcotest.(option string) "awaited" (Some "1") (List.assoc_opt "waited_for" s.Trace.attrs);
+      check Alcotest.(option string) "never came back" (Some "0") (List.assoc_opt "joined" s.Trace.attrs);
+      Ok ()
+    | None, _ -> Error "the leader did not await the caller"
+    | Some _, _ when lsn "checked" < lsn "leader" -> Error "the checked update came first"
+    | Some _, [] -> Ok ()  (* queued before the leader planned its wait *)
+    | Some t, [ s ] ->
+      let ended = s.Trace.start_s +. s.Trace.dur_s in
+      if ended < t then Error "the wait was over before the checked update came"
+      else if ended -. t > 0.0003 then
+        Error
+          (Printf.sprintf "the linger went on %.3f ms after a checked update queued"
+             ((ended -. t) *. 1e3))
+      else Ok ()
+    | Some _, _ -> fail "one leader, one linger"
+  in
+  List.iter
+    (fun checked ->
+      let seed = ref 45 in
+      within_attempts 8 (fun () ->
+          incr seed;
+          attempt ~checked !seed))
+    [ false; true ]
+
+(* ------------------------------------------------------------------ *)
 (* Group-wide failures                                                 *)
 
 let test_fsync_fault_poisons_and_wakes_all () =
@@ -473,6 +656,17 @@ let () =
             test_compare_and_set_race;
           Alcotest.test_case "a group checkpoints once" `Quick
             test_group_checkpoints_once;
+        ] );
+      ( "linger",
+        [
+          Alcotest.test_case "pausing callers share fsyncs" `Quick
+            test_pausing_callers_share_fsyncs;
+          Alcotest.test_case "a lone caller never lingers" `Quick
+            test_lone_caller_never_lingers;
+          Alcotest.test_case "a slow caller is never awaited" `Quick
+            test_slow_caller_never_awaited;
+          Alcotest.test_case "a checked update ends the linger" `Quick
+            test_checked_update_ends_the_linger;
         ] );
       ( "failures",
         [

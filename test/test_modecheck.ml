@@ -76,6 +76,8 @@ let fixture_cases =
     ("Fx_unprotected", [ "unprotected-acquire" ], false);
     ("Fx_unprotected_ok", [], false);
     ("Fx_cycle", [ "lock-order" ], false);
+    ("Fx_trylock", [ "lock-order" ], false);
+    ("Fx_trylock_ok", [], false);
     ("Fx_lockdep", [ "lockdep-xcheck" ], true);
     ("Fx_lockdep_ok", [], true);
     ("Fx_attr", [ "attr" ], false);
@@ -92,7 +94,7 @@ let test_unix_io () =
 
 let test_mutex_pairing () =
   expect "Fx_unpaired" [ "mutex-pairing" ];
-  count "Fx_unpaired" "mutex-pairing" 2;
+  count "Fx_unpaired" "mutex-pairing" 3;
   expect "Fx_unpaired_ok" []
 
 let test_print_in_lib () =

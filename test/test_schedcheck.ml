@@ -84,6 +84,36 @@ let test_group_commit () =
     (fun shape -> Alcotest.(check bool) ("reached: " ^ shape) true (Hashtbl.mem seen shape))
     [ "group of 2"; "group of 3"; "prepared while a group of 2+ commits" ]
 
+(* The linger over the shipped coordinator: updater 0 commits more than
+   once, so the coordinator learns its gap and a later leader awaits it.
+   Two updaters with updater 0 committing twice are exhausted: every
+   linger there awaits a caller that has finished, which must end at its
+   deadline with the leader committing alone.  Updater 0 committing
+   three times, and a checked insert beside two updaters, are beyond
+   exhaustive reach; their preemption-bounded runs must reach an awaited
+   caller joining and a checked update cutting the wait short. *)
+let test_linger () =
+  let seen = Hashtbl.create 8 in
+  let observe shape = Hashtbl.replace seen shape () in
+  ignore
+    (assert_passed "group_commit(2, updater 0 twice)"
+       (Sched.explore ~max_schedules:1_000_000
+          (Scen.group_commit ~rounds:2 ~observe ~updaters:2)));
+  Alcotest.(check bool)
+    "reached: lingered for a caller that never came back, committed alone" true
+    (Hashtbl.mem seen "lingered for a caller that never came back, committed alone");
+  ignore
+    (assert_passed "group_commit(2, updater 0 three times), <= 4 preemptions"
+       (Sched.explore ~max_preemptions:4
+          (Scen.group_commit ~rounds:3 ~observe ~updaters:2)));
+  ignore
+    (assert_passed "group_commit(3, updater 0 twice, 1 insert), <= 3 preemptions"
+       (Sched.explore ~max_preemptions:3
+          (Scen.group_commit ~rounds:2 ~inserts:1 ~observe ~updaters:3)));
+  List.iter
+    (fun shape -> Alcotest.(check bool) ("reached: " ^ shape) true (Hashtbl.mem seen shape))
+    [ "lingered, then a group of 2"; "lingered, committed alone"; "linger cut short by a checked update" ]
+
 (* A fold that raises fails its group before the commit point: no
    flush, no publish, every member woken with the exception, the lock
    drained and the slot released — exhausted over two updaters in both
@@ -237,6 +267,7 @@ let () =
             test_upgrade_vs_readers;
           Alcotest.test_case "group commit: seal/flush/wake" `Quick
             test_group_commit;
+          Alcotest.test_case "group commit: linger for callers" `Quick test_linger;
           Alcotest.test_case "group commit: one checked insert commits" `Quick
             test_checked_inserts;
           Alcotest.test_case "group commit: raising fold fails its group" `Quick
