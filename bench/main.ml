@@ -1169,12 +1169,14 @@ let e16 ~quick () =
      every updater parked behind the leader rides the same fsync.  The
      tight-loop rows update back to back; the think-time rows pause
      200 us between updates, as a closed-loop client's round trip does,
-     so the others are rarely queued when a leader decides. *)
+     so the others are rarely queued when a leader decides.  The
+     checked rows make every other update of each thread an "insert if
+     absent", whose precondition the group leader checks in its fold. *)
   let total = if quick then 192 else 960 in
   let runs = if quick then 1 else 5 in
   let cores = Domain.recommended_domain_count () in
   let value = String.make 64 'v' in
-  let run ~threads ~group ~think =
+  let run ~threads ~think ~checked ~group =
     let store = Mem.create_store ~seed:(1600 + threads) () in
     let ctl, ffs = Fault.wrap (Mem.fs store) in
     Fault.set_latency ctl ~op:`Sync 0.001;
@@ -1189,8 +1191,16 @@ let e16 ~quick () =
                 Thread.create
                   (fun () ->
                     for i = 0 to per_thread - 1 do
-                      CrashDb.update db
-                        (CrashApp.Set (Printf.sprintf "t%d-%05d" tid i, value));
+                      let key = Printf.sprintf "t%d-%05d" tid i in
+                      let u = CrashApp.Set (key, value) in
+                      (if checked && i mod 2 = 0 then
+                         match
+                           CrashDb.update_checked db u ~precondition:(fun st ->
+                               if StrMap.mem key st then Error () else Ok ())
+                         with
+                         | Ok () -> ()
+                         | Error () -> assert false
+                       else CrashDb.update db u);
                       if think > 0.0 then Thread.delay think
                     done)
                   ())
@@ -1207,8 +1217,13 @@ let e16 ~quick () =
   in
   let combos =
     List.concat_map
-      (fun (threads, think) -> [ (threads, think, false); (threads, think, true) ])
-      [ (1, 0.0); (2, 0.0); (4, 0.0); (8, 0.0); (2, 0.0002); (4, 0.0002) ]
+      (fun (threads, think, checked) ->
+        [ (threads, think, checked, false); (threads, think, checked, true) ])
+      [
+        (1, 0.0, false); (2, 0.0, false); (4, 0.0, false); (8, 0.0, false);
+        (2, 0.0002, false); (4, 0.0002, false); (2, 0.0, true); (4, 0.0, true);
+        (8, 0.0, true);
+      ]
   in
   (* Every round runs every row, the order alternating between rounds;
      each row reports its median and spread (quartile distance over the
@@ -1216,8 +1231,8 @@ let e16 ~quick () =
   let samples =
     List.init runs (fun r ->
         let order = if r mod 2 = 0 then combos else List.rev combos in
-        List.map (fun (threads, think, group) ->
-            ((threads, think, group), run ~threads ~group ~think))
+        List.map (fun ((threads, think, checked, group) as combo) ->
+            (combo, run ~threads ~think ~checked ~group))
           order)
     |> List.concat
   in
@@ -1236,24 +1251,26 @@ let e16 ~quick () =
       combos
   in
   let baseline =
-    match List.find_opt (fun ((t, th, g), _, _, _) -> t = 1 && th = 0.0 && not g) results with
+    match List.find_opt (fun (combo, _, _, _) -> combo = (1, 0.0, false, false)) results with
     | Some (_, r, _, _) -> r
     | None -> nan
   in
   let rows =
     List.map
-      (fun ((threads, think, group), rate, spread, spu) ->
+      (fun ((threads, think, checked, group), rate, spread, spu) ->
         let think_us = int_of_float (think *. 1e6 +. 0.5) in
+        let checked_pct = if checked then 50 else 0 in
         json_add
           (Printf.sprintf
              "{\"experiment\": \"e16\", \"threads\": %d, \"think_us\": %d, \
-              \"group_commit\": %b, \"updates_per_s\": %.1f, \"spread\": %.3f, \
-              \"speedup_vs_solo\": %.3f, \"fsyncs_per_update\": %.4f, \"runs\": %d, \
-              \"cores\": %d}"
-             threads think_us group rate spread (rate /. baseline) spu runs cores);
+              \"checked_pct\": %d, \"group_commit\": %b, \"updates_per_s\": %.1f, \
+              \"spread\": %.3f, \"speedup_vs_solo\": %.3f, \"fsyncs_per_update\": %.4f, \
+              \"runs\": %d, \"cores\": %d}"
+             threads think_us checked_pct group rate spread (rate /. baseline) spu runs cores);
         [
           string_of_int threads;
           (if think_us = 0 then "-" else Printf.sprintf "%d us" think_us);
+          Printf.sprintf "%d%%" checked_pct;
           (if group then "on" else "off");
           Printf.sprintf "%.0f /s" rate;
           Printf.sprintf "%.1f%%" (spread *. 100.);
@@ -1265,7 +1282,8 @@ let e16 ~quick () =
   Tablefmt.print
     ~header:
       [
-        "threads"; "think"; "group commit"; "updates"; "spread"; "vs 1-thread solo";
+        "threads"; "think"; "checked"; "group commit"; "updates"; "spread";
+        "vs 1-thread solo";
         "fsyncs/update";
       ]
     rows;

@@ -4,15 +4,18 @@
    The parameters are named after the modules they stand for, so
    sdb_modecheck recognizes the coordinator's acquisitions.
 
-   Without group commit every update is a group of one its caller
-   seals: take Update, verify and pickle, fold, log, upgrade, publish —
-   one hold, the paper's protocol.  With it, an unconditional update
-   verifies and pickles under Update and joins the forming group, whose
-   first member leads it: claim the commit slot, linger for the callers
-   expected back, then commit the sealed group the same way, with one
-   log write and one fsync for all of its members.  A checked update
-   never joins: it claims the slot before taking Update, so every
-   earlier group is published when its precondition runs.
+   Every update pickles under Update and is a member of a group: take
+   Update, fold, log, upgrade, publish — one hold, the paper's
+   protocol.  Without group commit each caller seals its own group of
+   one.  With it, a member joins the forming group, whose first member
+   leads it: claim the commit slot, linger for the callers expected
+   back, then commit the sealed group the same way, with one log write
+   and one fsync for all of its members.  The fold runs each member's
+   precondition against the state folded so far, in stage order, so a
+   precondition sees every earlier update; a member it refuses, or
+   whose precondition raises, leaves the group before anything is
+   staged, and learns so when the group commits.  If the group fails,
+   so do they: what refused them may never commit.
 
    The linger waits for callers, not for a queue.  A closed-loop client
    is away between its commits — a round trip, a think — so at the
@@ -24,10 +27,9 @@
    going alone would make that caller wait out this group's fsync and
    then its own.  A caller is awaited until that log time after its
    return, and no wait outlasts [max_group_delay] after the group
-   formed; it ends at once when every awaited caller has joined, the
-   group is full, or a checked update queues on the slot.  A caller with
-   no measured gap, or a longer one, is never awaited, so a lone updater
-   never lingers. *)
+   formed; it ends at once when every awaited caller has joined or the
+   group is full.  A caller with no measured gap, or a longer one, is
+   never awaited, so a lone updater never lingers. *)
 
 module Vlock_core = Sdb_vlock.Vlock_core
 module Trace = Sdb_obs.Trace
@@ -97,18 +99,23 @@ let m_linger =
     ~help:"Time a group leader waited for the callers expected back (one \
            sample per leader that awaited any)."
 
+(* A member's outcome: [Pending] until its group settles it. *)
+type outcome = Pending | Committed | Refused | Failed of exn
+
 (* The engine's steps, called with the engine instance ['c] and the
    sealed members' payloads in stage order.  Under Update, [fold]
-   computes the group's next version ['v] and [log] is the commit point
-   of every member; under Exclusive, [publish] makes the version
-   current; [notify] gets the published version and runs with no lock
+   computes the group's next version ['v] and, per member in order,
+   [Pending] to admit it, or [Refused] or [Failed e] to leave it out;
+   [log] is the commit point of every admitted member.  Under
+   Exclusive, [publish] makes the version current; [notify] gets the
+   admitted payloads and the published version and runs with no lock
    held (but the slot, when one is claimed, so groups notify in LSN
    order).  [fold] and [log] raise on failure, having decided whether
    it poisons (a fold never does: nothing is staged yet); the other
-   members then raise [member_failure ctx e]. *)
+   members, left out or not, then raise [member_failure ctx e]. *)
 type ('c, 'm, 'v) engine = {
   size : 'm -> int;  (* framed log bytes of one member *)
-  fold : 'c -> 'm list -> 'v;
+  fold : 'c -> 'm list -> 'v * outcome list;
   log : 'c -> 'm list -> unit;
   publish : 'c -> 'v -> unit;
   notify : 'c -> 'm list -> 'v -> unit;
@@ -121,21 +128,17 @@ module Make (Mu : MU) (Vlock : VLOCK) : sig
   val create : name:string -> grouped:bool -> Vlock.t -> 'm t
 
   val commit :
-    'm t -> ('c, 'm, 'v) engine -> 'c -> checked:bool -> (unit -> ('m, 'e) result) ->
-    (unit, 'e) result
-  (** [commit c engine ctx ~checked prepare] commits one member.
-      [prepare] runs under Update — after every earlier commit when
-      [checked] or not [grouped] — and verifies and pickles; its
-      [Error] or exception leaves nothing committed.  Returns once the
-      member is durable and published; raises its group's failure
-      otherwise. *)
+    'm t -> ('c, 'm, 'v) engine -> 'c -> (unit -> 'm) -> [ `Committed | `Refused ]
+  (** [commit c engine ctx prepare] commits one member.  [prepare]
+      runs under Update and pickles; its exception leaves nothing
+      committed.  Returns once the member is durable and published, or
+      once the fold refused it; raises the exception its precondition
+      raised, or its group's failure. *)
 
   val idle : 'm t -> bool
   (** No group forming and the slot free.  Reads without the mutex: for
       schedule-exploration finales only. *)
 end = struct
-  type outcome = Pending | Committed | Failed of exn
-
   (* A calling thread, by [Mu.self]: when its last commit returned, how
      long it then stayed away before entering the next (infinite until
      measured), the last group it joined and the last group whose
@@ -160,11 +163,12 @@ end = struct
     settled : bool Atomic.t;  (* the linger may end: what the poll reads *)
   }
 
-  (* The forming group, the commit slot — a ticket lock, so commits hold
-     it in claim order and a stream of groups cannot starve a checked
-     update — the condition variable slot claimants and members park
-     on, and the callers, all guarded by [mutex].  [log_s] is the last
-     group's log write and fsync, set under Update. *)
+  (* The forming group, the commit slot, the condition variable the
+     slot's claimant and the members park on, and the callers, all
+     guarded by [mutex].  Only leaders claim the slot, and a group seals
+     only once its leader holds it, so at most one claimant waits.
+     [log_s] is the last group's log write and fsync, set under
+     Update. *)
   type 'm t = {
     name : string;
     grouped : bool;
@@ -173,8 +177,7 @@ end = struct
     cond : Mu.cond;
     forming : 'm group option Mu.cell;
     formed : int Mu.cell;  (* groups formed, numbering them *)
-    next_ticket : int Mu.cell;
-    serving : int Mu.cell;  (* the ticket holding the slot *)
+    busy : bool Mu.cell;  (* a leader holds the slot *)
     callers : (int, caller) Hashtbl.t Mu.cell;
     log_s : float Atomic.t;
   }
@@ -189,13 +192,12 @@ end = struct
       cond = Mu.make_cond ();
       forming = Mu.cell ~by:mutex ~name:"gc_forming" None;
       formed = Mu.cell ~by:mutex ~name:"gc_formed" 0;
-      next_ticket = Mu.cell ~by:mutex ~name:"gc_next_ticket" 0;
-      serving = Mu.cell ~by:mutex ~name:"gc_serving" 0;
+      busy = Mu.cell ~by:mutex ~name:"gc_busy" false;
       callers = Mu.cell ~by:mutex ~name:"gc_callers" (Hashtbl.create 8);
       log_s = Atomic.make 0.0;
     }
 
-  let idle c = Mu.get c.forming = None && Mu.get c.serving = Mu.get c.next_ticket
+  let idle c = Mu.get c.forming = None && not (Mu.get c.busy)
   let is_pending m = match m.outcome with Pending -> true | _ -> false
 
   let join_span c ~role t0 =
@@ -203,50 +205,47 @@ end = struct
       ~attrs:[ ("app", c.name); ("role", role) ]
       ~start_s:t0 ~dur_s:(Mu.now () -. t0)
 
-  (* A checked claimant [cuts] the forming group's linger short: it
-     would otherwise wait behind callers that are not yet back. *)
-  let claim_slot ?(cuts = false) c =
+  let claim_slot c =
     Mu.lock c.mutex;
-    let ticket = Mu.get c.next_ticket in
-    Mu.set c.next_ticket (ticket + 1);
-    if cuts then Option.iter (fun g -> Atomic.set g.settled true) (Mu.get c.forming);
-    while Mu.get c.serving <> ticket do
+    while Mu.get c.busy do
       Mu.wait c.cond c.mutex
     done;
+    Mu.set c.busy true;
     Mu.unlock c.mutex
 
   (* A leader's commit returns when it gives up the slot. *)
-  let release_slot ?leader c =
+  let release_slot c leader =
     Mu.with_lock c.mutex (fun () ->
-        Option.iter (fun k -> k.returned <- Mu.now ()) leader;
-        Mu.set c.serving (Mu.get c.serving + 1);
+        leader.returned <- Mu.now ();
+        Mu.set c.busy false;
         Mu.broadcast c.cond)
   [@@sdb.noblock]
 
-  (* Settle every still-pending member, once per commit, after the lock
-     is released and before notifying; their commits return now.  The
-     first member is the caller, so a group of one has nobody parked. *)
-  let wake c members outcome =
-    match members with
+  (* Settle the parked members — all but the first, the caller — once
+     per commit, after the lock is released and before notifying; their
+     commits return now. *)
+  let settle c = function
     | [] | [ _ ] -> ()
-    | _ ->
+    | _ :: parked ->
       Mu.with_lock c.mutex (fun () ->
           let now = Mu.now () in
           List.iter
-            (fun m ->
-              if is_pending m then begin
-                m.outcome <- outcome;
-                m.caller.returned <- now
-              end)
-            members;
+            (fun (m, o) ->
+              m.outcome <- o;
+              m.caller.returned <- now)
+            parked;
           Mu.broadcast c.cond)
   [@@sdb.noblock]
 
   (* Commit a group under one continuous hold: Update from [seal] (which
-     names the members, or refuses) through the fold — at the seal, not
-     at join, so it includes a checked update committed in between — and
-     the log write, Exclusive for the publish.  Any failure releases the
-     lock, settles every member and re-raises to the caller. *)
+     names the members) through the fold — at the seal, not at join, so
+     it includes every earlier group — and the log write, Exclusive for
+     the publish.  A group whose fold admits nobody logs and publishes
+     nothing.  The members it leaves out are settled with the
+     admitted ones, once the log write has succeeded: their
+     preconditions saw the admitted members before them.  Any failure
+     releases the lock, fails every member with it and re-raises it to
+     the caller.  Returns the caller's outcome. *)
   let run c engine ctx seal =
     Vlock.acquire c.lock Vlock_core.Update;
     let held = ref Vlock_core.Update in
@@ -255,27 +254,32 @@ end = struct
       Fun.protect
         ~finally:(fun () -> Vlock.release c.lock !held)
         (fun () ->
-          match seal () with
-          | Error e -> Error e
-          | Ok sealed ->
-            members := sealed;
-            let payloads = List.map (fun m -> m.payload) sealed in
-            let next = engine.fold ctx payloads in
+          members := seal ();
+          let next, outcomes = engine.fold ctx (List.map (fun m -> m.payload) !members) in
+          let outcomes = List.combine !members outcomes in
+          let admitted =
+            List.filter_map (function m, Pending -> Some m.payload | _ -> None) outcomes
+          in
+          if admitted <> [] then begin
             let t0 = Mu.now () in
-            engine.log ctx payloads;
+            engine.log ctx admitted;
             Atomic.set c.log_s (Mu.now () -. t0);
             Vlock.upgrade c.lock;
             held := Vlock_core.Exclusive;
-            engine.publish ctx next;
-            Ok (payloads, next))
+            engine.publish ctx next
+          end;
+          (outcomes, admitted, next))
     with
-    | Error e -> Error e
-    | Ok (payloads, next) ->
-      wake c !members Committed;
-      engine.notify ctx payloads next;
-      Ok ()
+    | outcomes, admitted, next ->
+      let outcomes =
+        List.map (function m, Pending -> (m, Committed) | settled -> settled) outcomes
+      in
+      settle c outcomes;
+      if admitted <> [] then engine.notify ctx admitted next;
+      snd (List.hd outcomes)
     | exception e ->
-      wake c !members (Failed (engine.member_failure ctx e));
+      let failed = Failed (engine.member_failure ctx e) in
+      settle c (List.map (fun m -> (m, failed)) !members);
       raise e
   [@@sdb.acquires exclusive]
 
@@ -291,48 +295,45 @@ end = struct
       Hashtbl.replace callers id k;
       k
 
-  (* Verify and pickle under Update, then join the forming group, or
-     create it and lead it.  A joiner the leader awaits counts itself
-     in. *)
+  (* Pickle under Update, then join the forming group, or create it and
+     lead it.  A joiner the leader awaits counts itself in. *)
   let join c engine ~entered prepare =
     Vlock.acquire c.lock Vlock_core.Update;
     Fun.protect
       ~finally:(fun () -> Vlock.release c.lock Vlock_core.Update)
       (fun () ->
-        match prepare () with
-        | Error e -> Error e
-        | Ok payload ->
-          let bytes = engine.size payload in
-          Mu.with_lock c.mutex (fun () ->
-              let k = caller c ~entered in
-              let m = { payload; caller = k; outcome = Pending } in
-              match Mu.get c.forming with
-              | Some g ->
-                g.members <- m :: g.members;
-                g.bytes <- g.bytes + bytes;
-                k.joined <- g.no;
-                if k.awaited = g.no then begin
-                  g.missing <- g.missing - 1;
-                  if g.missing = 0 then Atomic.set g.settled true
-                end;
-                if g.bytes >= max_group_bytes then Atomic.set g.settled true;
-                Ok (`Member m)
-              | None ->
-                let no = Mu.get c.formed in
-                Mu.set c.formed (no + 1);
-                let g =
-                  {
-                    no;
-                    members = [ m ];
-                    bytes;
-                    born = Mu.now ();
-                    missing = 0;
-                    settled = Atomic.make (bytes >= max_group_bytes);
-                  }
-                in
-                k.joined <- no;
-                Mu.set c.forming (Some g);
-                Ok (`Lead (g, k))))
+        let payload = prepare () in
+        let bytes = engine.size payload in
+        Mu.with_lock c.mutex (fun () ->
+            let k = caller c ~entered in
+            let m = { payload; caller = k; outcome = Pending } in
+            match Mu.get c.forming with
+            | Some g ->
+              g.members <- m :: g.members;
+              g.bytes <- g.bytes + bytes;
+              k.joined <- g.no;
+              if k.awaited = g.no then begin
+                g.missing <- g.missing - 1;
+                if g.missing = 0 then Atomic.set g.settled true
+              end;
+              if g.bytes >= max_group_bytes then Atomic.set g.settled true;
+              `Member m
+            | None ->
+              let no = Mu.get c.formed in
+              Mu.set c.formed (no + 1);
+              let g =
+                {
+                  no;
+                  members = [ m ];
+                  bytes;
+                  born = Mu.now ();
+                  missing = 0;
+                  settled = Atomic.make (bytes >= max_group_bytes);
+                }
+              in
+              k.joined <- no;
+              Mu.set c.forming (Some g);
+              `Lead (g, m)))
 
   (* With the slot held (every earlier group has returned its callers):
      mark the callers this group awaits and return how many, and until
@@ -372,7 +373,7 @@ end = struct
     let traced = Trace.active () in
     let t0 = if traced then Mu.now () else 0.0 in
     claim_slot c;
-    Fun.protect ~finally:(fun () -> release_slot ~leader c) @@ fun () ->
+    Fun.protect ~finally:(fun () -> release_slot c leader.caller) @@ fun () ->
     if traced then join_span c ~role:"leader" t0;
     let awaited, until = plan c g in
     if awaited > 0 then begin
@@ -394,7 +395,7 @@ end = struct
     run c engine ctx (fun () ->
         Mu.with_lock c.mutex (fun () ->
             Mu.set c.forming None;
-            Ok (List.rev g.members)))
+            List.rev g.members))
   [@@sdb.acquires exclusive]
 
   let park c m =
@@ -407,27 +408,22 @@ end = struct
     let o = m.outcome in
     Mu.unlock c.mutex;
     if traced then join_span c ~role:"member" t0;
-    match o with Failed e -> raise e | Pending | Committed -> ()
+    o
 
-  let commit c engine ctx ~checked prepare =
-    let alone () =
-      run c engine ctx (fun () ->
-          match prepare () with
-          | Error e -> Error e
-          | Ok payload ->
-            Ok [ { payload; caller = fresh_caller 0.0; outcome = Pending } ])
+  let commit c engine ctx prepare =
+    let o =
+      if not c.grouped then
+        run c engine ctx (fun () ->
+            [ { payload = prepare (); caller = fresh_caller 0.0; outcome = Pending } ])
+      else
+        match join c engine ~entered:(Mu.now ()) prepare with
+        | `Lead (g, m) -> lead c engine ctx g m
+        | `Member m -> park c m
     in
-    if not c.grouped then alone ()
-    else if checked then begin
-      claim_slot ~cuts:true c;
-      Fun.protect ~finally:(fun () -> release_slot c) alone
-    end
-    else
-      match join c engine ~entered:(Mu.now ()) prepare with
-      | Error e -> Error e
-      | Ok (`Lead (g, leader)) -> lead c engine ctx g leader
-      | Ok (`Member m) ->
-        park c m;
-        Ok ()
+    match o with
+    | Committed -> `Committed
+    | Refused -> `Refused
+    | Failed e -> raise e
+    | Pending -> assert false
   [@@sdb.acquires exclusive]
 end

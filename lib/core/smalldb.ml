@@ -208,9 +208,14 @@ module Make (App : APP) = struct
   let codec_blob = Pickle.pair codec_meta App.codec_state
   let update_fp = Pickle.fingerprint App.codec_update
 
-  (* One commit-pipeline member: an update (or a whole batch),
-     verified and pickled under the Update lock. *)
-  type member = { updates : App.update list; payloads : string list }
+  (* One commit-pipeline member: an update (or a whole batch), pickled
+     under the Update lock, and the precondition the fold checks it by,
+     if any. *)
+  type member = {
+    updates : App.update list;
+    payloads : string list;
+    holds : (App.state -> bool) option;
+  }
 
   (* Where a checkpoint's snapshot sits in the log: the entries past
      [at_off] of generation [at_generation]'s log, [at_lsn] onwards, are
@@ -259,7 +264,6 @@ module Make (App : APP) = struct
     mutable auto_ckpt_retry_at : float;
     mutable auto_ckpt_backoff : float;
     mutable pickling : pickling option;  (* at most one; set under ckpt_mutex *)
-    mutable last_scrub : scrub_report option;
     mutable scrub_stop : bool;
     mutable scrub_thread : Thread.t option;
     mutable recovery : recovery_info;
@@ -324,7 +328,6 @@ module Make (App : APP) = struct
       auto_ckpt_retry_at = 0.;
       auto_ckpt_backoff = backoff_initial;
       pickling = None;
-      last_scrub = None;
       scrub_stop = false;
       scrub_thread = None;
       recovery;
@@ -832,10 +835,11 @@ module Make (App : APP) = struct
   (* ---------------------------------------------------------------- *)
   (* The commit pipeline (§3, §4d)                                     *)
 
-  (* The paper's three steps under the paper's locks: Update for verify,
-     the fold into the next version and the log write (enquiries keep
-     running), Exclusive only for the memory mutation — one store of the
-     root.  [Commit] sequences them; these are the steps.
+  (* The paper's three steps under the paper's locks: Update for the
+     pickles, the fold into the next version (which verifies each
+     precondition) and the log write (enquiries keep running),
+     Exclusive only for the memory mutation — one store of the root.
+     [Commit] sequences them; these are the steps.
 
      Failures follow one rule (DESIGN.md §4b/§4c): before the commit
      point nothing reached the disk, so the member fails and the engine
@@ -860,51 +864,72 @@ module Make (App : APP) = struct
   let group_attrs members () =
     [ ("app", App.name); ("group_size", string_of_int (List.length members)) ]
 
-  (* Under Update: the precondition, then the pickles.  A raising
-     precondition or pickler propagates with nothing staged. *)
-  let prepare_member t ~verify updates () =
+  (* Under Update: the pickles.  A raising pickler propagates with
+     nothing staged. *)
+  let prepare_member t ?holds updates () =
     Sdb_check.assert_mode (Vlock.sanitizer t.lock) Sdb_check.Update
       ~site:"commit.prepare";
     let t0 = now () in
-    let v = verify (current t).state in
-    let d = phase m_phase_verify ~span:"update.verify" ~attrs:app_attrs t0 in
-    t.phase <- { t.phase with verify_s = t.phase.verify_s +. d };
-    match v with
-    | Error e -> Error e
-    | Ok () ->
-      let t1 = now () in
-      (* The scratch buffer is guarded by the Update lock. *)
-      let payloads =
-        List.map
-          (fun u ->
-            Buffer.clear t.pickle_buf;
-            Pickle.encode_into t.pickle_buf App.codec_update u;
-            Buffer.contents t.pickle_buf)
-          updates
-      in
-      let d = phase m_phase_pickle t1 in
-      t.phase <- { t.phase with pickle_s = t.phase.pickle_s +. d };
-      Ok { updates; payloads }
+    (* The scratch buffer is guarded by the Update lock. *)
+    let payloads =
+      List.map
+        (fun u ->
+          Buffer.clear t.pickle_buf;
+          Pickle.encode_into t.pickle_buf App.codec_update u;
+          Buffer.contents t.pickle_buf)
+        updates
+    in
+    let d = phase m_phase_pickle t0 in
+    t.phase <- { t.phase with pickle_s = t.phase.pickle_s +. d };
+    { updates; payloads; holds }
 
   let member_size m =
     List.fold_left (fun acc p -> acc + String.length p + Wal.frame_overhead) 0 m.payloads
 
   let group_updates members = List.concat_map (fun m -> m.updates) members
 
-  (* Fold the sealed group's updates, in stage order, into the version
-     its commit will publish.  Nothing is staged yet, so a raising
-     [App.apply] fails the group before the commit point and the engine
-     stays usable. *)
+  (* The paper's step one, for a member that carries a precondition:
+     check it against [state].  A refusal or a raise leaves the member
+     out of its group. *)
+  let verify t state holds =
+    let t0 = now () in
+    let o =
+      match holds state with
+      | true -> Commit_core.Pending
+      | false -> Commit_core.Refused
+      | exception e -> Commit_core.Failed e
+    in
+    let d = phase m_phase_verify ~span:"update.verify" ~attrs:app_attrs t0 in
+    t.phase <- { t.phase with verify_s = t.phase.verify_s +. d };
+    o
+
+  (* Fold the sealed group, in stage order, into the version its commit
+     will publish: each member's precondition against the state folded
+     so far — every earlier group and every earlier member of this one —
+     then, if it holds, the member's updates.  Nothing is staged yet, so
+     a raising [App.apply] fails the group before the commit point and
+     the engine stays usable.  The verifies nest in the apply span; the
+     apply phase leaves them out, so the phases stay disjoint. *)
   let fold_group t members =
     check_usable t;
-    let t0 = now () in
-    let { state; lsn } = current t and updates = group_updates members in
-    let next =
-      { state = List.fold_left App.apply state updates; lsn = lsn + List.length updates }
+    let t0 = now () and verified = t.phase.verify_s in
+    let next, outcomes =
+      List.fold_left_map
+        (fun ({ state; lsn } as v) m ->
+          match Option.fold ~none:Commit_core.Pending ~some:(verify t state) m.holds with
+          | Pending ->
+            let state = List.fold_left App.apply state m.updates in
+            ({ state; lsn = lsn + List.length m.updates }, Commit_core.Pending)
+          | o -> (v, o))
+        (current t) members
     in
-    let d = phase m_phase_apply ~span:"update.apply" ~attrs:(group_attrs members) t0 in
+    let d = now () -. t0 in
+    if Trace.active () then
+      Trace.span "update.apply" ~attrs:(group_attrs members ()) ~start_s:t0 ~dur_s:d;
+    let d = d -. (t.phase.verify_s -. verified) in
+    Metrics.observe m_phase_apply d;
     t.phase <- { t.phase with apply_s = t.phase.apply_s +. d };
-    next
+    (next, outcomes)
   [@@sdb.requires update]
 
   (* Stage every member's frames and emit them with one write and one
@@ -975,22 +1000,30 @@ module Make (App : APP) = struct
       member_failure = (fun t e -> if t.poisoned then Poisoned else e);
     }
 
-  (* A checked update never joins a group: its precondition runs after
-     every earlier commit is published. *)
-  let commit t ~checked ~verify updates =
+  let commit t ?holds updates =
     check_updatable t;
-    let r = Commit.commit t.commit engine t ~checked (prepare_member t ~verify updates) in
-    if Result.is_ok r then maybe_auto_checkpoint t;
+    let r = Commit.commit t.commit engine t (prepare_member t ?holds updates) in
+    if r = `Committed then maybe_auto_checkpoint t;
     r
   [@@sdb.acquires exclusive]
 
+  (* The fold runs the precondition on the leader's thread; its [Error]
+     comes back through [refusal]. *)
   let update_checked t ~precondition u =
-    commit t ~checked:true ~verify:precondition [ u ]
+    let refusal = ref None in
+    let holds st =
+      match precondition st with
+      | Ok () -> true
+      | Error e ->
+        refusal := Some e;
+        false
+    in
+    match commit t ~holds [ u ] with
+    | `Committed -> Ok ()
+    | `Refused -> Error (Option.get !refusal)
 
   let unconditional t updates =
-    match commit t ~checked:false ~verify:(fun _ -> Ok ()) updates with
-    | Ok () -> ()
-    | Error (_ : unit) -> assert false
+    match commit t updates with `Committed -> () | `Refused -> assert false
 
   let update t u = unconditional t [ u ]
 
@@ -1186,7 +1219,6 @@ module Make (App : APP) = struct
             scrub_duration_s = now () -. t0;
           }
         in
-        t.last_scrub <- Some report;
         if Trace.active () then
           Trace.span "scrub"
             ~attrs:
@@ -1198,8 +1230,6 @@ module Make (App : APP) = struct
             ~start_s:t0 ~dur_s:report.scrub_duration_s;
         report)
   [@@sdb.acquires update]
-
-  let last_scrub t = t.last_scrub
 
   (* ---------------------------------------------------------------- *)
   (* Background scrubber                                               *)

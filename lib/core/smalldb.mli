@@ -79,20 +79,23 @@ type config = {
           log ends with the tail its successor starts with; the next
           log's base LSN says where *)
   group_commit : bool;
-      (** commit concurrent unconditional updates ({!Make.update},
-          {!Make.update_batch}) as a group sharing one log write and one
-          fsync (DESIGN.md §4d).  Identical durability and failure
-          semantics per update, but a raising [App.apply] fails its
-          whole group; throughput under concurrent updaters is no
-          longer capped at 1/fsync-latency.  A group leader lingers
-          for the callers expected back: those whose last gap between
-          a commit returning and their next commit was within one log
-          write and fsync, each until one log time after its return
-          and never past 2 ms; a lone updater, or callers that pause
-          longer, never make it linger.  {!Make.update_checked} always commits as a group of
-          one, so its precondition sees every earlier update.  Off
-          (the default), every update is a group of one: the paper's
-          protocol *)
+      (** commit concurrent updates ({!Make.update},
+          {!Make.update_checked}, {!Make.update_batch}) as a group
+          sharing one log write and one fsync (DESIGN.md §4d).
+          Identical durability and failure semantics per update, but a
+          raising [App.apply] fails its whole group; throughput under
+          concurrent updaters is no longer capped at
+          1/fsync-latency.  A group leader lingers for the callers
+          expected back: those whose last gap between a commit
+          returning and their next commit was within one log write and
+          fsync, each until one log time after its return and never
+          past 2 ms; a lone updater, or callers that pause longer,
+          never make it linger.  The leader checks its members'
+          preconditions in stage order, each against the state with
+          every earlier update applied, on its own thread under the
+          update lock: a slow precondition holds up its whole group.
+          Off (the default), every update is a group of one: the
+          paper's protocol *)
   read_path : [ `Locked | `Epoch ];
       (** Both routes read the same root: the state and its LSN as one
           immutable record in an [Atomic.t], which the writer replaces
@@ -226,15 +229,22 @@ module Make (App : APP) : sig
     (unit, 'e) result
   (** The paper's three-step update: the precondition runs under the
       update lock before anything is logged; if it fails, the database
-      is untouched and no disk write happens.  It runs after every
-      earlier update is applied, in both [group_commit] modes: a
-      checked update never joins a group, it commits as a group of one.
+      is untouched and no disk write happens.  It sees every earlier
+      update applied, in both [group_commit] modes.  With group commit
+      the update joins a group like any other, and the precondition
+      runs on the group leader's thread, under the update lock, while
+      the leader folds the group: it holds up the whole group while it
+      runs.  A failing or raising precondition leaves only its own
+      update out of the group, and answers once the group's log write
+      has succeeded: it may have seen updates staged before it.  If the
+      group fails, this update fails with the group's exception.
 
       Exception safety (poison-vs-release, see DESIGN.md): a
       [precondition], pickler or [App.apply] that {e raises}
-      propagates with the lock released and the engine untouched and
-      usable — [apply] runs before the log write, so nothing reached
-      the disk.  A log write that fails and is rolled back fails the
+      propagates to this caller with the lock released and the engine
+      untouched and usable — [apply] runs before the log write, so
+      nothing reached the disk; a raising [apply] fails its whole
+      group.  A log write that fails and is rolled back fails the
       update cleanly ([Degraded] on no-space, the cause otherwise).  A
       failed fsync or an unrestorable write also releases the lock but
       first poisons the engine ({!Poisoned}), because memory and disk
@@ -302,10 +312,6 @@ module Make (App : APP) : sig
       engine can and should be scrubbed — a successful repair
       checkpoint also exits degraded mode). *)
 
-  val last_scrub : t -> scrub_report option
-  (** The most recent report, however produced (direct call, RPC, or
-      the background scrubber). *)
-
   val start_scrubber :
     ?interval:float -> ?repair:bool -> ?digest:(App.state -> string) -> t ->
     unit
@@ -313,9 +319,6 @@ module Make (App : APP) : sig
       (default 60, [repair] defaults to [true]).  The thread stops
       itself when the instance is closed or poisoned; {!close} also
       stops it.  Raises [Invalid_argument] if already running. *)
-
-  val stop_scrubber : t -> unit
-  (** Stop and join the background scrubber (idempotent). *)
 
   (** {2 Update subscriptions}
 

@@ -52,14 +52,12 @@ module Vsync = struct
   let clock = ref 0.0
   let tick = Sdb_commit.Commit_core.max_group_delay /. 8.
   let polls = ref 0
-  let expired = ref false  (* the last poll found the deadline passed *)
   let now () = !clock
 
   let before t =
     clock := !clock +. tick;
     incr polls;
-    expired := !clock >= t;
-    not !expired
+    !clock < t
 
   let yield () = Schedcheck.yield "linger"
 end
@@ -206,25 +204,29 @@ let upgrade_vs_readers_broken () =
 module C = Sdb_commit.Commit_core.Make (Vsync) (V)
 
 exception Fold_failed
+exception Precondition_raised
 
-(* The engine side is modeled — the fold computes the group's LSNs, the
-   log write is one scheduling point that takes [fsync_s] of virtual
-   time, the state is one key that the last [inserts] updaters insert
-   if absent — and everything else (join, linger, seal, the commit slot,
-   park and wake, the lock hand-offs) is the shipped coordinator.
-   Updater 0 commits [rounds] times, pausing [pause_s] between commits,
-   so the coordinator learns its gap and a later leader may await it;
-   once finished, it never comes back to a leader awaiting it.  The
-   others commit once.  [observe] hears the shapes an execution
-   reached, so a bounded exploration can show what it covered. *)
+(* The engine side is modeled — the state is the list of committed
+   commits in LSN order, the fold checks each member's precondition
+   against it and computes the group's LSNs, the log write is one
+   scheduling point that takes [fsync_s] of virtual time — and
+   everything else (join, linger, seal, the commit slot, park and wake,
+   the lock hand-offs) is the shipped coordinator.  The last [inserts]
+   updaters insert if no insert is present, and updater
+   [raising_precondition] carries a precondition that raises; the rest
+   commit unconditionally.  Updater 0 commits [rounds] times, pausing
+   [pause_s] between commits, so the coordinator learns its gap and a
+   later leader may await it; once finished, it never comes back to a
+   leader awaiting it.  The others commit once.  [observe] hears the
+   shapes an execution reached, so a bounded exploration can show what
+   it covered. *)
 let fsync_s = 0.001
 let pause_s = 0.0002
 
-let group_commit ?(grouped = true) ?(checked_joins = false) ?(inserts = 0)
-    ?raising ?(rounds = 1) ?(observe = ignore) ~updaters () =
+let group_commit ?(grouped = true) ?(checks_at_base = false) ?(inserts = 0) ?raising
+    ?raising_precondition ?(rounds = 1) ?(observe = ignore) ~updaters () =
   Vsync.clock := 0.0;
   Vsync.polls := 0;
-  Vsync.expired := false;
   let max_group_delay = Sdb_commit.Commit_core.max_group_delay in
   let v = V.create () in
   let c = C.create ~name:"sched" ~grouped v in
@@ -232,7 +234,8 @@ let group_commit ?(grouped = true) ?(checked_joins = false) ?(inserts = 0)
      rounds + i - 1. *)
   let commits = updaters + rounds - 1 in
   let who k = if k < rounds then 0 else k - rounds + 1 in
-  let present = ref false and inserted = ref 0 in
+  let inserter k = who k >= updaters - inserts in
+  let db = ref [] and views = ref [] and staged = Array.make commits 0 and stage = ref 0 in
   let lsn = Array.make commits 0 and next_lsn = ref 0 in
   let finished = Array.make updaters false in
   let failed = Array.make commits false and doomed = Array.make commits false in
@@ -249,13 +252,20 @@ let group_commit ?(grouped = true) ?(checked_joins = false) ?(inserts = 0)
     if polls > 0 then
       observe
         (match group with
-        | [ _ ] when not !Vsync.expired ->
-          (* nobody joined, yet the wait ended before its deadline *)
-          "linger cut short by a checked update"
         | [ k ] when Array.for_all Fun.id (Array.mapi (fun i f -> f || i = who k) finished) ->
           "lingered for a caller that never came back, committed alone"
         | [ _ ] -> "lingered, committed alone"
         | _ -> Printf.sprintf "lingered, then a group of %d" (List.length group))
+  in
+  (* Each precondition sees the state folded so far — or, with
+     [checks_at_base] (a seeded bug), the state before its group. *)
+  let precondition state k =
+    let view = if checks_at_base then !db else state in
+    views := (k, view) :: !views;
+    if Some (who k) = raising_precondition then
+      Sdb_commit.Commit_core.Failed Precondition_raised
+    else if List.exists inserter view then Refused
+    else Pending
   in
   let engine =
     {
@@ -264,17 +274,31 @@ let group_commit ?(grouped = true) ?(checked_joins = false) ?(inserts = 0)
         (fun () group ->
           check (V.inspect v).i_update "group-commit: fold without Update";
           lingered group;
+          let n = List.length group in
           if List.exists (fun k -> Some (who k) = raising) group then begin
             List.iter (fun k -> doomed.(k) <- true) group;
-            observe (Printf.sprintf "fold raised in a group of %d" (List.length group));
+            observe (Printf.sprintf "fold raised in a group of %d" n);
             raise Fold_failed
           end;
-          (group, List.mapi (fun j k -> (k, !next_lsn + j + 1)) group));
+          let admitted, outcomes =
+            List.fold_left_map
+              (fun admitted k ->
+                let checked = inserter k || Some (who k) = raising_precondition in
+                match if checked then precondition (!db @ admitted) k else Pending with
+                | Pending as o -> (admitted @ [ k ], o)
+                | o ->
+                  let why = if o = Refused then "refused" else "precondition raised" in
+                  observe (Printf.sprintf "%s in a group of %d" why n);
+                  (admitted, o))
+              [] group
+          in
+          ((admitted, List.mapi (fun j k -> (k, !next_lsn + j + 1)) admitted), outcomes));
       log =
         (fun () group ->
           incr in_commit;
           check (!in_commit = 1) "group-commit: two groups committing at once";
           check (V.inspect v).i_update "group-commit: log write without Update";
+          check (group <> []) "group-commit: flushed a group that admitted nobody";
           check
             (not (List.exists (fun k -> doomed.(k)) group))
             "group-commit: flushed a group whose fold raised";
@@ -286,13 +310,10 @@ let group_commit ?(grouped = true) ?(checked_joins = false) ?(inserts = 0)
       publish =
         (fun () (group, lsns) ->
           check (V.inspect v).i_exclusive "group-commit: publish without Exclusive";
-          check (group == !logged) "group-commit: group changed after its flush";
+          check (group = !logged) "group-commit: group changed after its flush";
           incr published;
-          List.iter
-            (fun (k, l) ->
-              lsn.(k) <- l;
-              if who k >= updaters - inserts then present := true)
-            lsns;
+          List.iter (fun (k, l) -> lsn.(k) <- l) lsns;
+          db := !db @ group;
           next_lsn := !next_lsn + List.length lsns);
       notify =
         (fun () group _ ->
@@ -306,7 +327,6 @@ let group_commit ?(grouped = true) ?(checked_joins = false) ?(inserts = 0)
     }
   in
   let updater i () =
-    let insert = i >= updaters - inserts in
     for r = 0 to (if i = 0 then rounds else 1) - 1 do
       if r > 0 then Vsync.clock := !Vsync.clock +. pause_s;
       let k = if i = 0 then r else rounds + i - 1 in
@@ -314,14 +334,21 @@ let group_commit ?(grouped = true) ?(checked_joins = false) ?(inserts = 0)
         check (V.inspect v).i_update "group-commit: prepare without Update";
         if !in_commit > 0 && List.length !logged > 1 then
           observe "prepared while a group of 2+ commits";
-        if insert && !present then Error () else Ok k
+        staged.(k) <- !stage;
+        incr stage;
+        k
       in
-      match C.commit c engine () ~checked:(insert && not checked_joins) prepare with
-      | Ok () ->
-        check (lsn.(k) > 0) "group-commit: returned without an assigned LSN";
-        if insert then incr inserted
-      | Error () -> check insert "group-commit: unconditional update refused"
+      match C.commit c engine () prepare with
+      | `Committed -> check (lsn.(k) > 0) "group-commit: returned without an assigned LSN"
+      | `Refused ->
+        check (inserter k && lsn.(k) = 0) "group-commit: unconditional update refused";
+        check
+          (List.for_all (fun j -> lsn.(j) > 0) (List.assoc k !views))
+          "group-commit: refused before the commits that refused it were published"
       | exception Fold_failed -> failed.(k) <- true
+      | exception Precondition_raised ->
+        check (Some i = raising_precondition && lsn.(k) = 0)
+          "group-commit: another member's precondition raised here"
     done;
     finished.(i) <- true
   in
@@ -338,8 +365,16 @@ let group_commit ?(grouped = true) ?(checked_joins = false) ?(inserts = 0)
           check ((not d) || lsn.(k) = 0)
             (Printf.sprintf "group-commit: commit %d published after its fold raised" k))
         doomed;
-      check (inserts = 0 || !inserted = 1)
-        (Printf.sprintf "group-commit: %d checked inserts committed" !inserted);
+      let inserted = List.length (List.filter inserter !db) in
+      check (inserts = 0 || inserted = 1)
+        (Printf.sprintf "group-commit: %d checked inserts committed" inserted);
+      (* A precondition sees exactly the commits staged before it. *)
+      List.iter
+        (fun (k, view) ->
+          check
+            (view = List.filter (fun j -> staged.(j) < staged.(k)) !db)
+            (Printf.sprintf "group-commit: commit %d's precondition missed an earlier one" k))
+        !views;
       let notified = List.map (fun k -> lsn.(k)) !notified in
       check
         ((if grouped then notified else List.sort compare notified)

@@ -53,9 +53,10 @@ val upgrade_vs_readers_broken : unit -> Schedcheck.scenario
 
 val group_commit :
   ?grouped:bool ->
-  ?checked_joins:bool ->
+  ?checks_at_base:bool ->
   ?inserts:int ->
   ?raising:int ->
+  ?raising_precondition:int ->
   ?rounds:int ->
   ?observe:(string -> unit) ->
   updaters:int ->
@@ -66,30 +67,38 @@ val group_commit :
 (** The commit pipeline (DESIGN.md §4d): [updaters] threads commit
     through the shipped coordinator over the virtual lock, the last
     [inserts] of them (default 0) as checked "insert if absent" updates
-    on one key, the rest unconditionally.  Updater 0 commits [rounds]
-    times (default 1) with a pause between commits, the others once.
-    With [grouped] (the default, [group_commit = true]) unconditional
-    updaters join forming groups, and once updater 0 has joined twice
-    the coordinator knows its gap, so a leader may linger for it — also
-    after it has finished and never comes back; without it every commit
-    is a group of one.  Checks: at most one group between log write and
-    notification (commit-slot exclusivity), Update held for the fold and
-    the flush and Exclusive for the publish, one flush per group, every
-    linger within [max_group_delay], dense LSNs, notifications in LSN
-    order, every updater returned, lock and coordinator drained, and
-    exactly one insert committed.  With [raising = i], the fold of any
-    group holding updater [i] raises: that group is neither flushed nor
-    published and every one of its members returns the fold's
-    exception, while other groups commit.  [checked_joins:true] lets
-    checked inserts join groups, the pre-fix protocol: the explorer
-    must then find two inserts committing.  [observe] is told the
-    shapes each execution reached (["group of N"] per flush, ["fold
-    raised in a group of N"], ["prepared while a group of 2+ commits"]
-    for an update that forms the next group while a sealed one is still
-    committing, and for a leader that lingered ["lingered, then a group
-    of N"], ["lingered for a caller that never came back, committed
-    alone"], ["lingered, committed alone"] or ["linger cut short by a
-    checked update"]), so a run can assert its coverage. *)
+    on one key, the rest unconditionally.  Every update joins groups
+    alike; the modeled fold checks each precondition against the state
+    folded so far.  Updater 0 commits [rounds] times (default 1) with a
+    pause between commits, the others once.  With [grouped] (the
+    default, [group_commit = true]) updaters join forming groups, and
+    once updater 0 has joined twice the coordinator knows its gap, so a
+    leader may linger for it — also after it has finished and never
+    comes back; without it every commit is a group of one.  Checks: at
+    most one group between log write and notification (commit-slot
+    exclusivity), Update held for the fold and the flush and Exclusive
+    for the publish, one flush per group that admitted anyone and none
+    for a group that admitted nobody, every linger within
+    [max_group_delay], dense LSNs, notifications in LSN order, every
+    updater returned, lock and coordinator drained, exactly one insert
+    committed, every precondition saw exactly the commits staged
+    before it, and a refused updater returned only once those were
+    published.  With [raising = i], the fold of any group holding
+    updater [i] raises: that group is neither flushed nor published and
+    every one of its members returns the fold's exception, while other
+    groups commit.  With [raising_precondition = i], updater [i]'s
+    precondition raises: only it fails, with that exception, and the
+    rest of its group commits.  [checks_at_base:true] checks every
+    precondition against the state before its group instead (a seeded
+    bug): the explorer must find two inserts committing.  [observe] is
+    told the shapes each execution reached (["group of N"] per flush,
+    ["fold raised in a group of N"], ["refused in a group of N"],
+    ["precondition raised in a group of N"], ["prepared while a group
+    of 2+ commits"] for an update that forms the next group while a
+    sealed one is still committing, and for a leader that lingered
+    ["lingered, then a group of N"], ["lingered for a caller that never
+    came back, committed alone"] or ["lingered, committed alone"]), so
+    a run can assert its coverage. *)
 
 val replica_outbox : pushes:int -> capacity:int -> unit -> Schedcheck.scenario
 [@@sdb.check.allow

@@ -600,29 +600,32 @@ let test_history_beside_committer () =
   let stop = Atomic.make false and commits = Atomic.make 0 in
   let committer =
     Domain.spawn (fun () ->
-        while (not (Atomic.get stop)) && Atomic.get commits < 3000 do
-          let i = Atomic.fetch_and_add commits 1 in
-          KVDb.update db (sequenced_update (i mod 64));
-          if i mod 50 = 49 then KVDb.checkpoint db
+        let i = ref 0 in
+        while not (Atomic.get stop) do
+          KVDb.update db (sequenced_update (!i mod 64));
+          if !i mod 50 = 49 then KVDb.checkpoint db;
+          incr i;
+          Atomic.incr commits
         done)
   in
   let failures = ref [] in
-  let first = ref 0 in
   Fun.protect
     ~finally:(fun () ->
       Atomic.set stop true;
       Domain.join committer)
     (fun () ->
       await "the committer" (fun () -> Atomic.get commits > 0);
-      first := Atomic.get commits;
-      for _ = 1 to 500 do
-        (match KVDb.History.fold db ~init:0 ~f:(fun n _ _ -> n + 1) with
-        | Ok _ -> ()
-        | Error e -> failures := e :: !failures);
-        if not (KVDb.History.available db) then failures := "unavailable" :: !failures
-      done);
+      let first = Atomic.get commits in
+      (* Fold until the committer has committed 200 more updates, so
+         every run folds beside commits, however the two are
+         scheduled. *)
+      await "updates committed beside the folds" (fun () ->
+          (match KVDb.History.fold db ~init:0 ~f:(fun n _ _ -> n + 1) with
+          | Ok _ -> ()
+          | Error e -> failures := e :: !failures);
+          if not (KVDb.History.available db) then failures := "unavailable" :: !failures;
+          Atomic.get commits >= first + 200));
   check Alcotest.(list string) "every fold succeeded" [] (List.rev !failures);
-  check Alcotest.bool "updates committed beside the folds" true (Atomic.get commits > !first);
   KVDb.close db
 
 let test_history_with_retained_previous () =
@@ -759,8 +762,8 @@ let test_update_span_sequence () =
       KVDb.update db (KV.Set ("k", "v"));
       check
         (Alcotest.list Alcotest.string)
-        "one update, four phase spans"
-        [ "update.verify"; "update.apply"; "update.log"; "update.notify" ]
+        "one update, three phase spans"
+        [ "update.apply"; "update.log"; "update.notify" ]
         (span_names ring);
       (* Every span carries the application name. *)
       List.iter
@@ -769,20 +772,29 @@ let test_update_span_sequence () =
             (List.assoc_opt "app" s.Trace.attrs))
         (Trace.Ring.contents ring);
       Trace.Ring.clear ring;
+      (match KVDb.update_checked db ~precondition:(fun _ -> Ok ()) (KV.Set ("k", "w")) with
+      | Ok () -> ()
+      | Error () -> fail "checked update refused");
+      check
+        (Alcotest.list Alcotest.string)
+        "a checked update verifies in the fold"
+        [ "update.verify"; "update.apply"; "update.log"; "update.notify" ]
+        (span_names ring);
+      Trace.Ring.clear ring;
       KVDb.checkpoint db;
       check
         (Alcotest.list Alcotest.string)
         "checkpoint span" [ "checkpoint" ] (span_names ring));
-  (* Under group commit an unconditional update leads a group (its
-     join span is the slot wait and linger); a checked one never
-     joins. *)
+  (* Under group commit every update leads or joins a group (a
+     leader's join span is the slot wait and linger); a checked one is
+     verified in its leader's fold. *)
   let _, _, gdb = mem_db ~config:{ Smalldb.default_config with group_commit = true } () in
   with_ring (fun ring ->
       KVDb.update gdb (KV.Set ("k", "v"));
       check
         (Alcotest.list Alcotest.string)
         "grouped update"
-        [ "update.verify"; "update.join"; "update.apply"; "update.log"; "update.notify" ]
+        [ "update.join"; "update.apply"; "update.log"; "update.notify" ]
         (span_names ring);
       Trace.Ring.clear ring;
       (match KVDb.update_checked gdb ~precondition:(fun _ -> Ok ()) (KV.Set ("k", "w")) with
@@ -791,7 +803,7 @@ let test_update_span_sequence () =
       check
         (Alcotest.list Alcotest.string)
         "checked update"
-        [ "update.verify"; "update.apply"; "update.log"; "update.notify" ]
+        [ "update.join"; "update.verify"; "update.apply"; "update.log"; "update.notify" ]
         (span_names ring))
 
 let test_recovery_spans_after_reopen () =
@@ -1617,8 +1629,7 @@ let test_scrub_clean () =
   check Alcotest.bool "scanned the checkpoint" true
     (List.mem (Store.checkpoint_file gen) r.Smalldb.scanned_files);
   check Alcotest.bool "scanned the log" true
-    (List.mem (Store.log_file gen) r.Smalldb.scanned_files);
-  check Alcotest.bool "report retained" true (KVDb.last_scrub db = Some r)
+    (List.mem (Store.log_file gen) r.Smalldb.scanned_files)
 
 let test_scrub_detects_and_repairs_damage () =
   let store, fs, db = mem_db () in
@@ -1690,28 +1701,19 @@ let test_background_scrubber_repairs () =
   done;
   let gen = (KVDb.stats db).Smalldb.generation in
   Mem.damage store ~file:(Store.log_file gen) ~offset:40 ~len:4;
+  let repairs () =
+    Sdb_obs.Metrics.counter_value (Sdb_obs.Metrics.counter "sdb_scrub_repairs_total")
+  in
+  let repairs0 = repairs () in
   KVDb.start_scrubber ~interval:0.02 ~digest:kv_digest db;
   (match KVDb.start_scrubber ~interval:9. db with
   | _ -> fail "expected Invalid_argument on double start"
   | exception Invalid_argument _ -> ());
-  let deadline = Unix.gettimeofday () +. 5. in
-  let rec wait () =
-    match KVDb.last_scrub db with
-    | Some r when r.Smalldb.repaired -> ()
-    | _ ->
-      if Unix.gettimeofday () > deadline then fail "scrubber never repaired"
-      else begin
-        Thread.delay 0.01;
-        wait ()
-      end
-  in
-  wait ();
-  KVDb.stop_scrubber db;
-  KVDb.stop_scrubber db;
-  (* idempotent *)
+  await "the scrubber's repair" (fun () -> repairs () > repairs0);
   let r = KVDb.scrub ~digest:kv_digest db in
   check Alcotest.int "clean after background repair" 0
     (List.length r.Smalldb.findings);
+  (* [close] stops the scrubber. *)
   KVDb.close db
 
 let () =

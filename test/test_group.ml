@@ -132,11 +132,10 @@ let test_concurrent_dense_lsns_stage_order () =
   KVDb.close db2
 
 let test_precondition_fails_only_its_member () =
-  (* A refused member fails in prepare, before it could join a group,
-     and a checked one holds the commit slot while it verifies.  Slow
-     fsyncs keep groups of unconditional updaters forming around the
-     checked ones; refusals must fail only their own update, however
-     the others grouped. *)
+  (* A refused member is left out by its leader's fold, before
+     anything is staged.  Slow fsyncs keep groups forming, checked and
+     unconditional updaters together; refusals must fail only their own
+     update, however the others grouped. *)
   let store = Mem.create_store ~seed:42 () in
   let ctl, ffs = Fault.wrap (Mem.fs store) in
   Fault.set_latency ctl ~op:`Sync 0.002;
@@ -346,6 +345,40 @@ let test_pausing_callers_share_fsyncs () =
   if per_update <= 0.6 then Ok ()
   else Error (Printf.sprintf "%.3f fsyncs per update (want <= 0.6)" per_update)
 
+(* Checked updates join groups: four checked updaters in tight loops
+   share most fsyncs (one each when a checked update committed alone). *)
+let test_checked_updaters_share_fsyncs () =
+  within_attempts 3 @@ fun () ->
+  let db = KVDb.open_exn ~config:(grouped ()) (slow_sync_store 43) in
+  let threads = 4 and per_thread = 50 in
+  let refused = Atomic.make 0 in
+  let syncs0 = wal_syncs () in
+  let ths =
+    List.init threads (fun tid ->
+        Thread.create
+          (fun () ->
+            for i = 0 to per_thread - 1 do
+              let key = Printf.sprintf "t%d-%03d" tid i in
+              match
+                KVDb.update_checked db
+                  ~precondition:(fun st -> if Smap.mem key st then Error () else Ok ())
+                  (KV.Set (key, "v"))
+              with
+              | Ok () -> ()
+              | Error () -> Atomic.incr refused
+            done)
+          ())
+  in
+  List.iter Thread.join ths;
+  let updates = threads * per_thread in
+  let per_update = float_of_int (wal_syncs () - syncs0) /. float_of_int updates in
+  check Alcotest.int "none refused" 0 (Atomic.get refused);
+  check Alcotest.int "all committed" updates (KVDb.stats db).Smalldb.lsn;
+  KVDb.close db;
+  Printf.printf "fsyncs per checked update: %.3f\n" per_update;
+  if per_update <= 0.6 then Ok ()
+  else Error (Printf.sprintf "%.3f fsyncs per checked update (want <= 0.6)" per_update)
+
 let test_lone_caller_never_lingers () =
   let db = KVDb.open_exn ~config:(grouped ()) (slow_sync_store 37) in
   let updates = 60 in
@@ -400,16 +433,10 @@ let test_slow_caller_never_awaited () =
 (* A leader awaits a caller that paused briefly, and that caller never
    comes back: the leader commits alone once a log time has passed since
    the caller's return (the exact bound is the schedule explorer's to
-   check; here, only that the wait ends).  A checked update queued on
-   the commit slot instead ends the wait at once: well before that
-   deadline, which lies more than 0.5 ms after the checked update
-   arrives.  The checked update must arrive while the leader lingers,
-   which the scheduler may deny an attempt. *)
-let test_checked_update_ends_the_linger () =
-  let attempt ~checked seed =
+   check; here, only that the wait ends). *)
+let test_awaited_caller_never_returns () =
+  let attempt seed =
     let db = KVDb.open_exn ~config:(grouped ()) (slow_sync_store seed) in
-    let order = ref [] in
-    let _sub = KVDb.subscribe db (fun lsn u -> order := (u, lsn) :: !order) in
     let ring = Trace.Ring.create ~capacity:256 in
     Trace.set_sink (Some (Trace.Ring.sink ring));
     Fun.protect ~finally:(fun () ->
@@ -423,47 +450,18 @@ let test_checked_update_ends_the_linger () =
     done;
     Trace.Ring.clear ring;
     let leader = Thread.create (fun () -> KVDb.update db (KV.Set ("leader", "v"))) () in
-    let t_checked =
-      if checked then begin
-        Thread.delay 0.0001;
-        let t = Unix.gettimeofday () in
-        (match KVDb.update_checked db ~precondition:(fun _ -> Ok ()) (KV.Set ("checked", "v")) with
-        | Ok () -> ()
-        | Error () -> fail "the checked update was refused");
-        Some t
-      end
-      else None
-    in
     Thread.join leader;
-    let lsn key = List.assoc (KV.Set (key, "v")) !order in
-    let linger =
-      List.filter (fun s -> s.Trace.name = "update.linger") (Trace.Ring.contents ring)
-    in
-    match (t_checked, linger) with
-    | None, [ s ] ->
+    match List.filter (fun s -> s.Trace.name = "update.linger") (Trace.Ring.contents ring) with
+    | [ s ] ->
       check Alcotest.(option string) "awaited" (Some "1") (List.assoc_opt "waited_for" s.Trace.attrs);
       check Alcotest.(option string) "never came back" (Some "0") (List.assoc_opt "joined" s.Trace.attrs);
       Ok ()
-    | None, _ -> Error "the leader did not await the caller"
-    | Some _, _ when lsn "checked" < lsn "leader" -> Error "the checked update came first"
-    | Some _, [] -> Ok ()  (* queued before the leader planned its wait *)
-    | Some t, [ s ] ->
-      let ended = s.Trace.start_s +. s.Trace.dur_s in
-      if ended < t then Error "the wait was over before the checked update came"
-      else if ended -. t > 0.0003 then
-        Error
-          (Printf.sprintf "the linger went on %.3f ms after a checked update queued"
-             ((ended -. t) *. 1e3))
-      else Ok ()
-    | Some _, _ -> fail "one leader, one linger"
+    | _ -> Error "the leader did not await the caller"
   in
-  List.iter
-    (fun checked ->
-      let seed = ref 45 in
-      within_attempts 8 (fun () ->
-          incr seed;
-          attempt ~checked !seed))
-    [ false; true ]
+  let seed = ref 45 in
+  within_attempts 8 (fun () ->
+      incr seed;
+      attempt !seed)
 
 (* ------------------------------------------------------------------ *)
 (* Group-wide failures                                                 *)
@@ -512,6 +510,13 @@ let test_fsync_fault_poisons_and_wakes_all () =
   KVDb.update db2 (KV.Set ("after", "y"));
   KVDb.close db2
 
+(* Members pickled so far: a member joins its group under the Update
+   hold it pickled under. *)
+let pickles () =
+  (Metrics.histogram_snapshot
+     (Metrics.histogram "sdb_update_phase_seconds" ~labels:[ ("phase", "pickle") ]))
+    .Sdb_util.Histogram.s_count
+
 (* The test KV, except that [apply] rejects the key "boom". *)
 module Picky = struct
   include KV
@@ -545,13 +550,10 @@ let test_raising_apply_fails_its_group () =
               done)
         end)
   in
-  let ring = Trace.Ring.create ~capacity:256 in
-  Trace.set_sink (Some (Trace.Ring.sink ring));
-  Fun.protect ~finally:(fun () -> Trace.set_sink None) @@ fun () ->
   let t0 = Thread.create (fun () -> PickyDb.update db (KV.Set ("first", "v"))) () in
   await "the first commit's notification" (fun () ->
       Mutex.protect gate (fun () -> !holding));
-  Trace.Ring.clear ring;
+  let pickles0 = pickles () in
   let before = Fs.Counters.copy fs.Fs.counters in
   let keys = [ "a"; "boom"; "b"; "c" ] in
   let outcomes = Array.make (List.length keys) "unset" in
@@ -567,15 +569,10 @@ let test_raising_apply_fails_its_group () =
           ())
       keys
   in
-  (* A member joins under the Update hold it verified under, and the
-     leader seals under Update: once every member has verified, all of
+  (* A member joins under the Update hold it pickled under, and the
+     leader seals under Update: once every member has pickled, all of
      them are in the group the leader seals. *)
-  await "every member verified" (fun () ->
-      List.length
-        (List.filter
-           (fun s -> s.Trace.name = "update.verify")
-           (Trace.Ring.contents ring))
-      = List.length keys);
+  await "every member pickled" (fun () -> pickles () - pickles0 = List.length keys);
   Mutex.protect gate (fun () ->
       release := true;
       Condition.broadcast moved);
@@ -592,6 +589,131 @@ let test_raising_apply_fails_its_group () =
   check Alcotest.(list string) "state" [ "after"; "first" ]
     (PickyDb.query db (fun st -> List.map fst (Smap.bindings st)));
   PickyDb.close db
+
+(* One group holds a refused member, a member whose precondition
+   raises and two unconditional ones, held open as above: the two commit
+   with dense LSNs and one fsync, the refused member returns its
+   [Error], the raising one its exception, and the log holds neither. *)
+let test_mixed_group_fails_only_its_members () =
+  let store = Mem.create_store ~seed:19 () in
+  let fs = Mem.fs store in
+  let db = KVDb.open_exn ~config:(grouped ()) fs in
+  let gate = Mutex.create () and moved = Condition.create () in
+  let holding = ref false and release = ref false and seen = ref [] in
+  let _sub =
+    KVDb.subscribe db (fun lsn u ->
+        Mutex.protect gate (fun () ->
+            seen := (u, lsn) :: !seen;
+            if lsn = 0 then begin
+              holding := true;
+              Condition.broadcast moved;
+              while not !release do
+                Condition.wait moved gate
+              done
+            end))
+  in
+  let t0 = Thread.create (fun () -> KVDb.update db (KV.Set ("first", "v"))) () in
+  await "the first commit's notification" (fun () ->
+      Mutex.protect gate (fun () -> !holding));
+  let pickles0 = pickles () in
+  let before = Fs.Counters.copy fs.Fs.counters in
+  let checked key precondition () =
+    match KVDb.update_checked db ~precondition (KV.Set (key, "v")) with
+    | Ok () -> "committed"
+    | Error e -> e
+    | exception Failure m -> m
+  in
+  let unconditional key () =
+    KVDb.update db (KV.Set (key, "v"));
+    "committed"
+  in
+  let members =
+    [
+      checked "refused" (fun _ -> Error "refused");
+      checked "raising" (fun _ -> failwith "precondition exploded");
+      unconditional "a";
+      unconditional "b";
+    ]
+  in
+  let outcomes = Array.make (List.length members) "unset" in
+  let ths =
+    List.mapi (fun i f -> Thread.create (fun () -> outcomes.(i) <- f ()) ()) members
+  in
+  await "every member pickled" (fun () -> pickles () - pickles0 = List.length members);
+  Mutex.protect gate (fun () ->
+      release := true;
+      Condition.broadcast moved);
+  List.iter Thread.join (t0 :: ths);
+  check
+    Alcotest.(list string)
+    "outcomes"
+    [ "refused"; "precondition exploded"; "committed"; "committed" ]
+    (Array.to_list outcomes);
+  let d = Fs.Counters.diff ~after:fs.Fs.counters ~before in
+  check Alcotest.int "one fsync for the group" 1 d.Fs.Counters.syncs;
+  let lsn key = List.assoc (KV.Set (key, "v")) !seen in
+  check Alcotest.(list int) "dense LSNs" [ 1; 2 ] (List.sort compare [ lsn "a"; lsn "b" ]);
+  check Alcotest.bool "healthy" true (KVDb.health db = `Healthy);
+  KVDb.close db;
+  let db2 = KVDb.open_exn fs in
+  check Alcotest.int "recovered LSN" 3 (KVDb.stats db2).Smalldb.lsn;
+  check Alcotest.(list string) "recovered state" [ "a"; "b"; "first" ]
+    (KVDb.query db2 (fun st -> List.map fst (Smap.bindings st)));
+  KVDb.close db2
+
+(* A refusal is only as good as what refused it.  In a group held open
+   as above, an unconditional insert of "k" stages ahead of a checked
+   insert of "k" if absent, which the fold refuses; then the group's
+   log write runs out of space.  The insert never committed, so the
+   checked member must fail with the group, not return "present". *)
+let test_refusal_fails_with_its_group () =
+  let store = Mem.create_store ~seed:23 () in
+  let db = KVDb.open_exn ~config:(grouped ()) (Mem.fs store) in
+  let gate = Mutex.create () and moved = Condition.create () in
+  let holding = ref false and release = ref false in
+  let _sub =
+    KVDb.subscribe db (fun lsn _ ->
+        if lsn = 0 then
+          Mutex.protect gate (fun () ->
+              holding := true;
+              Condition.broadcast moved;
+              while not !release do
+                Condition.wait moved gate
+              done))
+  in
+  let t0 = Thread.create (fun () -> KVDb.update db (KV.Set ("first", "v"))) () in
+  await "the first commit's notification" (fun () ->
+      Mutex.protect gate (fun () -> !holding));
+  let outcome f () = try f () with Smalldb.Degraded _ -> "degraded" in
+  let pickles0 = pickles () in
+  let insert =
+    Thread.create
+      (outcome (fun () ->
+           KVDb.update db (KV.Set ("k", "v"));
+           "committed"))
+      ()
+  in
+  await "the insert pickled" (fun () -> pickles () - pickles0 = 1);
+  let absent st = if Smap.mem "k" st then Error "present" else Ok () in
+  let checked () =
+    match KVDb.update_checked db ~precondition:absent (KV.Set ("k", "w")) with
+    | Ok () -> "committed"
+    | Error e -> e
+  in
+  let result = ref "unset" in
+  let check_thread = Thread.create (fun () -> result := outcome checked ()) () in
+  await "the checked insert pickled" (fun () -> pickles () - pickles0 = 2);
+  Mem.set_capacity store (Some (Mem.total_bytes store + 8));
+  Mutex.protect gate (fun () ->
+      release := true;
+      Condition.broadcast moved);
+  List.iter Thread.join [ t0; insert; check_thread ];
+  check Alcotest.string "the checked member fails with its group" "degraded" !result;
+  check Alcotest.bool "k absent" false (KVDb.query db (Smap.mem "k"));
+  Mem.set_capacity store None;
+  Thread.delay 0.03;
+  check Alcotest.string "retried once space turns up" "committed" (checked ());
+  KVDb.close db
 
 let test_no_space_degrades_and_fails_all_members () =
   let store = Mem.create_store ~seed:9 () in
@@ -661,17 +783,23 @@ let () =
         [
           Alcotest.test_case "pausing callers share fsyncs" `Quick
             test_pausing_callers_share_fsyncs;
+          Alcotest.test_case "checked updaters share fsyncs" `Quick
+            test_checked_updaters_share_fsyncs;
           Alcotest.test_case "a lone caller never lingers" `Quick
             test_lone_caller_never_lingers;
           Alcotest.test_case "a slow caller is never awaited" `Quick
             test_slow_caller_never_awaited;
-          Alcotest.test_case "a checked update ends the linger" `Quick
-            test_checked_update_ends_the_linger;
+          Alcotest.test_case "awaited caller never returns" `Quick
+            test_awaited_caller_never_returns;
         ] );
       ( "failures",
         [
           Alcotest.test_case "raising apply fails its group, commits none" `Quick
             test_raising_apply_fails_its_group;
+          Alcotest.test_case "mixed group fails only its members" `Quick
+            test_mixed_group_fails_only_its_members;
+          Alcotest.test_case "a refusal fails with its group" `Quick
+            test_refusal_fails_with_its_group;
           Alcotest.test_case "failed fsync poisons, wakes all parked" `Quick
             test_fsync_fault_poisons_and_wakes_all;
           Alcotest.test_case "no-space degrades, fails all cleanly" `Quick

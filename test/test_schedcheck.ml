@@ -68,7 +68,7 @@ let test_upgrade_vs_readers () =
    schedule with at most four preemptions, and the run must reach the
    shapes that need three: a group of three, and a group of two still
    committing while the third updater forms the next group behind it
-   (late arrival, the ticket slot, park and wake). *)
+   (late arrival, the slot wait, park and wake). *)
 let test_group_commit () =
   ignore (assert_passed "group_commit(2)" (Sched.explore (Scen.group_commit ~updaters:2)));
   ignore
@@ -88,10 +88,11 @@ let test_group_commit () =
    once, so the coordinator learns its gap and a later leader awaits it.
    Two updaters with updater 0 committing twice are exhausted: every
    linger there awaits a caller that has finished, which must end at its
-   deadline with the leader committing alone.  Updater 0 committing
-   three times, and a checked insert beside two updaters, are beyond
-   exhaustive reach; their preemption-bounded runs must reach an awaited
-   caller joining and a checked update cutting the wait short. *)
+   deadline with the leader committing alone; so are they when both
+   insert if absent, where the linger meets refusals.  Updater 0
+   committing three times is beyond exhaustive reach; its
+   preemption-bounded run must reach an awaited caller joining, and a
+   leader that awaited one in vain. *)
 let test_linger () =
   let seen = Hashtbl.create 8 in
   let observe shape = Hashtbl.replace seen shape () in
@@ -103,16 +104,15 @@ let test_linger () =
     "reached: lingered for a caller that never came back, committed alone" true
     (Hashtbl.mem seen "lingered for a caller that never came back, committed alone");
   ignore
+    (assert_passed "group_commit(2, updater 0 twice, 2 inserts)"
+       (Sched.explore (Scen.group_commit ~rounds:2 ~inserts:2 ~observe ~updaters:2)));
+  ignore
     (assert_passed "group_commit(2, updater 0 three times), <= 4 preemptions"
        (Sched.explore ~max_preemptions:4
           (Scen.group_commit ~rounds:3 ~observe ~updaters:2)));
-  ignore
-    (assert_passed "group_commit(3, updater 0 twice, 1 insert), <= 3 preemptions"
-       (Sched.explore ~max_preemptions:3
-          (Scen.group_commit ~rounds:2 ~inserts:1 ~observe ~updaters:3)));
   List.iter
     (fun shape -> Alcotest.(check bool) ("reached: " ^ shape) true (Hashtbl.mem seen shape))
-    [ "lingered, then a group of 2"; "lingered, committed alone"; "linger cut short by a checked update" ]
+    [ "lingered, then a group of 2"; "lingered, committed alone"; "refused in a group of 2" ]
 
 (* A fold that raises fails its group before the commit point: no
    flush, no publish, every member woken with the exception, the lock
@@ -131,19 +131,49 @@ let test_raising_fold () =
     (fun shape -> Alcotest.(check bool) ("reached: " ^ shape) true (Hashtbl.mem seen shape))
     [ "fold raised in a group of 1"; "fold raised in a group of 2"; "group of 1" ]
 
-(* Two checked "insert if absent" updaters on one key: exactly one
-   commits, alone and beside an unconditional updater that may group,
-   in both commit modes. *)
-let test_checked_inserts () =
+(* Mixed groups: checked "insert if absent" updaters on one key beside
+   unconditional ones.  Every precondition sees exactly the commits
+   staged before it, a refusal returns only once the commits it saw
+   are published, exactly one insert commits, and a group that admits
+   nobody takes no flush.  Two updaters — one insert or two — and three
+   solo ones are exhausted; three grouped ones, like those of
+   [test_group_commit], are beyond exhaustive reach, so they run every
+   schedule with at most four preemptions, which must reach a group of
+   three whose fold refuses the second insert. *)
+let test_mixed_group () =
+  let seen = Hashtbl.create 8 in
+  let observe shape = Hashtbl.replace seen shape () in
+  ignore
+    (assert_passed "group_commit(2, 1 insert)"
+       (Sched.explore (Scen.group_commit ~inserts:1 ~observe ~updaters:2)));
   ignore
     (assert_passed "group_commit(2, 2 inserts)"
-       (Sched.explore (Scen.group_commit ~inserts:2 ~updaters:2)));
-  ignore
-    (assert_passed "group_commit(3, 2 inserts)"
-       (Sched.explore (Scen.group_commit ~inserts:2 ~updaters:3)));
+       (Sched.explore (Scen.group_commit ~inserts:2 ~observe ~updaters:2)));
   ignore
     (assert_passed "solo commit(3, 2 inserts)"
-       (Sched.explore (Scen.group_commit ~grouped:false ~inserts:2 ~updaters:3)))
+       (Sched.explore (Scen.group_commit ~grouped:false ~inserts:2 ~updaters:3)));
+  ignore
+    (assert_passed "group_commit(3, 2 inserts), <= 4 preemptions"
+       (Sched.explore ~max_preemptions:4 ~max_schedules:2_000_000
+          (Scen.group_commit ~inserts:2 ~observe ~updaters:3)));
+  List.iter
+    (fun shape -> Alcotest.(check bool) ("reached: " ^ shape) true (Hashtbl.mem seen shape))
+    [ "refused in a group of 2"; "refused in a group of 3" ]
+
+(* A precondition that raises fails only its own member: the rest of
+   its group commits, in both commit modes. *)
+let test_raising_precondition () =
+  let seen = Hashtbl.create 8 in
+  let observe shape = Hashtbl.replace seen shape () in
+  ignore
+    (assert_passed "group_commit(2, precondition raises)"
+       (Sched.explore (Scen.group_commit ~raising_precondition:0 ~observe ~updaters:2)));
+  ignore
+    (assert_passed "solo commit(2, precondition raises)"
+       (Sched.explore (Scen.group_commit ~grouped:false ~raising_precondition:1 ~updaters:2)));
+  List.iter
+    (fun shape -> Alcotest.(check bool) ("reached: " ^ shape) true (Hashtbl.mem seen shape))
+    [ "precondition raised in a group of 2"; "precondition raised in a group of 1" ]
 
 let test_replica_outbox () =
   ignore
@@ -183,9 +213,12 @@ let assert_caught name make ~mentioning =
     | o, _ -> Alcotest.failf "%s: replay did not violate:\n%s" name (Sched.pp_outcome o))
   | o -> Alcotest.failf "%s must be caught:\n%s" name (Sched.pp_outcome o)
 
-let test_checked_join_caught () =
-  assert_caught "checked inserts joining groups"
-    (Scen.group_commit ~checked_joins:true ~inserts:2 ~updaters:2)
+(* A fold that checks every precondition against its group's base
+   state, not the state folded so far, lets two inserts in one group
+   both commit. *)
+let test_base_checks_caught () =
+  assert_caught "preconditions checked at the group's base"
+    (Scen.group_commit ~checks_at_base:true ~inserts:2 ~updaters:2)
     ~mentioning:[ "checked inserts committed" ]
 
 (* --- detector of the detector ------------------------------------- *)
@@ -268,8 +301,9 @@ let () =
           Alcotest.test_case "group commit: seal/flush/wake" `Quick
             test_group_commit;
           Alcotest.test_case "group commit: linger for callers" `Quick test_linger;
-          Alcotest.test_case "group commit: one checked insert commits" `Quick
-            test_checked_inserts;
+          Alcotest.test_case "group commit: mixed group" `Quick test_mixed_group;
+          Alcotest.test_case "group commit: raising precondition" `Quick
+            test_raising_precondition;
           Alcotest.test_case "group commit: raising fold fails its group" `Quick
             test_raising_fold;
           Alcotest.test_case "replica outbox hand-off" `Quick test_replica_outbox;
@@ -279,8 +313,8 @@ let () =
       ( "harness",
         [
           Alcotest.test_case "seeded bug is caught" `Quick test_broken_writer_caught;
-          Alcotest.test_case "checked insert joining a group is caught" `Quick
-            test_checked_join_caught;
+          Alcotest.test_case "checks at group base caught" `Quick
+            test_base_checks_caught;
           Alcotest.test_case "exploration is deterministic" `Quick test_deterministic;
           Alcotest.test_case "schedule bound reported" `Quick test_schedule_bound;
           Alcotest.test_case "preemption bound prunes, still catches" `Quick
