@@ -234,6 +234,20 @@ let health socket =
         print_endline "poisoned";
         exit 2)
 
+(* §4's restore-from-replica: wipe DIR and rebuild it from the server
+   at the socket, which keeps serving throughout.  The restored store
+   keeps the server's LSN. *)
+let restore conn dir =
+  with_client conn (fun c ->
+      match Sdb_replica.Replica.repair_from_peer c (Sdb_storage.Real_fs.create ~root:dir) with
+      | Error e ->
+        prerr_endline e;
+        exit 1
+      | Ok ns ->
+        Printf.printf "lsn:    %d\n" (Ns.stats ns).Smalldb.lsn;
+        Printf.printf "digest: %s\n" (Digest.to_hex (Ns.digest ns));
+        Ns.close ns)
+
 (* ------------------------------------------------------------------ *)
 (* command line                                                         *)
 
@@ -337,9 +351,34 @@ let expected_arg =
 let depth_arg =
   Arg.(value & opt (some int) None & info [ "depth" ] ~docv:"N" ~doc:"Depth limit.")
 
+let restore_cmd =
+  let from =
+    Arg.(
+      required
+      & opt (some string) None
+      & info [ "from" ] ~docv:"PATH"
+          ~doc:"Unix-domain socket of the server to restore from.")
+  in
+  let dir =
+    Arg.(
+      required
+      & opt (some string) None
+      & info [ "dir"; "d" ] ~docv:"DIR"
+          ~doc:"Database directory to rebuild; its files are deleted first.")
+  in
+  Cmd.v
+    (Cmd.info "restore"
+       ~doc:
+         "Rebuild DIR from a running server's checkpoint image (the paper's \
+          restore from another replica), then print its LSN and digest.  No \
+          server may have DIR open.")
+    Term.(
+      const restore $ (const (fun s t -> (s, t)) $ from $ timeout_arg) $ dir)
+
 let cmds =
   [
     serve_cmd;
+    restore_cmd;
     client_cmd "lookup" "Print the value bound at NAME."
       Term.(const lookup $ conn_arg $ name_arg 0);
     client_cmd "set" "Bind VALUE at NAME (creating intermediate names)."

@@ -1,6 +1,8 @@
 (* Replication (§4): three name-server replicas, eager update
    propagation over RPC, a partition with later anti-entropy, and
-   hard-error recovery by cloning a dead replica from a live peer.
+   hard-error recovery by restoring a damaged replica's store from a
+   live peer.  Exits non-zero when the restore fails or the restored
+   replica's digest or LSN differs from its source's.
 
    Run with:  dune exec examples/replication_demo.exe *)
 
@@ -93,21 +95,29 @@ let () =
   (match Ns.open_ (Mem.fs c.store) with
   | Error e -> Printf.printf "gamma cannot restart locally: %s\n" e
   | Ok _ -> print_endline "unexpected: local restart succeeded");
-  (* Clone from alpha into a fresh store. *)
+  (* Restore gamma's own store from alpha's checkpoint image. *)
   let client_t2, server_t2 = Rpc.Inproc.pair () in
   let thread2 = Thread.create (fun () -> Proto.serve a.ns server_t2) () in
   a.links <- (server_t2, thread2) :: a.links;
-  let fresh = Mem.create_store ~seed:99 () in
-  (match Replica.clone_from (Proto.Client.create client_t2) (Mem.fs fresh) with
-  | Error e -> Printf.printf "clone failed: %s\n" e
-  | Ok gamma2 ->
-    Printf.printf "gamma rebuilt from alpha: /svc/ftp = %s, digest match %b\n"
-      (Option.value (Ns.lookup gamma2 (p "/svc/ftp")) ~default:"<missing>")
-      (Ns.digest gamma2 = Ns.digest a.ns);
-    Ns.close gamma2);
+  let restored =
+    match Replica.repair_from_peer (Proto.Client.create client_t2) (Mem.fs c.store) with
+    | Error e ->
+      Printf.printf "restore failed: %s\n" e;
+      false
+    | Ok gamma2 ->
+      let lsn ns = (Ns.stats ns).Smalldb.lsn in
+      let same_digest = Ns.digest gamma2 = Ns.digest a.ns in
+      Printf.printf "gamma restored from alpha: /svc/ftp = %s, lsn %d (alpha %d), digest match %b\n"
+        (Option.value (Ns.lookup gamma2 (p "/svc/ftp")) ~default:"<missing>")
+        (lsn gamma2) (lsn a.ns) same_digest;
+      let ok = same_digest && lsn gamma2 = lsn a.ns in
+      Ns.close gamma2;
+      ok
+  in
 
   Replica.shutdown a.replica;
   Replica.shutdown b.replica;
   cut a;
   cut b;
-  print_endline "done"
+  print_endline "done";
+  if not restored then exit 1

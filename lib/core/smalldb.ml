@@ -210,11 +210,13 @@ module Make (App : APP) = struct
 
   (* One commit-pipeline member: an update (or a whole batch), pickled
      under the Update lock, and the precondition the fold checks it by,
-     if any. *)
+     if any, with the request id of the thread that committed it: the
+     fold may run on another member's thread. *)
   type member = {
     updates : App.update list;
     payloads : string list;
     holds : (App.state -> bool) option;
+    req : string option;  (* the caller's request id, for its verify span *)
   }
 
   (* Where a checkpoint's snapshot sits in the log: the entries past
@@ -350,13 +352,19 @@ module Make (App : APP) = struct
   let checkpoint_blob ~lsn state =
     Pickle.to_string codec_blob ({ app = App.name; base_lsn = lsn }, state)
 
-  let create_fresh fs config =
-    let state = App.init () in
-    let blob = checkpoint_blob ~lsn:0 state in
+  (* The first generation of an empty store: [blob] as checkpoint0, an
+     empty logfile0 whose entries start at [lsn], and the commit of
+     version 0.  Returns the log's writer. *)
+  let write_first_generation fs config ~lsn blob =
     Store.write_checkpoint fs ~version:0 blob;
-    let wal = Wal.Writer.create fs (Store.log_file 0) ~fingerprint:update_fp ~base_lsn:0 in
+    let wal = Wal.Writer.create fs (Store.log_file 0) ~fingerprint:update_fp ~base_lsn:lsn in
     Store.commit ~archive_logs:config.archive_logs
       ~retain_previous:config.retain_previous ~old_version:None ~new_version:0 fs;
+    wal
+
+  let create_fresh fs config =
+    let state = App.init () in
+    let wal = write_first_generation fs config ~lsn:0 (checkpoint_blob ~lsn:0 state) in
     Ok (make fs config state wal 0 0 fresh_recovery)
 
   let load_checkpoint fs file =
@@ -881,7 +889,8 @@ module Make (App : APP) = struct
     in
     let d = phase m_phase_pickle t0 in
     t.phase <- { t.phase with pickle_s = t.phase.pickle_s +. d };
-    { updates; payloads; holds }
+    let req = if Option.is_some holds then Trace.request () else None in
+    { updates; payloads; holds; req }
 
   let member_size m =
     List.fold_left (fun acc p -> acc + String.length p + Wal.frame_overhead) 0 m.payloads
@@ -890,8 +899,9 @@ module Make (App : APP) = struct
 
   (* The paper's step one, for a member that carries a precondition:
      check it against [state].  A refusal or a raise leaves the member
-     out of its group. *)
-  let verify t state holds =
+     out of its group.  The span names the member's request, not the
+     folding thread's. *)
+  let verify t state m holds =
     let t0 = now () in
     let o =
       match holds state with
@@ -899,7 +909,10 @@ module Make (App : APP) = struct
       | false -> Commit_core.Refused
       | exception e -> Commit_core.Failed e
     in
-    let d = phase m_phase_verify ~span:"update.verify" ~attrs:app_attrs t0 in
+    let attrs () =
+      match m.req with Some id -> ("req", id) :: app_attrs () | None -> app_attrs ()
+    in
+    let d = phase m_phase_verify ~span:"update.verify" ~attrs t0 in
     t.phase <- { t.phase with verify_s = t.phase.verify_s +. d };
     o
 
@@ -916,7 +929,7 @@ module Make (App : APP) = struct
     let next, outcomes =
       List.fold_left_map
         (fun ({ state; lsn } as v) m ->
-          match Option.fold ~none:Commit_core.Pending ~some:(verify t state) m.holds with
+          match Option.fold ~none:Commit_core.Pending ~some:(verify t state m) m.holds with
           | Pending ->
             let state = List.fold_left App.apply state m.updates in
             ({ state; lsn = lsn + List.length m.updates }, Commit_core.Pending)
@@ -1455,4 +1468,24 @@ module Make (App : APP) = struct
 
   let open_exn ?config fs =
     match open_ ?config fs with Ok t -> t | Error e -> failwith e
+
+  (* ---------------------------------------------------------------- *)
+  (* Restore from a replica (§4)                                       *)
+
+  (* The bytes a checkpoint of the current version would hold: the
+     root pinned by one read, pickled with no lock held. *)
+  let image t =
+    let state, lsn = query_with_lsn t Fun.id in
+    (lsn, checkpoint_blob ~lsn state)
+
+  let install ?(config = default_config) fs ~lsn image =
+    match
+      Store.recover ~archive_logs:config.archive_logs
+        ~retain_previous:config.retain_previous fs
+    with
+    | Error e -> Error e
+    | Ok (Some _) -> Error "install: the store is not empty"
+    | Ok None ->
+      Wal.Writer.close (write_first_generation fs config ~lsn image);
+      open_ ~config fs
 end

@@ -210,6 +210,31 @@ module Make (App : APP) : sig
 
   val open_exn : ?config:config -> Sdb_storage.Fs.t -> t
 
+  (** {2 Restore from a replica (§4)}
+
+      A replica's state moves in the store's own format: the bytes of
+      a checkpoint file, stamped with the LSN they reflect. *)
+
+  val image : t -> int * string
+  (** [(lsn, bytes)]: exactly the bytes a checkpoint of the current
+      version would hold, and the LSN of that version.  The version is
+      pinned by one read (as {!query_with_lsn}); the pickle runs with
+      no lock held. *)
+
+  val install :
+    ?config:config -> Sdb_storage.Fs.t -> lsn:int -> string -> (t, string) result
+  (** Make an empty store hold an {!image} taken at [lsn], then open
+      it: write the bytes as [checkpoint0], create an empty [logfile0]
+      whose entries start at [lsn], commit version 0 — the same first
+      generation {!open_} writes for a fresh store — and {!open_}.
+      The opened store reports LSN [lsn], so updates committed after
+      the image keep their numbers.  [Error] when the store is not
+      empty (nothing is written), or when the installed generation
+      does not open (an image of another application, or one whose
+      LSN is not [lsn]; the store then holds the refused generation).
+      A crash before the commit leaves an empty store; after it, the
+      image at [lsn].  File-system failures raise. *)
+
   val query : t -> (App.state -> 'a) -> 'a
   (** Run an enquiry under the shared lock.  The function must not
       mutate the state and must not call back into this [t] (the lock

@@ -55,6 +55,7 @@ type t = Db.t
 
 let open_ ?config fs = Db.open_ ?config fs
 let open_exn ?config fs = Db.open_exn ?config fs
+let install ?config fs ~lsn image = Db.install ?config fs ~lsn image
 let db t = t
 
 (* Enquiries: pure lookups in the virtual memory structure. *)

@@ -37,6 +37,12 @@ type t
 
 val open_ : ?config:Smalldb.config -> Sdb_storage.Fs.t -> (t, string) result
 val open_exn : ?config:Smalldb.config -> Sdb_storage.Fs.t -> t
+
+val install :
+  ?config:Smalldb.config -> Sdb_storage.Fs.t -> lsn:int -> string -> (t, string) result
+(** {!Smalldb.Make.install}: open an empty store holding another
+    replica's [Db.image], at that image's LSN. *)
+
 val db : t -> Db.t
 (** The underlying engine (used by replication and benchmarks). *)
 

@@ -32,6 +32,8 @@ module Context = struct
     | None -> Sdb_check.Mu.with_lock mu (fun () -> Hashtbl.remove tbl (self ()))
 end
 
+let request () = if active () then Context.get () else None
+
 let with_request id f =
   if not (active ()) then f ()
   else begin

@@ -54,6 +54,12 @@ val with_request : string -> (unit -> 'a) -> 'a
     given id (restoring the previous context after, so nesting works).
     A no-op wrapper when tracing is inactive. *)
 
+val request : unit -> string option
+(** The calling thread's request id, if tracing is active and the
+    thread is inside {!with_request}.  Work done for this request on
+    another thread passes it as an explicit [("req", id)] attribute,
+    which {!span} keeps. *)
+
 (** {1 Sinks} *)
 
 val tee : sink list -> sink

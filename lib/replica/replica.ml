@@ -1,9 +1,8 @@
+module Fs = Sdb_storage.Fs
 module Ns = Sdb_nameserver.Nameserver
-module Ns_data = Sdb_nameserver.Ns_data
 module Proto = Sdb_rpc.Ns_protocol
 module Rpc = Sdb_rpc.Rpc
 module Backoff = Sdb_rpc.Backoff
-module P = Sdb_pickle.Pickle
 module Metrics = Sdb_obs.Metrics
 module Mono = Sdb_util.Mono
 
@@ -611,8 +610,8 @@ let converged_with t peer_client =
   | peer_digest -> String.equal (Ns.digest t.ns) peer_digest
   | exception Rpc.Rpc_error _ -> false
 
-(* Resumable state transfer: [fetch_meta] pins the encoding of the
-   peer's state at one LSN; chunks of exactly that string are fetched
+(* Resumable state transfer: [fetch_meta] pins the peer's checkpoint
+   image at one LSN; chunks of exactly that string are fetched
    idempotently, so a connection reset mid-transfer costs at most one
    chunk — the client reconnects and the next [fetch_chunk] resumes at
    the first byte still missing.  When the peer's state moves past the
@@ -647,52 +646,35 @@ let fetch_state_resumable ?(chunk_bytes = 64 * 1024) ?(max_restarts = 8)
         | `Err m -> Error ("fetch_chunk: " ^ m)
         | `Moved -> start (restarts + 1)
         | `Done ->
-          let bytes = Buffer.contents buf in
-          if not (String.equal (Digest.string bytes) peer_digest) then
+          let image = Buffer.contents buf in
+          if String.equal (Digest.string image) peer_digest then
+            Ok (lsn, image, peer_digest)
+          else
             (* Wrong bytes despite a stable LSN: refuse and refetch. *)
-            start (restarts + 1)
-          else (
-            match P.decode_result Ns_data.codec_tree bytes with
-            | Ok tree -> Ok (tree, lsn, peer_digest)
-            | Error e -> Error ("state transfer: undecodable state: " ^ e)))
+            start (restarts + 1))
   in
   start 0
 
-(* §4: "restoring its data from another replica".  Unlike [clone_from]
-   this works on the {e damaged} store itself — including when [open_]
-   refuses it (e.g. interior log damage with committed entries beyond):
-   the transferred state is digest-verified, the wrecked files are
-   wiped, and the store is rebuilt and checkpointed in place. *)
+(* §4: "restoring its data from another replica", on the store itself —
+   empty, or damaged so that [open_] refuses it (e.g. interior log
+   damage with committed entries beyond).  The verified image replaces
+   the store's files as its first generation, at the peer's LSN. *)
 let repair_from_peer ?config ?chunk_bytes peer_client fs =
+  let fail m = Error ("repair_from_peer: " ^ m) in
   match fetch_state_resumable ?chunk_bytes peer_client with
-  | Error m -> Error ("repair_from_peer: " ^ m)
-  | Ok (tree, _lsn, peer_digest) ->
-    begin
-      List.iter
-        (fun f -> try fs.Sdb_storage.Fs.remove f with Sdb_storage.Fs.Io_error _ -> ())
-        (fs.Sdb_storage.Fs.list_files ());
-      match Ns.open_ ?config fs with
-      | Error e -> Error ("repair_from_peer: " ^ e)
-      | Ok ns ->
-        Ns.write_subtree ns [] tree;
-        Ns.checkpoint ns;
-        Metrics.incr m_repairs;
-        if String.equal (Ns.digest ns) peer_digest then Ok ns
-        else begin
-          Ns.close ns;
-          Error "repair_from_peer: rebuilt state digest differs from peer"
-        end
-    end
-
-let clone_from peer_client fs =
-  match Proto.Client.snapshot peer_client with
-  | exception Rpc.Rpc_error m -> Error ("clone_from: " ^ m)
-  | tree, _lsn -> (
-    match Ns.open_ fs with
-    | Error e -> Error e
+  | Error m -> fail m
+  | Ok (lsn, image, peer_digest) -> (
+    List.iter
+      (fun f -> try fs.Fs.remove f with Fs.Io_error _ -> ())
+      (fs.Fs.list_files ());
+    match Ns.install ?config fs ~lsn image with
+    | exception ((Fs.Io_error _ | Fs.No_space _) as e) -> fail (Fs.describe_exn e)
+    | Error e -> fail e
     | Ok ns ->
-      Ns.write_subtree ns [] tree;
-      (* A checkpoint makes the transferred state durable in one
-         generation instead of one giant log entry. *)
-      Ns.checkpoint ns;
-      Ok ns)
+      Metrics.incr m_repairs;
+      if String.equal (Digest.string (snd (Ns.Db.image (Ns.db ns)))) peer_digest then
+        Ok ns
+      else begin
+        Ns.close ns;
+        fail "rebuilt state digest differs from peer"
+      end)

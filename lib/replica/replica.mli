@@ -129,25 +129,21 @@ val converged_with : t -> Sdb_rpc.Ns_protocol.Client.t -> bool
    test_replica calls it"]
 (** Digest comparison with a peer — the long-term consistency check. *)
 
-val clone_from :
-  Sdb_rpc.Ns_protocol.Client.t -> Sdb_storage.Fs.t -> (Sdb_nameserver.Nameserver.t, string) result
-(** Hard-error recovery: rebuild a replica's database from a peer's
-    snapshot into a fresh store, then checkpoint it. *)
-
 val repair_from_peer :
   ?config:Smalldb.config -> ?chunk_bytes:int ->
   Sdb_rpc.Ns_protocol.Client.t -> Sdb_storage.Fs.t ->
   (Sdb_nameserver.Nameserver.t, string) result
-[@@sdb.check.allow
-  "dead-export: library surface: restore-from-replica repair; \
-   test_replica calls it"]
-(** §4's restore-from-replica, automated, on the {e damaged} store
-    itself — usable when [open_] refuses the store outright (e.g.
+(** §4's restore-from-replica, on an empty store or on a {e damaged}
+    one — usable when [open_] refuses the store outright (e.g.
     interior log damage with committed entries beyond it).  Pulls the
-    peer's full state in resumable chunks (so a mid-transfer
-    connection reset resumes instead of restarting), verifies the
-    transfer against the peer's canonical digest, wipes the store's
-    files, rebuilds, checkpoints, and verifies the rebuilt digest.
-    The lost tail, if any, is "only those updates that had been
-    applied to the damaged replica but not propagated to any other
-    replica" (§4). *)
+    peer's checkpoint image ({!Smalldb.Make.image}) in resumable
+    chunks of [chunk_bytes] (default 64 KiB), so a mid-transfer
+    connection reset resumes instead of restarting, and verifies it
+    against the digest the peer pinned.  Then it wipes the store's
+    files and installs the image as the store's first generation
+    ({!Sdb_nameserver.Nameserver.install}): [checkpoint0], an empty
+    [logfile0], [version].  The opened store reports the peer's LSN,
+    and its own image must digest to the pinned one.  The state is
+    pickled once, by the peer, and written once.  The lost tail, if
+    any, is "only those updates that had been applied to the damaged
+    replica but not propagated to any other replica" (§4). *)

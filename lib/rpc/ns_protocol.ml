@@ -56,16 +56,16 @@ let codec_health =
 
 let handlers ns =
   let h = Rpc.Server.handler in
-  (* Chunked-state cache for the resumable transfer verbs: the encoded
-     snapshot at one LSN, kept per connection (handlers are built per
-     [serve]) so repeated [fetch_chunk] calls do not re-pickle the
-     whole tree.  A chunk request for a different LSN than the cached
-     one re-snapshots; if the store has moved past the requested LSN
-     the request is refused and the client restarts from fresh meta. *)
+  (* Chunked-state cache for the resumable transfer verbs: the state's
+     checkpoint image at one LSN, kept per connection (handlers are
+     built per [serve]) so repeated [fetch_chunk] calls do not re-pickle
+     the whole tree.  A chunk request for a different LSN than the
+     cached one re-pickles; if the store has moved past the requested
+     LSN the request is refused and the client restarts from fresh
+     meta. *)
   let chunk_cache = ref None (* (lsn, digest, bytes) *) in
   let encoded_state () =
-    let root, lsn = Ns.Db.query_with_lsn (Ns.db ns) Fun.id in
-    let bytes = P.encode Ns_data.codec_pnode root in
+    let lsn, bytes = Ns.Db.image (Ns.db ns) in
     let meta = (lsn, Digest.string bytes, bytes) in
     chunk_cache := Some meta;
     meta
@@ -98,8 +98,6 @@ let handlers ns =
       (P.result P.unit P.string)
       (fun (p, expected, v) -> Ns.compare_and_set ns p ~expected v);
     h ~meth:"lsn" P.unit P.int (fun () -> (Ns.stats ns).Smalldb.lsn);
-    h ~meth:"snapshot" P.unit (P.pair codec_tree P.int) (fun () ->
-        Ns.snapshot_with_lsn ns);
     h ~meth:"updates_since" P.int
       (P.option (P.list (P.pair P.int codec_update)))
       (fun from -> Ns.updates_since ns from);
@@ -117,8 +115,9 @@ let handlers ns =
     (* Heartbeat: the failure detector's probe.  Must stay the cheapest
        verb in the table (see {!Ns.ping}). *)
     h ~meth:"ping" P.unit P.int (fun () -> Ns.ping ns);
-    (* Resumable state transfer: [fetch_meta] pins (lsn, digest, size);
-       [fetch_chunk] returns byte ranges of that exact encoding, or
+    (* Resumable state transfer: [fetch_meta] pins (lsn, digest, size)
+       of the checkpoint image; [fetch_chunk] returns byte ranges of
+       that exact string, or
        [None] when the pinned LSN is no longer current — the client
        then restarts from fresh meta.  A repair interrupted by a
        connection reset resumes from the last byte it holds instead of
@@ -205,9 +204,6 @@ module Client = struct
       (p, expected, v)
 
   let lsn t = call ~idempotent:true t ~meth:"lsn" P.unit P.int ()
-
-  let snapshot t =
-    call ~idempotent:true t ~meth:"snapshot" P.unit (P.pair codec_tree P.int) ()
 
   let updates_since t from =
     call ~idempotent:true t ~meth:"updates_since" P.int

@@ -3,8 +3,9 @@
     play in §6).
 
     Procedures cover the client-visible enquiry/browse/update surface
-    plus the two replica-support calls ([snapshot], [updates_since])
-    that §4's restore-from-replica and propagation are built on. *)
+    plus the replica-support calls that §4's propagation
+    ([updates_since]) and restore-from-replica ([fetch_meta],
+    [fetch_chunk]) are built on. *)
 
 val serve : Sdb_nameserver.Nameserver.t -> Rpc.Transport.t -> unit
 (** [Rpc.Server.serve] with every procedure, bound to this name
@@ -56,7 +57,6 @@ module Client : sig
   (** Replica support. *)
 
   val lsn : t -> int
-  val snapshot : t -> Sdb_nameserver.Ns_data.tree * int
   val updates_since :
     t -> int -> (int * Sdb_nameserver.Nameserver.update) list option
 
@@ -90,13 +90,14 @@ module Client : sig
 
   val fetch_meta : t -> int * string * int
   (** Begin (or restart) a resumable state transfer: [(lsn, digest,
-      total_bytes)] of the server's canonically-encoded state.  Chunks
-      fetched with the returned [lsn] compose into exactly the string
-      whose MD5 is [digest]. *)
+      total_bytes)] of the server's checkpoint image
+      ({!Smalldb.Make.image}) at [lsn].  Chunks fetched with the
+      returned [lsn] compose into exactly the string whose MD5 is
+      [digest], which {!Sdb_nameserver.Nameserver.install} takes. *)
 
   val fetch_chunk : t -> lsn:int -> offset:int -> len:int -> string option
   (** Bytes [\[offset, offset+len)] (clamped to the total) of the
-      encoding pinned by {!fetch_meta} at [lsn]; [None] when the
+      image pinned by {!fetch_meta} at [lsn]; [None] when the
       server's state has moved past that LSN — restart from
       {!fetch_meta}.  Idempotent, so a transfer interrupted by a
       connection reset resumes at the first byte the receiver is

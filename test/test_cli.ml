@@ -35,11 +35,10 @@ let run_capture argv =
   let code = match status with Unix.WEXITED n -> n | _ -> -1 in
   (code, Buffer.contents buf)
 
-let with_server f =
-  let dir = Helpers.fresh_dir "cli" in
+let with_server ?(dir = Helpers.fresh_dir "cli") ?(tag = "cli") f =
   let socket =
     Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "sdb-cli-%d.sock" (Unix.getpid ()))
+      (Printf.sprintf "sdb-%s-%d.sock" tag (Unix.getpid ()))
   in
   let server =
     Unix.create_process (exe "smalldb_ns.exe")
@@ -109,7 +108,53 @@ let test_cli_end_to_end () =
       Alcotest.check Alcotest.bool ("inspect shows the log's " ^ base) true
         (Helpers.contains ~needle:base out))
 
+(* §4's restore from another replica, as an operator runs it: restore
+   a fresh directory from a serving store, then serve the restored
+   directory; both servers answer the same LSN and digest. *)
+let test_cli_restore () =
+  with_server (fun ~dir:_ ~socket ->
+      let ok args =
+        let code, _ = run_client ~socket args in
+        check Alcotest.int ("exit: " ^ String.concat " " args) 0 code
+      in
+      ok [ "set"; "/hosts/acacia"; "16.9.0.11" ];
+      ok [ "checkpoint" ];
+      ok [ "set"; "/hosts/buckeye"; "16.9.0.12" ];
+      let status socket =
+        let code, out = run_client ~socket [ "status" ] in
+        check Alcotest.int "status exit" 0 code;
+        let line key =
+          match
+            List.find_opt
+              (fun l -> Helpers.contains ~needle:key l)
+              (String.split_on_char '\n' out)
+          with
+          | Some l -> l
+          | None -> Alcotest.fail ("status has no " ^ key)
+        in
+        (line "lsn:", line "digest:")
+      in
+      let source = status socket in
+      let copy = Helpers.fresh_dir "cli-restore" in
+      let code, out =
+        run_capture
+          [| exe "smalldb_ns.exe"; "restore"; "--from"; socket; "--dir"; copy |]
+      in
+      check Alcotest.int "restore exit" 0 code;
+      check Alcotest.string "restore prints the source's lsn and digest"
+        (fst source ^ "\n" ^ snd source) (String.trim out);
+      with_server ~dir:copy ~tag:"cli-restored" (fun ~dir:_ ~socket ->
+          let restored = status socket in
+          check Alcotest.(pair string string) "restored store serves the source's lsn and digest"
+            source restored))
+
 let () =
 
   Helpers.run "cli"
-    [ ("end-to-end", [ Alcotest.test_case "server + clients + inspector" `Slow test_cli_end_to_end ]) ]
+    [
+      ( "end-to-end",
+        [
+          Alcotest.test_case "server + clients + inspector" `Slow test_cli_end_to_end;
+          Alcotest.test_case "restore from a serving replica" `Slow test_cli_restore;
+        ] );
+    ]

@@ -117,6 +117,87 @@ let test_crash_during_creation () =
       [ Mem.Clean; Mem.Torn ]
   done
 
+(* Crash during the install of a replica's checkpoint image (§4's
+   restore from another replica), at every mutating operation, clean
+   and torn.  The commit of version 0 is the install's commit point:
+   before it, the reopened store is fresh and empty; from it on, it is
+   the peer's state at the peer's LSN.  Nothing else, and a repair from
+   the peer then succeeds either way. *)
+let test_crash_during_install () =
+  let module Ns = Sdb_nameserver.Nameserver in
+  let module Rpc = Sdb_rpc.Rpc in
+  let module Proto = Sdb_rpc.Ns_protocol in
+  let peer = Ns.open_exn (Mem.fs (Mem.create_store ~seed:5000 ())) in
+  for i = 0 to 19 do
+    Ns.set_value peer [ "k"; string_of_int i ] (Some (String.make 100 'v'))
+  done;
+  Ns.checkpoint peer;
+  Ns.set_value peer [ "late" ] (Some "x");
+  let lsn, image = Ns.Db.image (Ns.db peer) in
+  let peer_state = (lsn, Ns.digest peer) in
+  let state ns = ((Ns.stats ns).Smalldb.lsn, Ns.digest ns) in
+  let empty =
+    let ns = Ns.open_exn (Mem.fs (Mem.create_store ())) in
+    let s = state ns in
+    Ns.close ns;
+    s
+  in
+  let client_t, server_t = Rpc.Inproc.pair () in
+  let server = Thread.create (fun () -> Proto.serve peer server_t) () in
+  let client = Proto.Client.create client_t in
+  let install_ops =
+    let store = Mem.create_store () in
+    let ns = Result.get_ok (Ns.install (Mem.fs store) ~lsn image) in
+    let ops = Mem.mutating_ops store in
+    Ns.close ns;
+    ops
+  in
+  let crashed = ref 0 and reopened_empty = ref 0 in
+  for k = 1 to install_ops + 1 do
+    List.iter
+      (fun mode ->
+        let what =
+          Printf.sprintf "install crash@%d/%s" k
+            (match mode with Mem.Clean -> "clean" | Mem.Torn -> "torn")
+        in
+        let store = Mem.create_store ~seed:(5000 + k) () in
+        let fs = Mem.fs store in
+        Mem.set_crash_after store ~ops:k ~mode;
+        (match Ns.install fs ~lsn image with
+        | Ok ns ->
+          Mem.disarm_crash store;
+          Ns.close ns
+        | Error e -> Alcotest.fail (Printf.sprintf "%s: install refused: %s" what e)
+        | exception Mem.Crash -> incr crashed);
+        Mem.disarm_crash store;
+        (match Ns.open_ fs with
+        | Error e -> Alcotest.fail (Printf.sprintf "%s: reopen failed: %s" what e)
+        | Ok ns ->
+          let s = state ns in
+          if s <> empty && s <> peer_state then
+            Alcotest.fail
+              (Printf.sprintf "%s: reopened at lsn %d, neither empty nor the peer's %d"
+                 what (fst s) lsn);
+          if s = empty then incr reopened_empty;
+          Ns.close ns);
+        match Sdb_replica.Replica.repair_from_peer client fs with
+        | Error e -> Alcotest.fail (Printf.sprintf "%s: repair after crash: %s" what e)
+        | Ok ns ->
+          check Alcotest.(pair int string) (what ^ ": repaired") peer_state (state ns);
+          Ns.close ns)
+      [ Mem.Clean; Mem.Torn ]
+  done;
+  check Alcotest.int "every budget but the last crashed" (2 * install_ops) !crashed;
+  check Alcotest.bool
+    (Printf.sprintf "both outcomes seen (%d of %d reopened empty)" !reopened_empty
+       (2 * install_ops))
+    true
+    (!reopened_empty > 0 && !reopened_empty < 2 * install_ops);
+  Proto.Client.close client;
+  server_t.Rpc.Transport.close ();
+  Thread.join server;
+  Ns.close peer
+
 (* Crash during recovery itself: after a first crash, crash again while
    reopening, then verify a third open still lands on a clean prefix. *)
 let test_crash_during_recovery () =
@@ -453,6 +534,8 @@ let () =
       ( "edges",
         [
           Alcotest.test_case "crash during creation" `Quick test_crash_during_creation;
+          Alcotest.test_case "crash during a replica install" `Quick
+            test_crash_during_install;
           Alcotest.test_case "crash during recovery" `Quick test_crash_during_recovery;
           Alcotest.test_case "crash inside checkpoint" `Quick test_crash_inside_checkpoint;
           Alcotest.test_case "randomized torn storm" `Quick test_randomized_torn_storm;

@@ -661,6 +661,61 @@ let test_mixed_group_fails_only_its_members () =
     (KVDb.query db2 (fun st -> List.map fst (Smap.bindings st)));
   KVDb.close db2
 
+(* Two checked updaters, each inside its own request, share one group
+   held open as above.  The leader's fold verifies both, on its own
+   thread; each request must still find its own verify span. *)
+let test_verify_span_names_its_request () =
+  let db = KVDb.open_exn ~config:(grouped ()) (Mem.fs (Mem.create_store ~seed:29 ())) in
+  let ring = Trace.Ring.create ~capacity:256 in
+  Trace.set_sink (Some (Trace.Ring.sink ring));
+  Fun.protect
+    ~finally:(fun () -> Trace.set_sink None)
+    (fun () ->
+      let gate = Mutex.create () and moved = Condition.create () in
+      let holding = ref false and release = ref false in
+      let _sub =
+        KVDb.subscribe db (fun lsn _ ->
+            if lsn = 0 then
+              Mutex.protect gate (fun () ->
+                  holding := true;
+                  Condition.broadcast moved;
+                  while not !release do
+                    Condition.wait moved gate
+                  done))
+      in
+      let t0 = Thread.create (fun () -> KVDb.update db (KV.Set ("first", "v"))) () in
+      await "the first commit's notification" (fun () ->
+          Mutex.protect gate (fun () -> !holding));
+      let pickles0 = pickles () in
+      let requests = [ "req-a"; "req-b" ] in
+      let ths =
+        List.map
+          (fun id ->
+            Thread.create
+              (fun () ->
+                Trace.with_request id (fun () ->
+                    ignore
+                      (KVDb.update_checked db ~precondition:(fun _ -> Ok ())
+                         (KV.Set (id, "v"))
+                        : (unit, unit) result)))
+              ())
+          requests
+      in
+      await "both members pickled" (fun () -> pickles () - pickles0 = 2);
+      Mutex.protect gate (fun () ->
+          release := true;
+          Condition.broadcast moved);
+      List.iter Thread.join (t0 :: ths);
+      let verify_reqs =
+        List.filter_map
+          (fun (sp : Trace.span) ->
+            if sp.name = "update.verify" then List.assoc_opt "req" sp.attrs else None)
+          (Trace.Ring.contents ring)
+      in
+      check Alcotest.(list string) "each verify span carries its member's request"
+        requests (List.sort compare verify_reqs));
+  KVDb.close db
+
 (* A refusal is only as good as what refused it.  In a group held open
    as above, an unconditional insert of "k" stages ahead of a checked
    insert of "k" if absent, which the fold refuses; then the group's
@@ -796,6 +851,8 @@ let () =
         [
           Alcotest.test_case "raising apply fails its group, commits none" `Quick
             test_raising_apply_fails_its_group;
+          Alcotest.test_case "a verify span names its own request" `Quick
+            test_verify_span_names_its_request;
           Alcotest.test_case "mixed group fails only its members" `Quick
             test_mixed_group_fails_only_its_members;
           Alcotest.test_case "a refusal fails with its group" `Quick

@@ -138,10 +138,12 @@ let test_parallel_domain_pairing () =
 (* Snapshot semantics over the wire                                    *)
 
 (* Two RPC clients against one epoch-routed server: a writer streams
-   sequenced values while a reader repeatedly takes [snapshot] (the
-   engine's query_with_lsn through the epoch route).  The payload and
-   the LSN must come from the same published version: value i is
-   committed by exactly the update that moved the LSN to base + i.
+   sequenced values while a reader repeatedly fetches the server's
+   checkpoint image ([fetch_meta] pins it through the engine's
+   query_with_lsn on the epoch route) and installs it in a store of
+   its own.  The payload and the LSN must come from the same published
+   version: value i is committed by exactly the update that moved the
+   LSN to base + i, and the installed store opens at the pinned LSN.
    The race is made certain, not left to the scheduler: the writer
    starts only once the reader's first snapshot has returned, and
    holds its last write until the reader has taken a snapshot strictly
@@ -191,14 +193,21 @@ let test_rpc_snapshot_consistency () =
       in
       let consistent = ref 0 in
       while Proto.Client.lsn rc < base + writes do
-        let tree, lsn = Proto.Client.snapshot rc in
+        let lsn, _, total = Proto.Client.fetch_meta rc in
+        let copy =
+          match Proto.Client.fetch_chunk rc ~lsn ~offset:0 ~len:total with
+          | None -> Alcotest.fail "the pinned image moved"
+          | Some image -> (
+            match Ns.install (Mem.fs (Mem.create_store ())) ~lsn image with
+            | Ok copy -> copy
+            | Error e -> Alcotest.fail e)
+        in
         Atomic.set first_snapshot true;
         if base < lsn && lsn < base + writes then Atomic.set mid_run true;
-        let value =
-          match Data.pfind (Data.pof_tree tree) (p "/seq") with
-          | Some n -> n.Data.pvalue
-          | None -> None
-        in
+        check Alcotest.int "installed at the pinned lsn" lsn
+          (Ns.stats copy).Smalldb.lsn;
+        let value = Ns.lookup copy (p "/seq") in
+        Ns.close copy;
         (match value with
         | Some v ->
           check Alcotest.int

@@ -177,26 +177,57 @@ let test_converged_with () =
   teardown b
 
 let test_clone_from_peer () =
-  (* §4 hard-error recovery: rebuild a dead replica from a live one. *)
+  (* §4 hard-error recovery: a dead replica's empty store is rebuilt
+     from a live one.  The peer has two generations and a non-empty
+     log; the clone holds the peer's image as its first generation, at
+     the peer's LSN, so the peer's next eager push lands at the next
+     LSN. *)
   let a = make_cell "a" 9 in
   Replica.set_value a.replica (p "/svc/mail") (Some "host1");
+  Ns.checkpoint a.ns;
   Replica.set_value a.replica (p "/svc/news") (Some "host2");
-  (* Serve a. *)
+  let peer_lsn = (Ns.stats a.ns).Smalldb.lsn in
+  check Alcotest.int "peer on its second generation" 1
+    (Ns.stats a.ns).Smalldb.generation;
+  check Alcotest.int "peer log non-empty" 1 (Ns.stats a.ns).Smalldb.log_entries;
   let client_t, server_t = Rpc.Inproc.pair () in
   let thread = Thread.create (fun () -> Proto.serve a.ns server_t) () in
   let client = Proto.Client.create client_t in
   let fresh_store = Mem.create_store ~seed:10 () in
-  (match Replica.clone_from client (Mem.fs fresh_store) with
+  (match Replica.repair_from_peer client (Mem.fs fresh_store) with
   | Error e -> Alcotest.fail e
   | Ok cloned ->
     check Alcotest.(option string) "cloned value" (Some "host1")
       (Ns.lookup cloned (p "/svc/mail"));
     check Alcotest.string "clone converged" (Ns.digest a.ns) (Ns.digest cloned);
+    let st = Ns.stats cloned in
+    check Alcotest.int "clone keeps the peer's lsn" peer_lsn st.Smalldb.lsn;
+    check Alcotest.int "clone's log is empty" 0 st.Smalldb.log_entries;
+    check Alcotest.(list string) "clone's files"
+      [ "checkpoint0"; "logfile0"; "version" ]
+      (List.sort compare (Mem.file_names fresh_store));
+    (* The peer pushes its next update to the clone as to any replica
+       that is up to date ([add_peer]'s default position). *)
+    let clone_t, clone_server_t = Rpc.Inproc.pair () in
+    let clone_thread =
+      Thread.create (fun () -> Proto.serve cloned clone_server_t) ()
+    in
+    Replica.add_peer a.replica ~id:"clone" (Proto.Client.create clone_t);
+    Replica.set_value a.replica (p "/svc/time") (Some "host3");
+    check Alcotest.bool "flushed" true (Replica.flush a.replica);
+    check Alcotest.int "the push commits at the next lsn" (peer_lsn + 1)
+      (Ns.stats cloned).Smalldb.lsn;
+    check Alcotest.string "still converged" (Ns.digest a.ns) (Ns.digest cloned);
+    Replica.shutdown a.replica;
+    clone_server_t.Rpc.Transport.close ();
+    Thread.join clone_thread;
     (* The clone is durable: reopen from its own disk. *)
     Ns.close cloned;
     let reopened = Ns.open_exn (Mem.fs fresh_store) in
-    check Alcotest.(option string) "durable clone" (Some "host2")
-      (Ns.lookup reopened (p "/svc/news")));
+    check Alcotest.(option string) "durable clone" (Some "host3")
+      (Ns.lookup reopened (p "/svc/time"));
+    check Alcotest.int "durable lsn" (peer_lsn + 1) (Ns.stats reopened).Smalldb.lsn;
+    Ns.close reopened);
   Proto.Client.close client;
   server_t.Rpc.Transport.close ();
   Thread.join thread

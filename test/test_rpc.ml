@@ -247,7 +247,7 @@ let with_ns_client f =
     (fun () -> f ns client)
 
 let test_ns_protocol_roundtrip () =
-  with_ns_client (fun _ns client ->
+  with_ns_client (fun ns client ->
       Proto.Client.set_value client (p "/hosts/alpha") (Some "10.0.0.1");
       Proto.Client.create_name client (p "/empty");
       check Alcotest.(option string) "remote lookup" (Some "10.0.0.1")
@@ -282,10 +282,20 @@ let test_ns_protocol_roundtrip () =
       | Ok () -> Alcotest.fail "stale CAS succeeded");
       (* Replica support. *)
       check Alcotest.int "lsn" 5 (Proto.Client.lsn client);
-      let tree, lsn = Proto.Client.snapshot client in
-      check Alcotest.int "snapshot lsn" 5 lsn;
-      Alcotest.check Alcotest.bool "snapshot nonempty" true
-        (Data.pcount_nodes (Data.pof_tree tree) > 1);
+      let lsn, digest, total = Proto.Client.fetch_meta client in
+      check Alcotest.int "image lsn" 5 lsn;
+      (match Proto.Client.fetch_chunk client ~lsn ~offset:0 ~len:total with
+      | None -> Alcotest.fail "image moved"
+      | Some image ->
+        check Alcotest.string "image digest" digest (Digest.string image);
+        (match Ns.install (Mem.fs (Mem.create_store ())) ~lsn image with
+        | Error e -> Alcotest.fail e
+        | Ok copy ->
+          check Alcotest.int "installed lsn" 5 (Ns.stats copy).Smalldb.lsn;
+          check Alcotest.string "installed state" (Ns.digest ns) (Ns.digest copy);
+          Ns.close copy));
+      check Alcotest.(option string) "another lsn is refused" None
+        (Proto.Client.fetch_chunk client ~lsn:4 ~offset:0 ~len:1);
       (match Proto.Client.updates_since client 0 with
       | Some l -> check Alcotest.int "all updates" 5 (List.length l)
       | None -> Alcotest.fail "log covers 0");
